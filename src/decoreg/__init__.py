@@ -94,6 +94,7 @@ from .solver import (
     minimize_ic_full,
     minimize_ic_u,
     solve_penalized,
+    solve_penalized_many,
     xi_map,
 )
 

@@ -28,7 +28,14 @@ from .linops import (
     restricted_injectivity_constant,
 )
 from .norms import DecomposableNorm, dual_norm_value, subdiff_membership
-from .solver import SolverOptions, ic_context, minimize_ic_full, minimize_ic_u
+from .solver import (
+    ICContext,
+    ICSolution,
+    SolverOptions,
+    ic_context,
+    minimize_ic_full,
+    minimize_ic_u,
+)
 
 __all__ = [
     "DualCertificate",
@@ -47,13 +54,22 @@ CERTIFICATE_TOL = 1e-7
 class DualCertificate:
     """Certificate data: eta in the measurement space, alpha in the analysis
     space, the measured saturation dual_norm(P_S alpha) and the source
-    equation residual ||Phi^* eta - L alpha||."""
+    equation residual ||Phi^* eta - L alpha||.
+
+    ``ic_value``, ``ic_gap`` and ``ic_converged`` describe the
+    irrepresentability program the certificate came from: its value as the
+    program reported it (the saturation up to rounding, since P_S alpha is
+    the program's vector), its certified duality gap and whether it met its
+    tolerance.
+    """
 
     eta: np.ndarray
     alpha: np.ndarray
     saturation: float
     source_residual: float
     ic_converged: bool = True
+    ic_value: float | None = None
+    ic_gap: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -73,6 +89,7 @@ def build_certificate(
     e0,
     mode: str = "full",
     opts: SolverOptions | None = None,
+    ctx: ICContext | None = None,
 ) -> DualCertificate:
     """Assemble a certificate from the irrepresentability minimizers.
 
@@ -80,7 +97,8 @@ def build_certificate(
     "u_only" fixes z = 0, "zero" uses (0, 0).  Requires phi injective on
     ker(L_S0^*); a certificate whose saturation reaches 1 is still returned
     (the value itself is what phase-transition experiments need), only its
-    quality margin is nonpositive.
+    quality margin is nonpositive.  ``ctx`` is the ``ic_context`` of T0 when
+    the caller already has it.
     """
     if mode not in ("full", "u_only", "zero"):
         raise ValueError(f"unknown certificate mode {mode!r}")
@@ -95,17 +113,20 @@ def build_certificate(
             "restricted injectivity fails on the model: no certificate exists"
         )
 
-    ctx = ic_context(phi, l_op, T0)
+    ctx = ctx or ic_context(phi, l_op, T0)
     if mode == "full":
         sol = minimize_ic_full(phi, l_op, norm, T0, e0, opts=opts, ctx=ctx)
-        u, z, converged = sol.u, sol.z, sol.converged
     elif mode == "u_only":
         sol = minimize_ic_u(phi, l_op, norm, T0, e0, opts=opts, ctx=ctx)
-        u, z, converged = sol.u, sol.z, sol.converged
     else:
-        u = np.zeros(l_op.cols)
-        z = np.zeros(phi.rows)
-        converged = True
+        sol = ICSolution(
+            u=np.zeros(l_op.cols),
+            z=np.zeros(phi.rows),
+            value=dual_norm_value(norm, ctx.gamma @ e0),
+            gap=0.0,
+            converged=True,
+        )
+    u, z = sol.u, sol.z
 
     eta = phi.apply(ctx.xi @ (ctx.lt @ e0)) + z
     alpha = e0 + ctx.gamma @ e0 + S0.project(u) + ctx.ls_pinv_phi_adj @ z
@@ -118,7 +139,9 @@ def build_certificate(
         alpha=alpha,
         saturation=saturation,
         source_residual=source_residual,
-        ic_converged=converged,
+        ic_converged=sol.converged,
+        ic_value=sol.value,
+        ic_gap=sol.gap,
     )
 
 
@@ -162,21 +185,33 @@ def write_certificate_csv(cert: DualCertificate, path) -> None:
         "alpha," + ",".join(repr(float(v)) for v in cert.alpha),
         f"saturation,{cert.saturation!r}",
         f"source_residual,{cert.source_residual!r}",
+        f"ic_gap,{float(cert.ic_gap)!r}",
+        f"ic_converged,{bool(cert.ic_converged)}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_certificate_csv(path) -> DualCertificate:
+    """Read a certificate back; every row ``write_certificate_csv`` writes is
+    required.  The file stores no separate IC value: the saturation stands
+    in for it."""
     rows: dict[str, list[str]] = {}
     for line in Path(path).read_text().strip().splitlines():
         parts = line.split(",")
         rows[parts[0]] = parts[1:]
     try:
+        converged = rows["ic_converged"][0]
+        if converged not in ("True", "False"):
+            raise ValueError(f"{path}: ic_converged is {converged!r}, not True or False")
+        saturation = float(rows["saturation"][0])
         return DualCertificate(
             eta=np.array([float(v) for v in rows["eta"]]),
             alpha=np.array([float(v) for v in rows["alpha"]]),
-            saturation=float(rows["saturation"][0]),
+            saturation=saturation,
             source_residual=float(rows["source_residual"][0]),
+            ic_converged=converged == "True",
+            ic_value=saturation,
+            ic_gap=float(rows["ic_gap"][0]),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing certificate field {exc}") from exc

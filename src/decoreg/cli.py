@@ -19,13 +19,12 @@ from .experiments import (
     generate_scenario,
     oracle_solve,
     run_scenario,
-    solve_vanishing,
-    vanishing_penalty,
+    solve_trials,
 )
 from .guarantees import strong_nsp_check, uniqueness_from_certificate
 from .linops import LinearOperator, kernel_basis, restricted_injectivity_constant
 from .norms import decompose_at
-from .solver import Problem, SolverOptions, solve_penalized
+from .solver import SolverOptions
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,15 +69,9 @@ def _solve_command(cfg: ScenarioConfig, out: Path) -> int:
         f"x{i}" for i in range(cfg.n)
     )
     lines = [header]
-    for eps, y in zip(cfg.epsilons, ys):
-        if eps > 0:
-            lam = cfg.coupling_c * eps
-            problem = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=lam)
-            report = solve_penalized(problem, opts)
-        else:
-            lam = vanishing_penalty(phi, y)
-            problem = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=lam)
-            report = solve_vanishing(problem, opts)
+    trials = list(zip(cfg.epsilons, ys))
+    reports = solve_trials(phi, l_op.T, norm, trials, cfg.coupling_c, opts)
+    for eps, report in zip(cfg.epsilons, reports):
         lines.append(
             ",".join(
                 [
@@ -147,13 +140,10 @@ def _oracle_command(cfg: ScenarioConfig, out: Path) -> int:
     opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
     lines = ["epsilon,objective_solver,objective_oracle,gap,agree"]
     worst = 0
-    for eps, y in zip(cfg.epsilons, ys):
-        lam = cfg.coupling_c * eps if eps > 0 else vanishing_penalty(phi, y)
-        problem = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=lam)
-        solved = (
-            solve_penalized(problem, opts) if eps > 0 else solve_vanishing(problem, opts)
-        )
-        oracle = oracle_solve(problem)
+    trials = list(zip(cfg.epsilons, ys))
+    reports = solve_trials(phi, l_op.T, norm, trials, cfg.coupling_c, opts)
+    for eps, solved in zip(cfg.epsilons, reports):
+        oracle = oracle_solve(solved.problem)
         gap = abs(solved.objective - oracle.objective)
         agree = gap <= 1e-6 * (1.0 + abs(oracle.objective))
         if not agree:

@@ -56,6 +56,7 @@ from .solver import (
     minimize_ic_full,
     minimize_ic_u,
     solve_penalized,
+    solve_penalized_many,
 )
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "noise_in_ball",
     "vanishing_penalty",
     "solve_vanishing",
+    "solve_trials",
     "first_order_residual",
     "generate_scenario",
     "oracle_solve",
@@ -528,6 +530,38 @@ def solve_vanishing(problem: Problem, opts: SolverOptions) -> SolveReport:
     )
 
 
+def solve_trials(
+    phi: LinearOperator,
+    l_adjoint: LinearOperator,
+    norm: DecomposableNorm,
+    trials: list[tuple[float, np.ndarray]],
+    coupling_c: float,
+    opts: SolverOptions,
+) -> list[SolveReport]:
+    """Solve the penalized problem for every (eps, y) trial, in trial order.
+
+    A trial at eps > 0 uses lambda = c * eps, and all of them are solved in
+    one batched run; a trial at eps = 0 goes through ``solve_vanishing`` at
+    the vanishing penalty.
+    """
+    problems = [
+        Problem(
+            phi=phi,
+            l_adjoint=l_adjoint,
+            norm=norm,
+            y=y,
+            lam=coupling_c * eps if eps > 0 else vanishing_penalty(phi, y),
+        )
+        for eps, y in trials
+    ]
+    noisy = [p for (eps, _), p in zip(trials, problems) if eps > 0]
+    batched = iter(solve_penalized_many(noisy, opts))
+    return [
+        next(batched) if eps > 0 else solve_vanishing(p, opts)
+        for (eps, _), p in zip(trials, problems)
+    ]
+
+
 def _enumerated_models(p: Problem, x_ref: np.ndarray, opts: OracleOptions):
     """Brute-force candidate models for the polish stage.
 
@@ -755,8 +789,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     exit_code = 0
 
     try:
+        ctx = ic_context(phi, l_op, T0)
         cert = build_certificate(
-            phi, l_op, norm, T0, e0, mode=cfg.certificate_mode, opts=solver_opts
+            phi, l_op, norm, T0, e0, mode=cfg.certificate_mode, opts=solver_opts, ctx=ctx
         )
     except ValueError as exc:
         summary.append(f"certificate failed: {exc}")
@@ -769,12 +804,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     summary.append(f"quality {certificate_quality(cert)!r}")
     summary.append(f"source_residual {cert.source_residual!r}")
 
-    ctx = ic_context(phi, l_op, T0)
     ic_00 = ic_value(
         phi, l_op, norm, T0, e0, np.zeros(cfg.p), np.zeros(cfg.m), ctx=ctx
     )
-    ic_u = minimize_ic_u(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx).value
-    ic_uz = minimize_ic_full(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx).value
+    # the certificate already solved the program of its own mode
+    if cfg.certificate_mode == "u_only":
+        ic_u = cert.ic_value
+    else:
+        ic_u = minimize_ic_u(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx).value
+    if cfg.certificate_mode == "full":
+        ic_uz = cert.ic_value
+    else:
+        ic_uz = minimize_ic_full(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx).value
     summary.append(f"ic chain (joint, u-only, zero): {ic_uz!r} {ic_u!r} {ic_00!r}")
 
     nsp = strong_nsp_check(phi, l_op, T0, e0, norm)
@@ -805,7 +846,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
         f"C={bound.total_c!r}"
     )
 
-    trial = 0
+    trials: list[tuple[float, np.ndarray]] = []
     for i, eps in enumerate(cfg.epsilons):
         for draw in range(cfg.noise_draws):
             if draw == 0:
@@ -813,42 +854,37 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
             else:
                 rng = np.random.default_rng([cfg.seed, 7000 + i, draw])
                 y = phi.apply(x0) + noise_in_ball(rng, cfg.m, eps)
-            if eps > 0:
-                lam = cfg.coupling_c * eps
-                problem = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=lam)
-                report = solve_penalized(problem, solver_opts)
-            else:
-                lam = vanishing_penalty(phi, y)
-                problem = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=lam)
-                report = solve_vanishing(problem, solver_opts)
-            check = verify_bounds(
-                phi, l_op, norm, x0, cert, eps, cfg.coupling_c, report, bound
+            trials.append((eps, y))
+    solved = solve_trials(phi, l_op.T, norm, trials, cfg.coupling_c, solver_opts)
+
+    for trial, ((eps, _), report) in enumerate(zip(trials, solved)):
+        check = verify_bounds(
+            phi, l_op, norm, x0, cert, eps, cfg.coupling_c, report, bound
+        )
+        reports.append(check)
+        rows.append(
+            (
+                trial,
+                eps,
+                cfg.coupling_c,
+                check.prediction.observed,
+                check.prediction.bound,
+                check.bregman.observed,
+                check.bregman.bound,
+                check.model_error.observed,
+                check.model_error.bound,
+                check.l2.observed,
+                check.l2.bound,
+                check.pass_all,
             )
-            reports.append(check)
-            rows.append(
-                (
-                    trial,
-                    eps,
-                    cfg.coupling_c,
-                    check.prediction.observed,
-                    check.prediction.bound,
-                    check.bregman.observed,
-                    check.bregman.bound,
-                    check.model_error.observed,
-                    check.model_error.bound,
-                    check.l2.observed,
-                    check.l2.bound,
-                    check.pass_all,
-                )
-            )
-            plot_points.append((eps, check.l2.observed))
-            if check.preconditions_ok and not check.pass_all:
-                exit_code = 1
-            trial += 1
+        )
+        plot_points.append((eps, check.l2.observed))
+        if check.preconditions_ok and not check.pass_all:
+            exit_code = 1
 
     results_path = out / "results.csv"
     _write_results_csv(results_path, rows)
-    summary.append(f"trials {trial}  bound violations {'yes' if exit_code else 'no'}")
+    summary.append(f"trials {len(trials)}  bound violations {'yes' if exit_code else 'no'}")
     summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(summary) + "\n")
 

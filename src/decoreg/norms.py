@@ -85,6 +85,16 @@ class DecomposableNorm:
                 raise ValueError(
                     f"blocks must cover 0..{self.ambient_dim - 1} exactly"
                 )
+            # block layout for column-wise block norms: coordinates in block
+            # order, the start of each block in that order, and each
+            # coordinate's block index
+            order = np.concatenate([np.asarray(b, dtype=np.intp) for b in self.blocks])
+            sizes = np.array([len(b) for b in self.blocks], dtype=np.intp)
+            block_of = np.empty(self.ambient_dim, dtype=np.intp)
+            block_of[order] = np.repeat(np.arange(len(self.blocks)), sizes)
+            object.__setattr__(self, "_block_order", order)
+            object.__setattr__(self, "_block_starts", np.cumsum(sizes) - sizes)
+            object.__setattr__(self, "_block_of", block_of)
         if self.kind == "nuclear":
             if self.shape is None or self.shape[0] * self.shape[1] != self.ambient_dim:
                 raise ValueError("nuclear norm needs nrows * ncols == ambient_dim")
@@ -139,14 +149,47 @@ def _to_vector(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, order="F")
 
 
-def norm_value(norm: DecomposableNorm, u) -> float:
-    u = _check_dim(norm, u)
+def _as_columns(norm: DecomposableNorm, v) -> tuple[np.ndarray, bool]:
+    """A (P, B) array of columns as itself, anything else as one column.
+
+    Returns the columns and whether the input was a single vector."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 2:
+        if v.shape[0] != norm.ambient_dim:
+            raise ValueError(
+                f"columns have length {v.shape[0]}, norm lives on R^{norm.ambient_dim}"
+            )
+        return v, False
+    return _check_dim(norm, v)[:, None], True
+
+
+def _block_norms(norm: DecomposableNorm, cols: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every block of every column, shape (blocks, B)."""
+    squares = cols[norm._block_order] ** 2
+    return np.sqrt(np.add.reduceat(squares, norm._block_starts, axis=0))
+
+
+def _transposed_matrices(norm: DecomposableNorm, cols: np.ndarray) -> np.ndarray:
+    """(B, ncols, nrows) stack of the transposed matrices of the columns.
+
+    The column-major vectorization of X read row-major is X^T; singular
+    values and spectral functions commute with the transpose."""
+    nrows, ncols = norm.shape
+    return cols.T.reshape(cols.shape[1], ncols, nrows)
+
+
+def norm_value(norm: DecomposableNorm, u):
+    """The norm of u, or of every column of a (P, B) array as a (B,) array."""
+    cols, single = _as_columns(norm, u)
     if norm.kind == "l1":
-        return float(np.sum(np.abs(u)))
-    if norm.kind == "group":
-        return float(sum(np.linalg.norm(u[list(b)]) for b in norm.blocks))
-    s = np.linalg.svd(_to_matrix(norm, u), compute_uv=False)
-    return float(np.sum(s))
+        out = np.sum(np.abs(cols), axis=0)
+    elif norm.kind == "group":
+        out = np.sum(_block_norms(norm, cols), axis=0)
+    else:
+        out = np.sum(
+            np.linalg.svd(_transposed_matrices(norm, cols), compute_uv=False), axis=-1
+        )
+    return float(out[0]) if single else out
 
 
 def dual_norm_value(norm: DecomposableNorm, u) -> float:
@@ -184,24 +227,31 @@ def prox(norm: DecomposableNorm, u, tau: float) -> np.ndarray:
     return _to_vector((uu * s) @ vt)
 
 
-def project_dual_ball(norm: DecomposableNorm, v, radius: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto { z : dual_norm(z) <= radius }."""
-    if radius < 0:
+def project_dual_ball(
+    norm: DecomposableNorm, v, radius: float | np.ndarray = 1.0
+) -> np.ndarray:
+    """Euclidean projection onto { z : dual_norm(z) <= radius }.
+
+    ``v`` is one vector or a (P, B) array whose columns are projected one by
+    one; ``radius`` is a scalar or a (B,) array of per-column radii.
+    """
+    radius = np.asarray(radius, dtype=float)
+    # ndarray methods: the per-iteration call is too small for the overhead
+    # of np.any and np.clip
+    if radius.size and radius.min() < 0:
         raise ValueError("radius must be nonnegative")
-    v = _check_dim(norm, v)
+    cols, single = _as_columns(norm, v)
     if norm.kind == "l1":
-        return np.clip(v, -radius, radius)
-    if norm.kind == "group":
-        out = v.copy()
-        for b in norm.blocks:
-            idx = list(b)
-            nb = np.linalg.norm(v[idx])
-            if nb > radius:
-                out[idx] = v[idx] * (radius / nb)
-        return out
-    x = _to_matrix(norm, v)
-    uu, s, vt = np.linalg.svd(x, full_matrices=False)
-    return _to_vector((uu * np.minimum(s, radius)) @ vt)
+        out = cols.clip(-radius, radius)
+    elif norm.kind == "group":
+        nb = _block_norms(norm, cols)
+        scale = np.divide(radius, nb, out=np.ones_like(nb), where=nb > radius)
+        out = cols * scale.take(norm._block_of, axis=0)
+    else:
+        uu, s, vt = np.linalg.svd(_transposed_matrices(norm, cols), full_matrices=False)
+        clipped = np.minimum(s, radius.reshape(-1, 1))
+        out = ((uu * clipped[:, None, :]) @ vt).reshape(cols.shape[1], -1).T
+    return out[:, 0] if single else out
 
 
 def _project_simplex_like(absv: np.ndarray, radius: float) -> float:
@@ -210,7 +260,10 @@ def _project_simplex_like(absv: np.ndarray, radius: float) -> float:
     u = np.sort(absv)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, u.size + 1)
-    rho = np.nonzero(u * ks > (css - radius))[0][-1]
+    hits = np.nonzero(u * ks > (css - radius))[0]
+    # k = 1 always qualifies; rounding hides it when radius is below the
+    # spacing of the floats near the largest entry
+    rho = hits[-1] if hits.size else 0
     return float((css[rho] - radius) / (rho + 1.0))
 
 

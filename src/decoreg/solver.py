@@ -11,8 +11,10 @@ minimizing the irrepresentability coefficient
 over u in ker(L_S) and z with Phi^* z in Im(L_S).
 
 The splitting scheme is the standard primal-dual hybrid gradient iteration on
-the stacked operator K = (Phi; L^*) with tau = sigma = 0.99 / ||K|| certified
-by power iteration, full relaxation, and deterministic initialization at zero.
+the stacked operator K = (Phi; L^*) with tau = sigma = 0.99 / ||K||, the exact
+norm from the singular values ``Problem`` computes for its rank check, full
+relaxation, and deterministic initialization at zero.  Problems sharing Phi,
+L^* and the norm are solved together, one column per problem.
 The IC programs are solved in reduced coordinates: orthonormal bases of the
 feasible subspaces turn the affine-constrained dual-norm minimization into an
 unconstrained one handled by the same scheme, with a duality-gap stopping
@@ -21,7 +23,7 @@ test that certifies the reported value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +48,7 @@ __all__ = [
     "Problem",
     "SolveReport",
     "solve_penalized",
+    "solve_penalized_many",
     "xi_map",
     "gamma_apply",
     "ICContext",
@@ -72,7 +75,8 @@ class Problem:
     ``phi`` maps R^N to R^M, ``l_adjoint`` is the analysis operator L^* from
     R^N to R^P, and lam > 0.  Construction verifies the problem has a
     nonempty compact solution set, which holds exactly when the kernels of
-    phi and L^* intersect trivially.
+    phi and L^* intersect trivially; the singular values of that check also
+    give ``k_norm``, the spectral norm of K = (Phi; L^*).
     """
 
     phi: LinearOperator
@@ -80,6 +84,7 @@ class Problem:
     norm: DecomposableNorm
     y: np.ndarray
     lam: float
+    k_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).reshape(-1)
@@ -100,13 +105,14 @@ class Problem:
             raise ValueError("lam must be positive")
         stacked = np.vstack([self.phi.entries, self.l_adjoint.entries])
         s = np.linalg.svd(stacked, compute_uv=False)
-        smax = s[0] if s.size else 0.0
+        smax = float(s[0]) if s.size else 0.0
         rank = int(np.sum(s > RANK_RTOL * smax)) if smax > 0 else 0
         if rank < n:
             raise ValueError(
                 "ker(phi) and ker(l_adjoint) intersect nontrivially: "
                 "the solution set is unbounded"
             )
+        object.__setattr__(self, "k_norm", smax)
 
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -126,20 +132,23 @@ class SolveReport:
     problem: Problem
 
 
-def _composite_residual(p: Problem, x: np.ndarray, alpha_dual: np.ndarray) -> float:
-    """First-order residual with a certified dual candidate.
+def _composite_residual(
+    p: Problem, x: np.ndarray, alpha_dual: np.ndarray, y: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """First-order residual with a certified dual candidate, per column.
 
-    The dual iterate is rescaled and projected onto the unit dual ball; the
-    returned value adds the gradient-equation norm and the Fenchel gap
-    lam * (||u|| - <alpha, u>), both of which vanish at a minimizer.
+    Column j of ``x``, ``alpha_dual`` and ``y`` belongs to a problem with
+    p's operators and norm and penalty lam[j].  The dual iterate is rescaled
+    and projected onto the unit dual ball; the returned value adds the
+    gradient-equation norm and the Fenchel gap lam * (||u|| - <alpha, u>),
+    both of which vanish at a minimizer.
     """
-    u = p.l_adjoint.apply(x)
-    alpha_hat = project_dual_ball(p.norm, alpha_dual / p.lam, 1.0)
-    grad = p.phi.adjoint_apply(p.phi.apply(x) - p.y) + p.lam * (
-        p.l_adjoint.entries.T @ alpha_hat
-    )
-    gap = p.lam * max(norm_value(p.norm, u) - float(alpha_hat @ u), 0.0)
-    return float(np.linalg.norm(grad)) + gap
+    phi, l_adj = p.phi.entries, p.l_adjoint.entries
+    u = l_adj @ x
+    alpha_hat = project_dual_ball(p.norm, alpha_dual / lam, 1.0)
+    grad = phi.T @ (phi @ x - y) + lam * (l_adj.T @ alpha_hat)
+    gap = lam * np.maximum(norm_value(p.norm, u) - np.sum(alpha_hat * u, axis=0), 0.0)
+    return np.linalg.norm(grad, axis=0) + gap
 
 
 def solve_penalized(p: Problem, opts: SolverOptions | None = None) -> SolveReport:
@@ -149,59 +158,105 @@ def solve_penalized(p: Problem, opts: SolverOptions | None = None) -> SolveRepor
     residual seen at a check point.  Non-convergence within the iteration
     budget is reported, not raised.
     """
+    return solve_penalized_many([p], opts)[0]
+
+
+def solve_penalized_many(
+    problems: list[Problem], opts: SolverOptions | None = None
+) -> list[SolveReport]:
+    """Solve problems that share phi, l_adjoint and norm in one batched loop.
+
+    The iterates are (N, B), (M, B) and (P, B) arrays with one column per
+    problem and that problem's y and lam.  Every column has its own
+    convergence test, best-residual iterate and stopping point: a column
+    that converges leaves the working arrays, so each problem runs exactly
+    the iterations a solve on its own would, and its report is the one
+    ``solve_penalized`` gives up to rounding.  ``opts.init`` starts every
+    column.
+    """
     opts = opts or SolverOptions()
     if opts.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not opts.tol > 0:
         raise ValueError("tol must be positive")
+    problems = list(problems)
+    if not problems:
+        return []
+    first = problems[0]
+    if any(
+        q.phi is not first.phi or q.l_adjoint is not first.l_adjoint or q.norm is not first.norm
+        for q in problems
+    ):
+        raise ValueError("batched problems must share the phi, l_adjoint and norm objects")
 
-    m, n = p.phi.rows, p.phi.cols
-    big = np.vstack([p.phi.entries, p.l_adjoint.entries])
-    knorm = power_iteration_norm(big)
-    step = 0.99 / knorm if knorm > 0 else 1.0
+    m, n = first.phi.rows, first.phi.cols
+    big = np.vstack([first.phi.entries, first.l_adjoint.entries])
+    step = 0.99 / first.k_norm if first.k_norm > 0 else 1.0
     tau = sigma = step
 
     if opts.init is None:
-        x = np.zeros(n)
+        x0 = np.zeros(n)
     else:
-        x = np.asarray(opts.init, dtype=float).reshape(-1).copy()
-        if x.shape[0] != n:
-            raise ValueError(f"init has length {x.shape[0]}, expected {n}")
+        x0 = np.asarray(opts.init, dtype=float).reshape(-1)
+        if x0.shape[0] != n:
+            raise ValueError(f"init has length {x0.shape[0]}, expected {n}")
+    b = len(problems)
+    x = np.repeat(x0[:, None], b, axis=1)
     xbar = x.copy()
-    dual_fit = np.zeros(m)
-    dual_reg = np.zeros(p.norm.ambient_dim)
+    y = np.column_stack([q.y for q in problems])
+    lam = np.array([q.lam for q in problems], dtype=float)
+    dual_fit = np.zeros((m, b))
+    dual_reg = np.zeros((first.norm.ambient_dim, b))
 
-    threshold = opts.tol * (1.0 + float(np.linalg.norm(p.phi.entries.T @ p.y)))
-    best_res = np.inf
+    threshold = opts.tol * (1.0 + np.linalg.norm(first.phi.entries.T @ y, axis=0))
+    best_res = np.full(b, np.inf)
     best_x = x.copy()
-    iterations = 0
-    converged = False
+    live = np.arange(b)  # problem index of each working column
+    done: dict[int, tuple[np.ndarray, float, int, bool]] = {}
 
     for it in range(1, opts.max_iter + 1):
         q = big @ xbar
-        dual_fit = (dual_fit + sigma * (q[:m] - p.y)) / (1.0 + sigma)
-        dual_reg = project_dual_ball(p.norm, dual_reg + sigma * q[m:], p.lam)
-        x_new = x - tau * (big.T @ np.concatenate([dual_fit, dual_reg]))
+        dual_fit = (dual_fit + sigma * (q[:m] - y)) / (1.0 + sigma)
+        dual_reg = project_dual_ball(first.norm, dual_reg + sigma * q[m:], lam)
+        x_new = x - tau * (big.T @ np.concatenate((dual_fit, dual_reg)))
         xbar = 2.0 * x_new - x
         x = x_new
-        iterations = it
         if it % opts.check_every == 0 or it == opts.max_iter:
-            res = _composite_residual(p, x, dual_reg)
-            if res < best_res:
-                best_res = res
-                best_x = x.copy()
-            if res <= threshold:
-                converged = True
+            res = _composite_residual(first, x, dual_reg, y, lam)
+            better = res < best_res
+            best_res[better] = res[better]
+            best_x[:, better] = x[:, better]
+            converged = res <= threshold
+            finished = converged | (it == opts.max_iter)
+            for j in np.nonzero(finished)[0]:
+                done[int(live[j])] = (
+                    best_x[:, j].copy(), float(best_res[j]), it, bool(converged[j])
+                )
+            if finished.all():
                 break
+            if finished.any():
+                keep = ~finished
+                x, xbar, dual_fit, dual_reg, y, best_x = (
+                    a[:, keep] for a in (x, xbar, dual_fit, dual_reg, y, best_x)
+                )
+                lam, threshold, best_res, live = (
+                    a[keep] for a in (lam, threshold, best_res, live)
+                )
 
-    return SolveReport(
-        x_star=best_x,
-        objective=p.objective(best_x),
-        optimality_residual=float(best_res),
-        iterations=iterations,
-        converged=converged,
-        problem=p,
-    )
+    reports = []
+    for j, p in enumerate(problems):
+        x_star, res, iterations, converged = done[j]
+        reports.append(
+            SolveReport(
+                x_star=x_star,
+                objective=p.objective(x_star),
+                optimality_residual=res,
+                iterations=iterations,
+                converged=converged,
+                problem=p,
+            )
+        )
+    return reports
 
 
 def _xi_matrix(phi: LinearOperator, l_s_adjoint: LinearOperator, tol: float = RANK_RTOL) -> np.ndarray:

@@ -138,6 +138,33 @@ class TestBuildCertificate:
             assert u_only.saturation <= zero.saturation + 1e-7
             checked += 1
 
+    def test_carries_its_program_value_and_gap(self):
+        from decoreg.solver import ic_context, ic_value, minimize_ic_full, minimize_ic_u
+
+        phi, l_op, norm, _, model = certificate_instance(3)
+        T, e = model.T, model.e
+        ctx = ic_context(phi, l_op, T)
+        programs = {
+            "full": minimize_ic_full(phi, l_op, norm, T, e, ctx=ctx),
+            "u_only": minimize_ic_u(phi, l_op, norm, T, e, ctx=ctx),
+        }
+        zero_value = ic_value(phi, l_op, norm, T, e, np.zeros(8), np.zeros(6), ctx=ctx)
+        for mode in ("full", "u_only", "zero"):
+            cert = build_certificate(phi, l_op, norm, T, e, mode=mode, ctx=ctx)
+            fresh = build_certificate(phi, l_op, norm, T, e, mode=mode)
+            assert np.array_equal(cert.alpha, fresh.alpha)
+            assert cert.ic_value == fresh.ic_value
+            if mode == "zero":
+                assert cert.ic_value == zero_value
+                assert cert.ic_gap == 0.0 and cert.ic_converged
+            else:
+                sol = programs[mode]
+                assert cert.ic_value == sol.value
+                assert cert.ic_gap == sol.gap
+                assert cert.ic_converged == sol.converged
+            # P_S alpha is the program's vector: the value is the saturation
+            assert cert.ic_value == pytest.approx(cert.saturation, abs=1e-12)
+
     def test_saturated_certificate_still_returned(self):
         # starve the measurements until the coefficient exceeds one
         found = False
@@ -229,9 +256,45 @@ class TestCsv:
         assert np.array_equal(back.alpha, cert.alpha)
         assert back.saturation == cert.saturation
         assert back.source_residual == cert.source_residual
+        assert back.ic_converged and back.ic_gap == 0.0
+
+        # a certificate whose program ran out of iterations must read back
+        # as unconverged, with its gap
+        phi, l_op, norm, _, model = certificate_instance(0)
+        short = build_certificate(
+            phi, l_op, norm, model.T, model.e, opts=SolverOptions(max_iter=3)
+        )
+        assert not short.ic_converged and short.ic_gap > 0
+        write_certificate_csv(short, path)
+        back = read_certificate_csv(path)
+        assert back.ic_converged is False
+        assert back.ic_gap == short.ic_gap
+        assert back.saturation == short.saturation
+        assert np.array_equal(back.alpha, short.alpha)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("eta,1.0\nsaturation,0.5\n")
         with pytest.raises(ValueError):
+            read_certificate_csv(path)
+
+    @pytest.mark.parametrize("dropped", ["ic_gap", "ic_converged"])
+    def test_ic_rows_required(self, tmp_path, dropped):
+        cert = DualCertificate(np.zeros(2), np.zeros(2), 0.5, 0.0)
+        path = tmp_path / "cert.csv"
+        write_certificate_csv(cert, path)
+        kept = [
+            line for line in path.read_text().splitlines()
+            if not line.startswith(dropped + ",")
+        ]
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ValueError, match=dropped):
+            read_certificate_csv(path)
+
+    def test_ic_converged_must_be_boolean(self, tmp_path):
+        cert = DualCertificate(np.zeros(2), np.zeros(2), 0.5, 0.0)
+        path = tmp_path / "cert.csv"
+        write_certificate_csv(cert, path)
+        path.write_text(path.read_text().replace("ic_converged,True", "ic_converged,yes"))
+        with pytest.raises(ValueError, match="ic_converged"):
             read_certificate_csv(path)

@@ -14,6 +14,9 @@ from decoreg.experiments import (
     oracle_solve,
     parseval_frame_analysis,
     run_scenario,
+    solve_trials,
+    solve_vanishing,
+    vanishing_penalty,
 )
 from decoreg.linops import identity, LinearOperator
 from decoreg.norms import decompose_at, l1, group, nuclear
@@ -352,6 +355,54 @@ class TestRunScenario:
         assert result.exit_code == 0
         assert result.results_path is None
         assert "failed" in result.summary_path.read_text()
+
+
+class TestSolveTrials:
+    def test_matches_one_solve_per_trial(self):
+        cfg = base_config(m=8, n=10, p=10, norm=l1(10), epsilons=(0.0, 0.01, 0.1))
+        phi, l_op, norm, _, ys = generate_scenario(cfg)
+        l_adj = l_op.T
+        opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+        trials = [(eps, y) for eps, y in zip(cfg.epsilons, ys)] + [(0.1, ys[0])]
+        reports = solve_trials(phi, l_adj, norm, trials, 2.0, opts)
+        for (eps, y), report in zip(trials, reports, strict=True):
+            lam = 2.0 * eps if eps > 0 else vanishing_penalty(phi, y)
+            p = Problem(phi=phi, l_adjoint=l_adj, norm=norm, y=y, lam=lam)
+            alone = solve_penalized(p, opts) if eps > 0 else solve_vanishing(p, opts)
+            assert report.problem.lam == lam
+            assert report.iterations == alone.iterations
+            assert report.converged == alone.converged
+            assert np.linalg.norm(report.x_star - alone.x_star) <= 1e-10 * (
+                1.0 + np.linalg.norm(alone.x_star)
+            )
+
+    @pytest.mark.parametrize("mode", ["full", "u_only", "zero"])
+    def test_sweep_builds_the_ic_context_once(self, tmp_path, monkeypatch, mode):
+        import decoreg.certificates as certificates
+        import decoreg.experiments as experiments
+
+        calls = {"ic_context": 0, "minimize_ic_full": 0, "minimize_ic_u": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (certificates, experiments):
+            for name in calls:
+                counted(module, name)
+        cfg = base_config(noise_draws=1, plot=False, certificate_mode=mode)
+        run_scenario(cfg, tmp_path)
+        assert calls == {"ic_context": 1, "minimize_ic_full": 1, "minimize_ic_u": 1}
+        summary = (tmp_path / "summary.txt").read_text()
+        joint, u_only, zero = (
+            float(v) for v in summary.split("ic chain (joint, u-only, zero): ")[1].split()[:3]
+        )
+        assert joint <= u_only + 1e-7 <= zero + 2e-7
 
 
 def write_config(tmp_path, **overrides):

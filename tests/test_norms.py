@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoreg.norms import (
     bregman,
@@ -159,6 +162,170 @@ class TestBallProjections:
             for w in rng.standard_normal((2000, 6)):
                 w = w / max(norm_value(norm, w), 1e-12)
                 assert np.linalg.norm(v - w) >= d - 1e-9
+
+
+# property tests run a fixed, derandomized set of examples and write no
+# example database
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def norms(draw):
+    """l1, group with uneven blocks of scattered coordinates, or nuclear of
+    any (also non-square) shape."""
+    kind = draw(st.sampled_from(["l1", "group", "nuclear"]))
+    if kind == "l1":
+        return l1(draw(st.integers(1, 8)))
+    if kind == "group":
+        dim = draw(st.integers(1, 9))
+        order = draw(st.permutations(range(dim)))
+        cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1))) if dim > 1 else []
+        bounds = [0] + cuts + [dim]
+        return group([order[a:b] for a, b in zip(bounds, bounds[1:])], dim=dim)
+    return nuclear(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+
+
+@st.composite
+def columns(draw, norm, batch):
+    entries = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(float, (norm.ambient_dim, batch), elements=entries))
+
+
+@st.composite
+def projection_cases(draw):
+    """(norm, a (P, B) array, another one of the same shape, B radii)."""
+    norm = draw(norms())
+    batch = draw(st.integers(1, 4))
+    radii = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=batch, max_size=batch)))
+    return norm, draw(columns(norm, batch)), draw(columns(norm, batch)), radii
+
+
+def reference_dual_projection(norm, v, radius):
+    """Per-vector projection written out block by block or by one SVD."""
+    if norm.kind == "l1":
+        return np.clip(v, -radius, radius)
+    if norm.kind == "group":
+        out = v.copy()
+        for b in norm.blocks:
+            idx = list(b)
+            nb = np.linalg.norm(v[idx])
+            if nb > radius:
+                out[idx] = v[idx] * (radius / nb)
+        return out
+    u, s, vt = np.linalg.svd(v.reshape(norm.shape, order="F"), full_matrices=False)
+    return mat_to_vec((u * np.minimum(s, radius)) @ vt)
+
+
+def reference_norm(norm, v):
+    if norm.kind == "l1":
+        return float(np.sum(np.abs(v)))
+    if norm.kind == "group":
+        return float(sum(np.linalg.norm(v[list(b)]) for b in norm.blocks))
+    return float(np.sum(np.linalg.svd(v.reshape(norm.shape, order="F"), compute_uv=False)))
+
+
+class TestColumnwise:
+    """A (P, B) array is B independent vectors for the projection and the norm."""
+
+    @PROPERTY
+    @given(projection_cases())
+    def test_dual_projection_matches_per_vector(self, case):
+        norm, v, _, radii = case
+        batched = project_dual_ball(norm, v, radii)
+        assert batched.shape == v.shape
+        for j, r in enumerate(radii):
+            single = project_dual_ball(norm, v[:, j], r)
+            scale = 1e-12 * (1.0 + np.linalg.norm(v[:, j]))
+            assert single.shape == (norm.ambient_dim,)
+            assert np.linalg.norm(batched[:, j] - single) <= scale
+            assert np.linalg.norm(single - reference_dual_projection(norm, v[:, j], r)) <= scale
+
+    @PROPERTY
+    @given(projection_cases())
+    def test_scalar_radius_broadcasts(self, case):
+        norm, v, _, radii = case
+        r = float(radii[0])
+        batched = project_dual_ball(norm, v, r)
+        per_column = project_dual_ball(norm, v, np.full(v.shape[1], r))
+        assert np.allclose(batched, per_column, rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(projection_cases())
+    def test_norm_value_matches_per_vector(self, case):
+        norm, v, _, _ = case
+        values = norm_value(norm, v)
+        assert values.shape == (v.shape[1],)
+        for j in range(v.shape[1]):
+            single = norm_value(norm, v[:, j])
+            assert isinstance(single, float)
+            assert values[j] == pytest.approx(single, rel=1e-12, abs=1e-12)
+            assert single == pytest.approx(reference_norm(norm, v[:, j]), rel=1e-12, abs=1e-12)
+
+    @PROPERTY
+    @given(projection_cases())
+    def test_dual_projection_feasible_and_idempotent(self, case):
+        norm, v, _, radii = case
+        once = project_dual_ball(norm, v, radii)
+        twice = project_dual_ball(norm, once, radii)
+        for j, r in enumerate(radii):
+            assert dual_norm_value(norm, once[:, j]) <= r * (1 + 1e-10) + 1e-12
+            assert np.linalg.norm(twice[:, j] - once[:, j]) <= 1e-10 * (
+                1.0 + np.linalg.norm(v[:, j])
+            )
+
+    @PROPERTY
+    @given(projection_cases())
+    def test_dual_projection_nonexpansive(self, case):
+        norm, v, w, radii = case
+        pv = project_dual_ball(norm, v, radii)
+        pw = project_dual_ball(norm, w, radii)
+        for j in range(v.shape[1]):
+            gap = np.linalg.norm(v[:, j] - w[:, j])
+            assert np.linalg.norm(pv[:, j] - pw[:, j]) <= gap + 1e-10 * (
+                1.0 + np.linalg.norm(v[:, j]) + np.linalg.norm(w[:, j])
+            )
+
+    @PROPERTY
+    @given(projection_cases())
+    def test_primal_projection_idempotent_and_nonexpansive(self, case):
+        norm, v, w, radii = case
+        for j, r in enumerate(radii):
+            pv = project_primal_ball(norm, v[:, j], r)
+            pw = project_primal_ball(norm, w[:, j], r)
+            scale = 1e-10 * (1.0 + np.linalg.norm(v[:, j]) + np.linalg.norm(w[:, j]))
+            assert np.linalg.norm(project_primal_ball(norm, pv, r) - pv) <= scale
+            assert np.linalg.norm(pv - pw) <= np.linalg.norm(v[:, j] - w[:, j]) + scale
+
+    def test_uneven_scattered_blocks_and_rectangular_matrices(self):
+        cases = [
+            group([[4, 0], [2], [5, 1, 3]]),
+            nuclear(2, 3),
+            nuclear(4, 1),
+        ]
+        for norm in cases:
+            v = rng.standard_normal((norm.ambient_dim, 3)) * 2
+            radii = np.array([0.5, 1.0, 2.0])
+            batched = project_dual_ball(norm, v, radii)
+            for j, r in enumerate(radii):
+                assert np.allclose(
+                    batched[:, j], reference_dual_projection(norm, v[:, j], r), atol=1e-12
+                )
+
+    def test_primal_ball_radius_below_float_spacing(self):
+        # 3 - 2.2e-16 rounds to 3: the threshold search must still find k = 1
+        for norm, v in ((l1(1), [3.0]), (group([[0, 1]]), [3.0, 0.0])):
+            proj = project_primal_ball(norm, vec(v), 2.220446049250313e-16)
+            assert norm_value(norm, proj) <= 1e-15
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            project_dual_ball(l1(2), np.ones((2, 2)), np.array([1.0, -0.1]))
+
+    def test_column_length_checked(self):
+        with pytest.raises(ValueError):
+            norm_value(l1(3), np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            project_dual_ball(nuclear(2, 2), np.ones((3, 1)))
 
 
 class TestGeneralizedCauchySchwarz:

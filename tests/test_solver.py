@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from decoreg.linops import (
@@ -11,7 +13,7 @@ from decoreg.linops import (
     kernel_basis,
     projector,
 )
-from decoreg.norms import decompose_at, dual_norm_value, l1, norm_value
+from decoreg.norms import decompose_at, dual_norm_value, group, l1, norm_value, nuclear
 from decoreg.solver import (
     Problem,
     SolverOptions,
@@ -21,6 +23,7 @@ from decoreg.solver import (
     minimize_ic_full,
     minimize_ic_u,
     solve_penalized,
+    solve_penalized_many,
     xi_map,
 )
 
@@ -110,6 +113,100 @@ class TestSolvePenalized:
         report = solve_penalized(p, SolverOptions(tol=1e-14, max_iter=60))
         assert not report.converged
         assert report.iterations == 60
+
+
+def shared_batch(seed, norm, m, lams, l_adjoint=None):
+    """Problems sharing one random phi, analysis operator and norm, with one
+    noisy measurement of a sparse-ish signal per penalty."""
+    r = np.random.default_rng(seed)
+    n = norm.ambient_dim if l_adjoint is None else l_adjoint.cols
+    phi = LinearOperator(r.standard_normal((m, n)) / np.sqrt(m))
+    l_adj = identity(n) if l_adjoint is None else l_adjoint
+    x0 = r.standard_normal(n) * (r.uniform(size=n) < 0.5)
+    return [
+        Problem(
+            phi=phi,
+            l_adjoint=l_adj,
+            norm=norm,
+            y=phi.apply(x0) + 0.05 * r.standard_normal(m),
+            lam=lam,
+        )
+        for lam in lams
+    ]
+
+
+def assert_same_reports(batched, sequential):
+    for b, s in zip(batched, sequential, strict=True):
+        assert b.iterations == s.iterations
+        assert b.converged == s.converged
+        assert b.problem is s.problem
+        scale = 1e-10 * (1.0 + np.linalg.norm(s.x_star))
+        assert np.linalg.norm(b.x_star - s.x_star) <= scale
+        assert b.objective == pytest.approx(s.objective, rel=1e-10, abs=1e-12)
+
+
+class TestSolvePenalizedMany:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear"]),
+        lams=st.lists(st.sampled_from([0.003, 0.02, 0.1, 0.5]), min_size=1, max_size=5),
+        max_iter=st.sampled_from([150, 2_000]),
+    )
+    def test_equals_sequential_solves(self, seed, kind, lams, max_iter):
+        norm = {
+            "l1": l1(6),
+            "group": group([[3, 0], [5], [1, 4, 2]]),
+            "nuclear": nuclear(2, 3),
+        }[kind]
+        problems = shared_batch(seed, norm, 5, lams)
+        opts = SolverOptions(tol=1e-9, max_iter=max_iter)
+        batched = solve_penalized_many(problems, opts)
+        assert_same_reports(batched, [solve_penalized(p, opts) for p in problems])
+
+    def test_mixed_batch_with_a_column_at_max_iter(self):
+        # the smallest penalty needs far more iterations than the others
+        problems = shared_batch(4, l1(8), 6, [0.5, 1e-4, 0.05, 0.5])
+        opts = SolverOptions(tol=1e-9, max_iter=1_000)
+        sequential = [solve_penalized(p, opts) for p in problems]
+        assert [r.converged for r in sequential] == [True, False, True, True]
+        assert sequential[1].iterations == 1_000
+        assert len({r.iterations for r in sequential}) > 2
+        assert_same_reports(solve_penalized_many(problems, opts), sequential)
+
+    def test_analysis_operator_and_warm_start(self):
+        from decoreg.experiments import difference_operator_1d
+
+        l_adj = difference_operator_1d(7)
+        problems = shared_batch(2, l1(6), 5, [0.01, 0.2], l_adjoint=l_adj)
+        opts = SolverOptions(tol=1e-10, init=np.linspace(-1.0, 1.0, 7))
+        assert_same_reports(
+            solve_penalized_many(problems, opts),
+            [solve_penalized(p, opts) for p in problems],
+        )
+
+    def test_step_uses_exact_operator_norm(self):
+        p = l1_problem(5, 7, lam=0.1, seed=8)
+        stacked = np.vstack([p.phi.entries, p.l_adjoint.entries])
+        assert p.k_norm == pytest.approx(np.linalg.norm(stacked, 2), rel=1e-14)
+
+    def test_problems_must_share_operators(self):
+        a = l1_problem(4, 6, lam=0.1, seed=1)
+        other_phi = l1_problem(4, 6, lam=0.1, seed=2)
+        with pytest.raises(ValueError, match="share"):
+            solve_penalized_many([a, other_phi])
+        copy_of_l = Problem(
+            phi=a.phi,
+            l_adjoint=LinearOperator(a.l_adjoint.entries.copy()),
+            norm=a.norm,
+            y=a.y,
+            lam=0.2,
+        )
+        with pytest.raises(ValueError, match="share"):
+            solve_penalized_many([a, copy_of_l])
+
+    def test_empty_batch(self):
+        assert solve_penalized_many([]) == []
 
 
 class TestXiMap:
