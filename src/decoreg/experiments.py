@@ -495,15 +495,9 @@ def solve_vanishing(problem: Problem, opts: SolverOptions) -> SolveReport:
     x = None
     report = None
     for stage_lam in lams:
-        stage = Problem(
-            phi=problem.phi,
-            l_adjoint=problem.l_adjoint,
-            norm=problem.norm,
-            y=problem.y,
-            lam=stage_lam,
-        )
         report = solve_penalized(
-            stage, SolverOptions(tol=opts.tol, max_iter=opts.max_iter, init=x)
+            problem.with_data(problem.y, stage_lam),
+            SolverOptions(tol=opts.tol, max_iter=opts.max_iter, init=x),
         )
         x = report.x_star
 
@@ -544,16 +538,13 @@ def solve_trials(
     one batched run; a trial at eps = 0 goes through ``solve_vanishing`` at
     the vanishing penalty.
     """
-    problems = [
-        Problem(
-            phi=phi,
-            l_adjoint=l_adjoint,
-            norm=norm,
-            y=y,
-            lam=coupling_c * eps if eps > 0 else vanishing_penalty(phi, y),
+    problems: list[Problem] = []
+    for eps, y in trials:
+        lam = coupling_c * eps if eps > 0 else vanishing_penalty(phi, y)
+        problems.append(
+            problems[0].with_data(y, lam) if problems
+            else Problem(phi=phi, l_adjoint=l_adjoint, norm=norm, y=y, lam=lam)
         )
-        for eps, y in trials
-    ]
     noisy = [p for (eps, _), p in zip(trials, problems) if eps > 0]
     batched = iter(solve_penalized_many(noisy, opts))
     return [
@@ -803,6 +794,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     summary.append(f"saturation {cert.saturation!r}")
     summary.append(f"quality {certificate_quality(cert)!r}")
     summary.append(f"source_residual {cert.source_residual!r}")
+    summary.append(f"ic program gap {cert.ic_gap!r} converged {cert.ic_converged}")
 
     ic_00 = ic_value(
         phi, l_op, norm, T0, e0, np.zeros(cfg.p), np.zeros(cfg.m), ctx=ctx

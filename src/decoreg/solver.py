@@ -17,15 +17,21 @@ relaxation, and deterministic initialization at zero.  Problems sharing Phi,
 L^* and the norm are solved together, one column per problem.
 The IC programs are solved in reduced coordinates: orthonormal bases of the
 feasible subspaces turn the affine-constrained dual-norm minimization into an
-unconstrained one handled by the same scheme, with a duality-gap stopping
-test that certifies the reported value.
+unconstrained one, min_c dual_norm(g0 + C c).  The minimum-norm
+least-squares point settles it when it cancels g0.  Otherwise the l1 case
+(an l-infinity objective) is a linear program solved by HiGHS, and the group
+and nuclear cases run the same primal-dual scheme.  Both report the value at
+their point with a duality gap from a dual candidate, the LP's marginals or
+the splitting's dual iterate, which certifies it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize
 
 from .linops import (
     RANK_RTOL,
@@ -76,7 +82,9 @@ class Problem:
     R^N to R^P, and lam > 0.  Construction verifies the problem has a
     nonempty compact solution set, which holds exactly when the kernels of
     phi and L^* intersect trivially; the singular values of that check also
-    give ``k_norm``, the spectral norm of K = (Phi; L^*).
+    give ``k_norm``, the spectral norm of K = (Phi; L^*).  ``with_data``
+    makes a sibling on the same operators and norm without repeating the
+    check.
     """
 
     phi: LinearOperator
@@ -87,8 +95,6 @@ class Problem:
     k_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        object.__setattr__(self, "y", y)
         n = self.phi.cols
         if self.l_adjoint.cols != n:
             raise ValueError(
@@ -99,10 +105,7 @@ class Problem:
                 f"norm lives on R^{self.norm.ambient_dim}, "
                 f"l_adjoint maps into R^{self.l_adjoint.rows}"
             )
-        if y.shape[0] != self.phi.rows:
-            raise ValueError(f"y has length {y.shape[0]}, phi maps into R^{self.phi.rows}")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        self._check_data()
         stacked = np.vstack([self.phi.entries, self.l_adjoint.entries])
         s = np.linalg.svd(stacked, compute_uv=False)
         smax = float(s[0]) if s.size else 0.0
@@ -113,6 +116,24 @@ class Problem:
                 "the solution set is unbounded"
             )
         object.__setattr__(self, "k_norm", smax)
+
+    def _check_data(self) -> None:
+        y = np.asarray(self.y, dtype=float).reshape(-1)
+        object.__setattr__(self, "y", y)
+        if y.shape[0] != self.phi.rows:
+            raise ValueError(f"y has length {y.shape[0]}, phi maps into R^{self.phi.rows}")
+        if not self.lam > 0:
+            raise ValueError("lam must be positive")
+
+    def with_data(self, y, lam: float) -> "Problem":
+        """The problem with the same phi, l_adjoint and norm objects and new
+        y and lam; y and lam are checked, the operators' rank check and
+        ``k_norm`` are this problem's."""
+        sibling = copy.copy(self)
+        object.__setattr__(sibling, "y", y)
+        object.__setattr__(sibling, "lam", lam)
+        sibling._check_data()
+        return sibling
 
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -436,12 +457,15 @@ def _min_dual_norm_affine(
     columns: np.ndarray,
     opts: SolverOptions,
 ) -> tuple[np.ndarray, float, float, bool]:
-    """Minimize c -> dual_norm(g0 + columns @ c) by primal-dual splitting.
+    """Minimize c -> dual_norm(g0 + columns @ c) with a certified gap.
 
     The dual of this program maximizes <g0, w> over primal-unit-ball vectors
     w with columns^T w = 0, which yields a computable optimality gap: every
     reported value comes with a certificate ``gap`` bounding its distance to
-    the true minimum.
+    the true minimum.  Null columns are dropped and the minimum-norm
+    least-squares point is tried first; only when it does not cancel g0 is
+    the program solved, as a linear program for l1 and by primal-dual
+    splitting for the other norms.
     """
     k = columns.shape[1]
     base = dual_norm_value(norm, g0)
@@ -458,24 +482,94 @@ def _min_dual_norm_affine(
         c = np.zeros(k)
         c[keep] = sub_c
         return c, value, gap, converged
-    gnorm = power_iteration_norm(columns)
-    if gnorm == 0.0:
-        return np.zeros(k), base, 0.0, True
-    tau = sigma = 0.99 / gnorm
 
     # least-squares preprocessing: settles the full-cancellation case (value
-    # zero) exactly and provides a warm start otherwise
+    # zero) exactly and provides a start otherwise.  It comes before any
+    # solver because the minimizer need not be unique: where g0 cancels, the
+    # minimum-norm point is the one downstream quantities (the certificate's
+    # eta, hence C) are defined by
     c_ls, *_ = np.linalg.lstsq(columns, -g0, rcond=None)
     val_ls = dual_norm_value(norm, g0 + columns @ c_ls)
     if val_ls <= opts.tol * (1.0 + base):
         return c_ls, val_ls, val_ls, True
 
     q_im = image_basis(LinearOperator(columns)).basis
+    if norm.kind == "l1":
+        return _min_linf_affine_lp(norm, g0, columns, q_im, c_ls, opts)
+    return _min_dual_norm_pdhg(norm, g0, columns, q_im, c_ls, opts)
+
+
+def _certified_gap(
+    norm: DecomposableNorm, g0: np.ndarray, q_im: np.ndarray, value: float, w: np.ndarray
+) -> float:
+    """Upper bound on value - minimum from a dual candidate w.
+
+    w is projected onto ker(columns^T) (q_im is an orthonormal basis of the
+    columns' image) and scaled into the unit primal ball; <g0, w> is then a
+    lower bound on the minimum."""
+    w_feas = w - q_im @ (q_im.T @ w)
+    pn = norm_value(norm, w_feas)
+    if pn > 1.0:
+        w_feas = w_feas / pn
+    return value - float(g0 @ w_feas)
+
+
+def _min_linf_affine_lp(
+    norm: DecomposableNorm,
+    g0: np.ndarray,
+    columns: np.ndarray,
+    q_im: np.ndarray,
+    c_start: np.ndarray,
+    opts: SolverOptions,
+) -> tuple[np.ndarray, float, float, bool]:
+    """The l1 case, min_c ||g0 + columns @ c||_inf, as a linear program.
+
+    Variables (c, t), minimize t subject to +-(g0 + columns @ c) - t <= 0,
+    solved by HiGHS.  The value is recomputed at the returned c and its gap
+    comes from the inequality marginals mu+ and mu-: w = mu+ - mu- is the
+    dual candidate of ``_certified_gap``.  A solver failure returns
+    ``c_start`` unconverged with an infinite gap.
+    """
+    p_dim, k = columns.shape
+    ones = np.ones((p_dim, 1))
+    res = optimize.linprog(
+        np.r_[np.zeros(k), 1.0],
+        A_ub=np.block([[columns, -ones], [-columns, -ones]]),
+        b_ub=np.r_[-g0, g0],
+        bounds=(None, None),
+        method="highs",
+    )
+    if res.status != 0:
+        return c_start, dual_norm_value(norm, g0 + columns @ c_start), np.inf, False
+    c = res.x[:k]
+    value = dual_norm_value(norm, g0 + columns @ c)
+    marginals = res.ineqlin.marginals  # nonpositive for <= rows
+    gap = _certified_gap(norm, g0, q_im, value, marginals[p_dim:] - marginals[:p_dim])
+    return c, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value))
+
+
+def _min_dual_norm_pdhg(
+    norm: DecomposableNorm,
+    g0: np.ndarray,
+    columns: np.ndarray,
+    q_im: np.ndarray,
+    c_start: np.ndarray,
+    opts: SolverOptions,
+) -> tuple[np.ndarray, float, float, bool]:
+    """Primal-dual splitting for the affine dual-norm program, any norm.
+
+    Starts at ``c_start`` when it beats c = 0 and stops once the certified
+    gap meets the tolerance; the best iterate seen at a check is returned.
+    """
+    k = columns.shape[1]
+    tau = sigma = 0.99 / power_iteration_norm(columns)
+    base = dual_norm_value(norm, g0)
+    val_start = dual_norm_value(norm, g0 + columns @ c_start)
     w = np.zeros_like(g0)
     best_val, best_c = base, np.zeros(k)
-    if val_ls < best_val:
-        best_val, best_c = val_ls, c_ls.copy()
-    c = c_ls.copy() if val_ls < base else np.zeros(k)
+    if val_start < best_val:
+        best_val, best_c = val_start, c_start.copy()
+    c = best_c.copy()
     cbar = c.copy()
     gap = np.inf
     converged = False
@@ -490,11 +584,7 @@ def _min_dual_norm_affine(
             if val < best_val:
                 best_val = val
                 best_c = c.copy()
-            w_feas = w - q_im @ (q_im.T @ w)
-            pn = norm_value(norm, w_feas)
-            if pn > 1.0:
-                w_feas = w_feas / pn
-            gap = best_val - float(g0 @ w_feas)
+            gap = _certified_gap(norm, g0, q_im, best_val, w)
             if gap <= opts.tol * (1.0 + abs(best_val)):
                 converged = True
                 break

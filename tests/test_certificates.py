@@ -259,10 +259,16 @@ class TestCsv:
         assert back.ic_converged and back.ic_gap == 0.0
 
         # a certificate whose program ran out of iterations must read back
-        # as unconverged, with its gap
-        phi, l_op, norm, _, model = certificate_instance(0)
+        # as unconverged, with its gap; l1 programs are exact LPs, so the
+        # iteration budget only binds for the group norm's splitting
+        r = np.random.default_rng(5)
+        phi = LinearOperator(r.standard_normal((8, 9)) / np.sqrt(8))
+        norm = group([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+        x0 = np.zeros(9)
+        x0[:3] = [1.0, -2.0, 0.5]
+        model = decompose_at(norm, x0)
         short = build_certificate(
-            phi, l_op, norm, model.T, model.e, opts=SolverOptions(max_iter=3)
+            phi, identity(9), norm, model.T, model.e, opts=SolverOptions(max_iter=3)
         )
         assert not short.ic_converged and short.ic_gap > 0
         write_certificate_csv(short, path)

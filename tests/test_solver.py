@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -10,6 +10,7 @@ from decoreg.linops import (
     LinearOperator,
     Subspace,
     identity,
+    image_basis,
     kernel_basis,
     projector,
 )
@@ -26,6 +27,7 @@ from decoreg.solver import (
     solve_penalized_many,
     xi_map,
 )
+from decoreg.solver import _min_dual_norm_pdhg
 
 rng = np.random.default_rng(2024)
 
@@ -53,6 +55,18 @@ class TestProblemValidation:
     def test_lambda_positive(self):
         with pytest.raises(ValueError):
             l1_problem(3, 3, lam=0.0)
+
+    def test_with_data_reuses_the_operator_check(self):
+        p = l1_problem(4, 6, lam=0.1, seed=2)
+        q = p.with_data([1.0, 2.0, 3.0, 4.0], 0.5)
+        assert q.phi is p.phi and q.l_adjoint is p.l_adjoint and q.norm is p.norm
+        assert q.k_norm == p.k_norm
+        assert np.array_equal(q.y, [1.0, 2.0, 3.0, 4.0]) and q.lam == 0.5
+        assert p.lam == 0.1
+        with pytest.raises(ValueError, match="length"):
+            p.with_data(np.zeros(3), 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            p.with_data(np.zeros(4), 0.0)
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
@@ -487,3 +501,91 @@ class TestMinimizeIc:
             w = lt @ v
             resid = phi.entries.T @ (phi.entries @ (ctx.xi @ w)) - w
             assert np.linalg.norm(ker.basis.T @ resid) <= 1e-9 * (1 + np.linalg.norm(w))
+
+
+def l1_ic_instance(seed, n, m, analysis, jumps):
+    """Random l1 joint-IC program: Gaussian phi, identity or tv1d analysis,
+    a signal whose analysis image is supported on ``jumps`` random rows."""
+    from decoreg.experiments import difference_operator_1d
+
+    r = np.random.default_rng(seed)
+    phi = LinearOperator(r.standard_normal((m, n)) / np.sqrt(m))
+    l_adj = identity(n) if analysis == "identity" else difference_operator_1d(n)
+    u0 = np.zeros(l_adj.rows)
+    support = r.choice(l_adj.rows, size=jumps, replace=False)
+    u0[support] = np.sign(r.standard_normal(jumps)) * (1.0 + r.uniform(size=jumps))
+    # identity: x0 = u0; tv1d: integrate the jumps
+    x0 = u0 if analysis == "identity" else np.r_[0.0, np.cumsum(u0)]
+    model = decompose_at(l1(l_adj.rows), l_adj.apply(x0))
+    return phi, l_adj.T, l1(l_adj.rows), model
+
+
+def joint_program(ctx, e):
+    """g0 and columns of the joint IC program, as minimize_ic_full forms them."""
+    cols = np.hstack(
+        [ctx.S.projector_matrix() @ ctx.ker_ls.basis, ctx.ls_pinv_phi_adj @ ctx.z_space.basis]
+    )
+    return ctx.gamma @ e, cols
+
+
+class TestL1ProgramLp:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(5, 12),
+        shortfall=st.integers(1, 3),
+        analysis=st.sampled_from(["identity", "tv1d"]),
+        jumps=st.integers(1, 3),
+    )
+    def test_lp_against_pdhg(self, seed, n, shortfall, analysis, jumps):
+        phi, l_op, norm, model = l1_ic_instance(seed, n, n - shortfall, analysis, jumps)
+        try:
+            ctx = ic_context(phi, l_op, model.T)
+        except ValueError:
+            assume(False)
+        opts = SolverOptions(tol=1e-9)
+        lp = minimize_ic_full(phi, l_op, norm, model.T, model.e, opts, ctx=ctx)
+        assert lp.converged
+        g0, cols = joint_program(ctx, model.e)
+        keep = np.linalg.norm(cols, axis=0) > 1e-12 * (1.0 + np.linalg.norm(g0))
+        cols = cols[:, keep]
+        assume(cols.shape[1] > 0)
+        q_im = image_basis(LinearOperator(cols)).basis
+        pdhg_opts = SolverOptions(tol=1e-9, max_iter=20_000)
+        _, pdhg_value, pdhg_gap, _ = _min_dual_norm_pdhg(
+            norm, g0, cols, q_im, np.zeros(cols.shape[1]), pdhg_opts
+        )
+        assert lp.value <= pdhg_value + 1e-12
+        assert pdhg_value - lp.value <= pdhg_gap + lp.gap + 1e-15
+        # value - gap is a lower bound on the program: below every feasible value
+        lower = lp.value - lp.gap
+        assert lower <= pdhg_value + 1e-12
+        r = np.random.default_rng(seed)
+        for _ in range(50):
+            u = ctx.ker_ls.basis @ r.standard_normal(ctx.ker_ls.dim)
+            z = ctx.z_space.basis @ r.standard_normal(ctx.z_space.dim)
+            probe = ic_value(phi, l_op, norm, model.T, model.e, u, z, ctx=ctx)
+            assert lower <= probe + 1e-12
+            assert pdhg_value - pdhg_gap <= probe + 1e-12
+
+    def test_lp_failure_is_unconverged(self, monkeypatch):
+        phi, l_op, norm, model = l1_ic_instance(3, 10, 8, "tv1d", 2)
+        ctx = ic_context(phi, l_op, model.T)
+        solved = minimize_ic_full(phi, l_op, norm, model.T, model.e, ctx=ctx)
+        assert solved.converged and solved.gap <= 1e-12
+
+        def failing_linprog(*args, **kwargs):
+            return optimize.OptimizeResult(
+                status=4, success=False, x=None, message="numerical difficulties"
+            )
+
+        monkeypatch.setattr(optimize, "linprog", failing_linprog)
+        failed = minimize_ic_full(phi, l_op, norm, model.T, model.e, ctx=ctx)
+        assert not failed.converged
+        assert failed.gap == np.inf
+        # the least-squares start is what comes back, with its own value
+        g0, cols = joint_program(ctx, model.e)
+        c_ls, *_ = np.linalg.lstsq(cols, -g0, rcond=None)
+        ls_value = dual_norm_value(norm, g0 + cols @ c_ls)
+        assert failed.value == pytest.approx(ls_value, rel=1e-12)
+        assert failed.value >= solved.value
