@@ -55,7 +55,6 @@ from .solver import (
     ic_value,
     minimize_ic_full,
     minimize_ic_u,
-    solve_penalized,
     solve_penalized_many,
 )
 
@@ -70,6 +69,7 @@ __all__ = [
     "noise_in_ball",
     "vanishing_penalty",
     "solve_vanishing",
+    "solve_vanishing_many",
     "solve_trials",
     "first_order_residual",
     "generate_scenario",
@@ -477,51 +477,73 @@ def first_order_residual(p: Problem, x: np.ndarray) -> float:
 
 
 def solve_vanishing(problem: Problem, opts: SolverOptions) -> SolveReport:
-    """Solve at a vanishing penalty by continuation plus model polish.
+    """Solve one problem at a vanishing penalty: ``solve_vanishing_many`` of
+    a batch of one."""
+    return solve_vanishing_many([problem], opts)[0]
+
+
+def solve_vanishing_many(problems: list[Problem], opts: SolverOptions) -> list[SolveReport]:
+    """Solve problems at vanishing penalties by continuation plus model polish.
 
     Plain splitting started at zero crawls along ker(phi) when lambda is
     tiny; a geometric penalty schedule with warm starts gets close fast and
     the exact solve on the detected model finishes the job (the restricted
     problem is strongly convex whenever the injectivity condition holds).
+    Each problem's schedule falls by factors of ten from 0.01 (1 + ||Phi^* y||)
+    and ends at the problem's own lambda, so schedules may differ in length.
+    The problems share phi, l_adjoint and norm: stage k of every schedule
+    that has one is a single ``solve_penalized_many`` call, each column
+    warm-started at its problem's stage k - 1 iterate.  The polish and the
+    first-order residual are per problem.  Reports come in problem order;
+    ``iterations`` counts the last stage.
     """
-    scale = 1.0 + float(np.linalg.norm(problem.phi.entries.T @ problem.y))
-    lams = []
-    lam = 0.01 * scale
-    while lam > problem.lam * 5.0:
-        lams.append(lam)
-        lam *= 0.1
-    lams.append(problem.lam)
+    scales = [1.0 + float(np.linalg.norm(p.phi.entries.T @ p.y)) for p in problems]
+    schedules = []
+    for p, scale in zip(problems, scales):
+        lams = []
+        lam = 0.01 * scale
+        while lam > p.lam * 5.0:
+            lams.append(lam)
+            lam *= 0.1
+        lams.append(p.lam)
+        schedules.append(lams)
 
-    x = None
-    report = None
-    for stage_lam in lams:
-        report = solve_penalized(
-            problem.with_data(problem.y, stage_lam),
-            SolverOptions(tol=opts.tol, max_iter=opts.max_iter, init=x),
+    stages: list[SolveReport | None] = [None] * len(problems)
+    for k in range(max(map(len, schedules), default=0)):
+        live = [i for i, lams in enumerate(schedules) if k < len(lams)]
+        init = np.column_stack([stages[i].x_star for i in live]) if k else None
+        solved = solve_penalized_many(
+            [problems[i].with_data(problems[i].y, schedules[i][k]) for i in live],
+            SolverOptions(tol=opts.tol, max_iter=opts.max_iter, init=init),
         )
-        x = report.x_star
+        for i, report in zip(live, solved):
+            stages[i] = report
 
-    best_x = report.x_star
-    best_obj = problem.objective(best_x)
-    for thr in (1e-1, 1e-2, 1e-3):
-        model = decompose_at(problem.norm, problem.l_adjoint.apply(best_x), tol=thr)
-        cand = _polish_on_model(problem, model, best_x)
-        if cand is None:
-            continue
-        obj = problem.objective(cand)
-        if obj < best_obj:
-            best_obj = obj
-            best_x = cand
-    resid = first_order_residual(problem, best_x)
-    threshold = opts.tol * scale
-    return SolveReport(
-        x_star=best_x,
-        objective=best_obj,
-        optimality_residual=resid,
-        iterations=report.iterations,
-        converged=bool(resid <= threshold) or report.converged,
-        problem=problem,
-    )
+    reports = []
+    for problem, scale, last in zip(problems, scales, stages):
+        best_x = last.x_star
+        best_obj = problem.objective(best_x)
+        for thr in (1e-1, 1e-2, 1e-3):
+            model = decompose_at(problem.norm, problem.l_adjoint.apply(best_x), tol=thr)
+            cand = _polish_on_model(problem, model, best_x)
+            if cand is None:
+                continue
+            obj = problem.objective(cand)
+            if obj < best_obj:
+                best_obj = obj
+                best_x = cand
+        resid = first_order_residual(problem, best_x)
+        reports.append(
+            SolveReport(
+                x_star=best_x,
+                objective=best_obj,
+                optimality_residual=resid,
+                iterations=last.iterations,
+                converged=bool(resid <= opts.tol * scale) or last.converged,
+                problem=problem,
+            )
+        )
+    return reports
 
 
 def solve_trials(
@@ -534,9 +556,11 @@ def solve_trials(
 ) -> list[SolveReport]:
     """Solve the penalized problem for every (eps, y) trial, in trial order.
 
-    A trial at eps > 0 uses lambda = c * eps, and all of them are solved in
-    one batched run; a trial at eps = 0 goes through ``solve_vanishing`` at
-    the vanishing penalty.
+    All trials share phi, l_adjoint and norm, so they are solved in two
+    batches: the eps > 0 trials at lambda = c * eps in one
+    ``solve_penalized_many`` run, and the eps = 0 trials at the vanishing
+    penalty in one ``solve_vanishing_many`` run, whose continuation stages
+    are batched across trials.
     """
     problems: list[Problem] = []
     for eps, y in trials:
@@ -546,11 +570,10 @@ def solve_trials(
             else Problem(phi=phi, l_adjoint=l_adjoint, norm=norm, y=y, lam=lam)
         )
     noisy = [p for (eps, _), p in zip(trials, problems) if eps > 0]
+    noiseless = [p for (eps, _), p in zip(trials, problems) if not eps > 0]
     batched = iter(solve_penalized_many(noisy, opts))
-    return [
-        next(batched) if eps > 0 else solve_vanishing(p, opts)
-        for (eps, _), p in zip(trials, problems)
-    ]
+    vanishing = iter(solve_vanishing_many(noiseless, opts))
+    return [next(batched) if eps > 0 else next(vanishing) for eps, _ in trials]
 
 
 def _enumerated_models(p: Problem, x_ref: np.ndarray, opts: OracleOptions):

@@ -198,7 +198,7 @@ def dual_norm_value(norm: DecomposableNorm, u) -> float:
     if norm.kind == "l1":
         return float(np.max(np.abs(u))) if u.size else 0.0
     if norm.kind == "group":
-        return float(max(np.linalg.norm(u[list(b)]) for b in norm.blocks))
+        return float(_block_norms(norm, u[:, None]).max())
     s = np.linalg.svd(_to_matrix(norm, u), compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
@@ -280,16 +280,14 @@ def project_primal_ball(norm: DecomposableNorm, v, radius: float = 1.0) -> np.nd
         theta = _project_simplex_like(np.abs(v), radius)
         return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
     if norm.kind == "group":
-        norms = np.array([np.linalg.norm(v[list(b)]) for b in norm.blocks])
+        norms = _block_norms(norm, v[:, None])[:, 0]
         if norms.sum() <= radius:
             return v.copy()
         theta = _project_simplex_like(norms, radius)
-        out = np.zeros_like(v)
-        for b, nb in zip(norm.blocks, norms):
-            if nb > theta:
-                idx = list(b)
-                out[idx] = v[idx] * (1.0 - theta / nb)
-        return out
+        kept = norms > theta
+        shrink = np.zeros_like(norms)
+        shrink[kept] = 1.0 - theta / norms[kept]
+        return v * shrink[norm._block_of]
     x = _to_matrix(norm, v)
     uu, s, vt = np.linalg.svd(x, full_matrices=False)
     if s.sum() <= radius:

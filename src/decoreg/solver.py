@@ -192,8 +192,11 @@ def solve_penalized_many(
     convergence test, best-residual iterate and stopping point: a column
     that converges leaves the working arrays, so each problem runs exactly
     the iterations a solve on its own would, and its report is the one
-    ``solve_penalized`` gives up to rounding.  ``opts.init`` starts every
-    column.
+    ``solve_penalized`` gives up to rounding.  A check point becomes the
+    best iterate only when its residual is lower by more than rounding, so
+    that holds on a residual plateau too.  ``opts.init`` is None (start
+    at zero), an (N,) vector that starts every column, or an (N, B) array
+    with one start per column; any other shape raises ``ValueError``.
     """
     opts = opts or SolverOptions()
     if opts.max_iter < 1:
@@ -215,21 +218,26 @@ def solve_penalized_many(
     step = 0.99 / first.k_norm if first.k_norm > 0 else 1.0
     tau = sigma = step
 
-    if opts.init is None:
-        x0 = np.zeros(n)
-    else:
-        x0 = np.asarray(opts.init, dtype=float).reshape(-1)
-        if x0.shape[0] != n:
-            raise ValueError(f"init has length {x0.shape[0]}, expected {n}")
     b = len(problems)
-    x = np.repeat(x0[:, None], b, axis=1)
+    init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
+    if init.shape == (n,):
+        x = np.repeat(init[:, None], b, axis=1)
+    elif init.shape == (n, b):
+        x = init.copy()
+    else:
+        raise ValueError(f"init has shape {init.shape}, expected ({n},) or ({n}, {b})")
     xbar = x.copy()
     y = np.column_stack([q.y for q in problems])
     lam = np.array([q.lam for q in problems], dtype=float)
     dual_fit = np.zeros((m, b))
     dual_reg = np.zeros((first.norm.ambient_dim, b))
 
-    threshold = opts.tol * (1.0 + np.linalg.norm(first.phi.entries.T @ y, axis=0))
+    scale = 1.0 + np.linalg.norm(first.phi.entries.T @ y, axis=0)
+    threshold = opts.tol * scale
+    # a check point replaces the best iterate only when its residual is lower
+    # by more than rounding: on a residual plateau the choice must not hang on
+    # the last bits, which differ between a batched and a single solve
+    margin = 64.0 * np.finfo(float).eps * scale
     best_res = np.full(b, np.inf)
     best_x = x.copy()
     live = np.arange(b)  # problem index of each working column
@@ -244,7 +252,7 @@ def solve_penalized_many(
         x = x_new
         if it % opts.check_every == 0 or it == opts.max_iter:
             res = _composite_residual(first, x, dual_reg, y, lam)
-            better = res < best_res
+            better = res < best_res - margin
             best_res[better] = res[better]
             best_x[:, better] = x[:, better]
             converged = res <= threshold
@@ -260,8 +268,8 @@ def solve_penalized_many(
                 x, xbar, dual_fit, dual_reg, y, best_x = (
                     a[:, keep] for a in (x, xbar, dual_fit, dual_reg, y, best_x)
                 )
-                lam, threshold, best_res, live = (
-                    a[keep] for a in (lam, threshold, best_res, live)
+                lam, threshold, margin, best_res, live = (
+                    a[keep] for a in (lam, threshold, margin, best_res, live)
                 )
 
     reports = []

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoreg.cli import main as cli_main
 from decoreg.experiments import (
@@ -16,6 +18,7 @@ from decoreg.experiments import (
     run_scenario,
     solve_trials,
     solve_vanishing,
+    solve_vanishing_many,
     vanishing_penalty,
 )
 from decoreg.linops import identity, LinearOperator
@@ -403,6 +406,58 @@ class TestSolveTrials:
             float(v) for v in summary.split("ic chain (joint, u-only, zero): ")[1].split()[:3]
         )
         assert joint <= u_only + 1e-7 <= zero + 2e-7
+
+
+class TestSolveVanishingMany:
+    """The batched continuation gives every problem the report of its own."""
+
+    INSTANCES = {
+        "l1": dict(m=8, n=10, p=10, norm=l1(10)),
+        "tv1d": dict(m=8, n=10, p=9, norm=l1(9), l_kind="tv1d", signal_active=2),
+    }
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(sorted(INSTANCES)),
+        # (which right-hand side, its scale, the penalty over the vanishing
+        # one): the sides are one clean and two noisy measurements, repeats
+        # are likely, and the penalty factor shortens the schedule by up to
+        # four stages
+        draws=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]),
+                st.sampled_from([1.0, 1e2, 1e4]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_equals_one_continuation_per_problem(self, kind, draws):
+        cfg = base_config(epsilons=(0.0, 0.01, 0.1), **self.INSTANCES[kind])
+        phi, l_op, norm, _, ys = generate_scenario(cfg)
+        base = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=ys[0], lam=1.0)
+        problems = []
+        for which, scale, factor in draws:
+            y = scale * ys[which]
+            problems.append(base.with_data(y, factor * vanishing_penalty(phi, y)))
+        opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+        batched = solve_vanishing_many(problems, opts)
+        for p, b in zip(problems, batched, strict=True):
+            alone = solve_vanishing(p, opts)
+            assert b.problem is p
+            assert b.iterations == alone.iterations
+            assert b.converged == alone.converged
+            # rounding level: the batch's matrix products round differently
+            # from a single column's, by about 1e-16 relative
+            bound = 1e-12 * (1.0 + np.linalg.norm(phi.entries.T @ p.y))
+            assert np.linalg.norm(b.x_star - alone.x_star) <= bound * (
+                1.0 + np.linalg.norm(alone.x_star)
+            )
+            assert abs(b.optimality_residual - alone.optimality_residual) <= bound
+
+    def test_empty_batch(self):
+        assert solve_vanishing_many([], SolverOptions()) == []
 
 
 def write_config(tmp_path, **overrides):

@@ -177,12 +177,18 @@ def norms(draw):
     if kind == "l1":
         return l1(draw(st.integers(1, 8)))
     if kind == "group":
-        dim = draw(st.integers(1, 9))
-        order = draw(st.permutations(range(dim)))
-        cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1))) if dim > 1 else []
-        bounds = [0] + cuts + [dim]
-        return group([order[a:b] for a, b in zip(bounds, bounds[1:])], dim=dim)
+        return draw(group_norms())
     return nuclear(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+
+
+@st.composite
+def group_norms(draw):
+    """Group norms with uneven blocks of scattered coordinates."""
+    dim = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(dim)))
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1))) if dim > 1 else []
+    bounds = [0] + cuts + [dim]
+    return group([order[a:b] for a, b in zip(bounds, bounds[1:])], dim=dim)
 
 
 @st.composite
@@ -540,3 +546,76 @@ class TestSeparability:
         v, w = enriched.separable_partition
         assert v.dim == 2 and w.dim == 1
         assert v.dim + w.dim == model.T.complement().dim
+
+
+# block sums of squares add in another order than a per-block np.linalg.norm
+ROUNDING = 64 * np.finfo(float).eps
+
+
+def reference_group_primal_projection(norm, v, radius):
+    """Group primal-ball projection written out block by block: shrink every
+    block norm by the threshold theta with sum(max(norm_b - theta, 0)) =
+    radius."""
+    norms = [np.linalg.norm(v[list(b)]) for b in norm.blocks]
+    if sum(norms) <= radius:
+        return v.copy()
+    desc = sorted(norms, reverse=True)
+    for k in range(len(desc), 0, -1):
+        theta = (sum(desc[:k]) - radius) / k
+        if desc[k - 1] > theta:
+            break
+    out = np.zeros_like(v)
+    for b, nb in zip(norm.blocks, norms):
+        if nb > theta:
+            out[list(b)] = v[list(b)] * (1.0 - theta / nb)
+    return out
+
+
+class TestGroupBlockLayout:
+    """The group dual norm and primal-ball projection against per-block loops."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_dual_norm_is_the_largest_block_norm(self, data):
+        norm = data.draw(group_norms())
+        v = data.draw(columns(norm, 1))[:, 0]
+        expected = max(np.linalg.norm(v[list(b)]) for b in norm.blocks)
+        assert dual_norm_value(norm, v) == pytest.approx(expected, rel=ROUNDING, abs=ROUNDING)
+
+    @PROPERTY
+    @given(st.data())
+    def test_primal_projection_matches_block_loop(self, data):
+        norm = data.draw(group_norms())
+        v = data.draw(columns(norm, 1))[:, 0]
+        radius = data.draw(st.floats(0.0, 12.0))
+        got = project_primal_ball(norm, v, radius)
+        assert got.shape == v.shape
+        expected = reference_group_primal_projection(norm, v, radius)
+        assert np.linalg.norm(got - expected) <= ROUNDING * (1.0 + np.linalg.norm(v))
+
+
+@st.composite
+def prox_cases(draw):
+    """(norm, u, tau) with tau between 0.05 and 2 and entries in [-5, 5]."""
+    norm = draw(norms())
+    u = draw(columns(norm, 1))[:, 0]
+    return norm, u, draw(st.floats(0.05, 2.0))
+
+
+class TestProxProperties:
+    @PROPERTY
+    @given(prox_cases())
+    def test_moreau_identity(self, case):
+        norm, u, tau = case
+        recon = prox(norm, u, tau) + tau * project_dual_ball(norm, u / tau, 1.0)
+        assert np.linalg.norm(recon - u) <= 1e-12 * (1.0 + np.linalg.norm(u))
+
+    @PROPERTY
+    @given(prox_cases())
+    def test_prox_optimality(self, case):
+        # (u - prox(u, tau)) / tau is a subgradient at prox(u, tau)
+        norm, u, tau = case
+        z = prox(norm, u, tau)
+        alpha = (u - z) / tau
+        membership = subdiff_membership(norm, z, alpha, tol=1e-8)
+        assert membership.member, membership.reason

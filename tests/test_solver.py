@@ -166,17 +166,31 @@ class TestSolvePenalizedMany:
         kind=st.sampled_from(["l1", "group", "nuclear"]),
         lams=st.lists(st.sampled_from([0.003, 0.02, 0.1, 0.5]), min_size=1, max_size=5),
         max_iter=st.sampled_from([150, 2_000]),
+        start=st.sampled_from(["zero", "shared", "per_column"]),
     )
-    def test_equals_sequential_solves(self, seed, kind, lams, max_iter):
+    def test_equals_sequential_solves(self, seed, kind, lams, max_iter, start):
         norm = {
             "l1": l1(6),
             "group": group([[3, 0], [5], [1, 4, 2]]),
             "nuclear": nuclear(2, 3),
         }[kind]
         problems = shared_batch(seed, norm, 5, lams)
-        opts = SolverOptions(tol=1e-9, max_iter=max_iter)
-        batched = solve_penalized_many(problems, opts)
-        assert_same_reports(batched, [solve_penalized(p, opts) for p in problems])
+        b = len(problems)
+        starts = np.random.default_rng(seed + 1).standard_normal((6, b))
+        # the batch's init, and the start of each problem solved on its own
+        init, own = {
+            "zero": (None, [None] * b),
+            "shared": (starts[:, 0], [starts[:, 0]] * b),
+            "per_column": (starts, list(starts.T)),
+        }[start]
+        batched = solve_penalized_many(
+            problems, SolverOptions(tol=1e-9, max_iter=max_iter, init=init)
+        )
+        sequential = [
+            solve_penalized(p, SolverOptions(tol=1e-9, max_iter=max_iter, init=x))
+            for p, x in zip(problems, own)
+        ]
+        assert_same_reports(batched, sequential)
 
     def test_mixed_batch_with_a_column_at_max_iter(self):
         # the smallest penalty needs far more iterations than the others
@@ -198,6 +212,21 @@ class TestSolvePenalizedMany:
             solve_penalized_many(problems, opts),
             [solve_penalized(p, opts) for p in problems],
         )
+        # one start per column: an (N, B) init, N = 7 unknowns rather than P = 6
+        starts = np.column_stack([np.linspace(-1.0, 1.0, 7), np.linspace(2.0, 0.0, 7)])
+        assert_same_reports(
+            solve_penalized_many(problems, SolverOptions(tol=1e-10, init=starts)),
+            [
+                solve_penalized(p, SolverOptions(tol=1e-10, init=x))
+                for p, x in zip(problems, starts.T)
+            ],
+        )
+
+    def test_init_shape_checked(self):
+        problems = shared_batch(3, l1(6), 5, [0.1, 0.2])
+        for shape in [(6, 3), (7,), (6, 1), (2, 6), (7, 2)]:
+            with pytest.raises(ValueError, match="init has shape"):
+                solve_penalized_many(problems, SolverOptions(init=np.zeros(shape)))
 
     def test_step_uses_exact_operator_norm(self):
         p = l1_problem(5, 7, lam=0.1, seed=8)
