@@ -21,12 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linops import (
-    LinearOperator,
-    Subspace,
-    kernel_basis,
-    restricted_injectivity_constant,
-)
+from .linops import LinearOperator, Subspace
 from .norms import DecomposableNorm, dual_norm_value, subdiff_membership
 from .solver import (
     ICContext,
@@ -95,24 +90,15 @@ def build_certificate(
 
     ``mode`` selects the feasible pair: "full" uses the joint minimizer,
     "u_only" fixes z = 0, "zero" uses (0, 0).  Requires phi injective on
-    ker(L_S0^*); a certificate whose saturation reaches 1 is still returned
-    (the value itself is what phase-transition experiments need), only its
-    quality margin is nonpositive.  ``ctx`` is the ``ic_context`` of T0 when
-    the caller already has it.
+    ker(L_S0^*), which ``ic_context`` checks; a certificate whose saturation
+    reaches 1 is still returned (the value itself is what phase-transition
+    experiments need), only its quality margin is nonpositive.  ``ctx`` is
+    the ``ic_context`` of T0 when the caller already has it.
     """
     if mode not in ("full", "u_only", "zero"):
         raise ValueError(f"unknown certificate mode {mode!r}")
     opts = opts or SolverOptions()
     e0 = np.asarray(e0, dtype=float).reshape(-1)
-
-    S0 = T0.complement()
-    ls_adj = LinearOperator((l_op.entries @ S0.projector_matrix()).T)
-    c_phi = restricted_injectivity_constant(phi, kernel_basis(ls_adj))
-    if not c_phi > 0:
-        raise ValueError(
-            "restricted injectivity fails on the model: no certificate exists"
-        )
-
     ctx = ctx or ic_context(phi, l_op, T0)
     if mode == "full":
         sol = minimize_ic_full(phi, l_op, norm, T0, e0, opts=opts, ctx=ctx)
@@ -129,8 +115,8 @@ def build_certificate(
     u, z = sol.u, sol.z
 
     eta = phi.apply(ctx.xi @ (ctx.lt @ e0)) + z
-    alpha = e0 + ctx.gamma @ e0 + S0.project(u) + ctx.ls_pinv_phi_adj @ z
-    saturation = dual_norm_value(norm, S0.project(alpha))
+    alpha = e0 + ctx.gamma @ e0 + ctx.S.project(u) + ctx.ls_pinv_phi_adj @ z
+    saturation = dual_norm_value(norm, ctx.S.project(alpha))
     source_residual = float(
         np.linalg.norm(phi.adjoint_apply(eta) - l_op.apply(alpha))
     )

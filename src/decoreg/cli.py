@@ -9,6 +9,7 @@ preconditions, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -22,9 +23,8 @@ from .experiments import (
     solve_trials,
 )
 from .guarantees import strong_nsp_check, uniqueness_from_certificate
-from .linops import LinearOperator, kernel_basis, restricted_injectivity_constant
 from .norms import decompose_at
-from .solver import SolverOptions
+from .solver import SolverOptions, ic_context
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,14 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The JSON config with the flag overrides, validated again as a whole."""
     cfg = ScenarioConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    if args.tol is not None:
-        cfg.tol = float(args.tol)
-    if args.max_iter is not None:
-        cfg.max_iter = int(args.max_iter)
-    return cfg
+    overrides = {"seed": args.seed, "tol": args.tol, "max_iter": args.max_iter}
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def _solve_command(cfg: ScenarioConfig, out: Path) -> int:
@@ -118,13 +116,12 @@ def _uniqueness_command(cfg: ScenarioConfig, out: Path) -> int:
     lines = [f"strong nsp verdict: {nsp.status}"]
     opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
     try:
+        ctx = ic_context(phi, l_op, model.T)
         cert = build_certificate(
-            phi, l_op, norm, model.T, model.e, mode=cfg.certificate_mode, opts=opts
+            phi, l_op, norm, model.T, model.e,
+            mode=cfg.certificate_mode, opts=opts, ctx=ctx,
         )
-        s_perp = model.T.complement()
-        ls_adj = LinearOperator((l_op.entries @ s_perp.projector_matrix()).T)
-        c_phi = restricted_injectivity_constant(phi, kernel_basis(ls_adj))
-        verdict = uniqueness_from_certificate(cert, c_phi)
+        verdict = uniqueness_from_certificate(cert, ctx.c_phi)
         lines.append(f"certificate verdict: {verdict.status}")
         lines.append(f"saturation: {cert.saturation!r}")
     except ValueError as exc:

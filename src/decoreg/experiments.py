@@ -227,6 +227,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown certificate mode {self.certificate_mode!r}")
         if not self.coupling_c > 0:
             raise ConfigError("coupling c must be positive")
+        if not self.tol > 0:
+            raise ConfigError("solver tol must be positive")
+        if self.max_iter < 1:
+            raise ConfigError("solver max_iter must be at least 1")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ScenarioConfig":
@@ -790,7 +794,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     u0 = l_op.T.apply(x0)
     model = decompose_at(norm, u0)
     T0, e0 = model.T, model.e
-    S0 = T0.complement()
 
     summary: list[str] = []
     summary.append(f"seed {cfg.seed}  dims m={cfg.m} n={cfg.n} p={cfg.p}")
@@ -833,7 +836,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
         ic_uz = minimize_ic_full(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx).value
     summary.append(f"ic chain (joint, u-only, zero): {ic_uz!r} {ic_u!r} {ic_00!r}")
 
-    nsp = strong_nsp_check(phi, l_op, T0, e0, norm)
+    nsp = strong_nsp_check(phi, l_op, T0, e0, norm, ctx=ctx)
     summary.append(f"strong nsp verdict: {nsp.status}")
 
     try:
@@ -842,10 +845,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
             l_op,
             norm,
             T0,
-            S0,
             cert,
             cfg.coupling_c,
             frame_mode=cfg.frame_bound if cfg.frame_mode else None,
+            ctx=ctx,
         )
     except ValueError as exc:
         summary.append(f"stability constants unavailable: {exc}")
@@ -874,7 +877,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
 
     for trial, ((eps, _), report) in enumerate(zip(trials, solved)):
         check = verify_bounds(
-            phi, l_op, norm, x0, cert, eps, cfg.coupling_c, report, bound
+            phi, l_op, norm, x0, cert, eps, cfg.coupling_c, report, bound, ctx=ctx
         )
         reports.append(check)
         rows.append(

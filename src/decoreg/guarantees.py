@@ -41,7 +41,6 @@ from .linops import (
     kernel_basis,
     operator_norm,
     restricted_injectivity_constant,
-    smallest_nonzero_singular_value,
 )
 from .norms import (
     DecomposableNorm,
@@ -53,7 +52,7 @@ from .norms import (
     norm_subgradient,
     norm_value,
 )
-from .solver import SolveReport
+from .solver import ICContext, SolveReport, ic_context
 
 __all__ = [
     "STATUS_UNIQUE",
@@ -101,6 +100,7 @@ def strong_nsp_check(
     e,
     norm: DecomposableNorm,
     opts: NspOptions | None = None,
+    ctx: ICContext | None = None,
 ) -> UniquenessVerdict:
     """Minimize g(h) = norm(L_S^* h) - <L_T^* h, e> over unit kernel vectors.
 
@@ -109,7 +109,8 @@ def strong_nsp_check(
     deterministic multi-start projected subgradient descent on the sphere and
     can only report "unique up to sampling" when the sampled minimum clears
     the margin; a nonpositive value anywhere yields a violated verdict with
-    the witness kernel direction.
+    the witness kernel direction.  ``ctx`` is the ``ic_context`` of T when
+    the caller already has it; only its S is used.
     """
     opts = opts or NspOptions()
     e = np.asarray(e, dtype=float).reshape(-1)
@@ -118,7 +119,7 @@ def strong_nsp_check(
     if k == 0:
         return UniquenessVerdict(STATUS_UNIQUE)
 
-    S = T.complement()
+    S = ctx.S if ctx is not None else T.complement()
     a_full = l_op.entries.T @ ker.basis          # P x k, L^* restricted to the kernel
     a_s = S.projector_matrix() @ a_full
     q = a_full.T @ T.project(e)
@@ -283,30 +284,26 @@ def stability_constants(
     l_op: LinearOperator,
     norm: DecomposableNorm,
     T0: Subspace,
-    S0: Subspace,
     cert: DualCertificate,
     c: float,
     frame_mode: float | None = None,
+    ctx: ICContext | None = None,
 ) -> StabilityBound:
     """Compute every constant of the error bound for one model and certificate.
 
-    ``frame_mode``, when given, is the lower frame bound a of the analysis
-    operator; it requires ker(L^*) = {0}, replaces C_L by sqrt(a) and takes
-    the injectivity constant over the image of the dual frame restricted to
-    the model subspace.
+    C_Phi and C_L are read from ``ctx``, the ``ic_context`` of T0 (built
+    when not given); C_L is +inf when L_S0 vanishes, since that error
+    component is then absent.  ``frame_mode``, when given, is the lower
+    frame bound a of the analysis operator; it requires ker(L^*) = {0},
+    replaces C_L by sqrt(a) and takes the injectivity constant over the
+    image of the dual frame restricted to the model subspace.
     """
     if not cert.saturation < 1.0:
         raise ValueError("no stability guarantee: certificate saturates")
-    ls_adj_mat = S0.projector_matrix() @ l_op.entries.T
 
     if frame_mode is None:
-        c_phi = restricted_injectivity_constant(
-            phi, kernel_basis(LinearOperator(ls_adj_mat))
-        )
-        if operator_norm(LinearOperator(ls_adj_mat)) == 0.0:
-            c_l = float("inf")  # S0-restriction vanishes: that error component is absent
-        else:
-            c_l = smallest_nonzero_singular_value(LinearOperator(ls_adj_mat))
+        ctx = ctx or ic_context(phi, l_op, T0)
+        c_phi, c_l = ctx.c_phi, ctx.c_l
     else:
         a = float(frame_mode)
         if not a > 0:
@@ -418,6 +415,7 @@ def verify_bounds(
     report: SolveReport,
     bound: StabilityBound,
     slack: float | None = None,
+    ctx: ICContext | None = None,
 ) -> BoundCheckReport:
     """Compare the four observed errors of a solved instance against their
     theoretical bounds.
@@ -427,7 +425,9 @@ def verify_bounds(
     data within epsilon of phi x0.  Violated preconditions mark the report
     invalid rather than raising; failed comparisons are recorded with
     passed = False.  ``slack`` absorbs solver inexactness on top of the
-    relative tolerance of each comparison.
+    relative tolerance of each comparison.  The model error is measured on
+    S0, the complement of the model at L^* x0: ``ctx.S`` when the caller
+    has that model's ``ic_context``.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     problem = report.problem
@@ -460,8 +460,7 @@ def verify_bounds(
     observed_pred = float(np.linalg.norm(phi.apply(x_star) - phi.apply(x0)))
     observed_breg = bregman(norm, u_star, u0, cert.alpha, tol=1e-6)
 
-    T0 = decompose_at(norm, u0).T
-    S0 = T0.complement()
+    S0 = ctx.S if ctx is not None else decompose_at(norm, u0).T.complement()
     observed_ls0 = float(np.linalg.norm(S0.project(u_star - u0)))
     ls0_bound = bregman_to_l2(breg_bound, bound.saturation, bound.c_a)
 

@@ -288,17 +288,18 @@ def solve_penalized_many(
     return reports
 
 
-def _xi_matrix(phi: LinearOperator, l_s_adjoint: LinearOperator, tol: float = RANK_RTOL) -> np.ndarray:
+def _xi_matrix(
+    phi: LinearOperator, ker: np.ndarray, tol: float = RANK_RTOL
+) -> tuple[np.ndarray, float]:
     """Dense matrix of the map h -> argmin over ker(L_S^*) of
-    0.5 ||Phi x||^2 - <h, x>, namely B (B^T Phi^T Phi B)^{-1} B^T for an
-    orthonormal kernel basis B.  Raises when phi fails to be injective on
-    that kernel."""
+    0.5 ||Phi x||^2 - <h, x>, namely B (B^T Phi^T Phi B)^{-1} B^T for the
+    orthonormal kernel basis B = ``ker``, and C_Phi, the smallest singular
+    value of Phi B (+inf for a trivial kernel).  Raises when phi fails to be
+    injective on that kernel."""
     n = phi.cols
-    ker = kernel_basis(l_s_adjoint, tol)
-    b = ker.basis
-    if b.shape[1] == 0:
-        return np.zeros((n, n))
-    a = phi.entries @ b
+    if ker.shape[1] == 0:
+        return np.zeros((n, n)), float("inf")
+    a = phi.entries @ ker
     if a.shape[1] > a.shape[0]:
         raise ValueError(
             "restricted injectivity fails: the kernel of L_S^* is wider than "
@@ -308,7 +309,7 @@ def _xi_matrix(phi: LinearOperator, l_s_adjoint: LinearOperator, tol: float = RA
     if s[0] == 0.0 or s[-1] <= tol * s[0]:
         raise ValueError("restricted injectivity fails: Phi is singular on ker(L_S^*)")
     inner = vt.T @ np.diag(1.0 / s**2) @ vt
-    return b @ inner @ b.T
+    return ker @ inner @ ker.T, float(s[-1])
 
 
 def xi_map(phi: LinearOperator, l_s_adjoint: LinearOperator, h, tol: float = RANK_RTOL) -> np.ndarray:
@@ -320,30 +321,8 @@ def xi_map(phi: LinearOperator, l_s_adjoint: LinearOperator, h, tol: float = RAN
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.shape[0] != phi.cols:
         raise ValueError(f"h has length {h.shape[0]}, expected {phi.cols}")
-    return _xi_matrix(phi, l_s_adjoint, tol) @ h
-
-
-def _gamma_matrix(
-    phi: LinearOperator,
-    l_op: LinearOperator,
-    T: Subspace,
-    S: Subspace,
-    tol: float = RANK_RTOL,
-) -> np.ndarray:
-    p_dim = l_op.cols
-    if T.ambient_dim != p_dim or S.ambient_dim != p_dim:
-        raise ValueError("T and S must live in the analysis space")
-    if T.dim + S.dim != p_dim or (
-        T.basis.size and S.basis.size and np.max(np.abs(T.basis.T @ S.basis)) > 1e-10
-    ):
-        raise ValueError("S must be the orthogonal complement of T")
-    n = l_op.rows
-    lt = l_op.entries @ T.projector_matrix()
-    ls = l_op.entries @ S.projector_matrix()
-    xi = _xi_matrix(phi, LinearOperator(ls.T), tol)
-    ls_pinv = np.linalg.pinv(ls, rcond=tol)
-    core = phi.entries.T @ (phi.entries @ xi) - np.eye(n)
-    return ls_pinv @ (core @ lt)
+    xi, _ = _xi_matrix(phi, kernel_basis(l_s_adjoint, tol).basis, tol)
+    return xi @ h
 
 
 def gamma_apply(
@@ -356,57 +335,81 @@ def gamma_apply(
 ) -> np.ndarray:
     """Apply the transfer operator pinv(L_S) (Phi^T Phi Xi - Id) L_T.
 
-    Its range lies inside Im(L_S^*); restricted injectivity failures
-    propagate from the inner quadratic solve.
+    S must be the orthogonal complement of T.  Its range lies inside
+    Im(L_S^*); restricted injectivity failures propagate from the inner
+    quadratic solve.
     """
+    p_dim = l_op.cols
+    if T.ambient_dim != p_dim or S.ambient_dim != p_dim:
+        raise ValueError("T and S must live in the analysis space")
+    if T.dim + S.dim != p_dim or (
+        T.basis.size and S.basis.size and np.max(np.abs(T.basis.T @ S.basis)) > 1e-10
+    ):
+        raise ValueError("S must be the orthogonal complement of T")
     v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != l_op.cols:
-        raise ValueError(f"v has length {v.shape[0]}, expected {l_op.cols}")
-    return _gamma_matrix(phi, l_op, T, S, tol) @ v
+    if v.shape[0] != p_dim:
+        raise ValueError(f"v has length {v.shape[0]}, expected {p_dim}")
+    return ic_context(phi, l_op, T, tol).gamma @ v
 
 
 @dataclass(frozen=True, eq=False)
 class ICContext:
-    """Precomputed pieces shared by the irrepresentability programs for one
-    model subspace T."""
+    """Everything that depends only on (Phi, L, T): the model's complement
+    S, L_S = L P_S and the pieces built from its one SVD, shared by the
+    certificate, the irrepresentability programs, the null-space check and
+    the stability constants."""
 
     T: Subspace
     S: Subspace
     xi: np.ndarray               # N x N restricted normal-equation map
+    ls: np.ndarray               # N x P, L restricted to S
     lt: np.ndarray               # N x P, L restricted to T
     ls_pinv: np.ndarray          # P x N, pinv of L restricted to S
     gamma: np.ndarray            # P x P transfer operator
     ker_ls: Subspace             # feasible u directions, in R^P
+    cols_u: np.ndarray           # P x dim ker(L_S), P_S applied to ker_ls
     z_space: Subspace            # feasible z directions, in R^M
     ls_pinv_phi_adj: np.ndarray  # P x M, pinv(L_S) Phi^*
+    c_phi: float                 # injectivity constant of Phi on ker(L_S^*)
+    c_l: float                   # smallest nonzero singular value of L_S^*
 
 
 def ic_context(
     phi: LinearOperator, l_op: LinearOperator, T: Subspace, tol: float = RANK_RTOL
 ) -> ICContext:
+    """Build the context of the model subspace T.
+
+    One SVD of L_S gives ker(L_S), Im(L_S), ker(L_S^*), pinv(L_S) and C_L
+    (+inf when L_S vanishes); C_Phi comes from the SVD inside Xi.  Raises
+    when Phi fails to be injective on ker(L_S^*).
+    """
     n = l_op.rows
     S = T.complement()
-    pt = T.projector_matrix()
     ps = S.projector_matrix()
-    lt = l_op.entries @ pt
+    lt = l_op.entries @ T.projector_matrix()
     ls = l_op.entries @ ps
-    xi = _xi_matrix(phi, LinearOperator(ls.T), tol)
-    ls_pinv = np.linalg.pinv(ls, rcond=tol)
+    u, s, vt = np.linalg.svd(ls, full_matrices=True)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    ls_pinv = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
+    xi, c_phi = _xi_matrix(phi, u[:, rank:], tol)
     gamma = ls_pinv @ ((phi.entries.T @ (phi.entries @ xi) - np.eye(n)) @ lt)
-    ker_ls = kernel_basis(LinearOperator(ls), tol)
-    im_ls = image_basis(LinearOperator(ls), tol)
-    leftover = (np.eye(n) - im_ls.projector_matrix()) @ phi.entries.T
-    z_space = kernel_basis(LinearOperator(leftover), tol)
+    ker_ls = Subspace(l_op.cols, vt[rank:].T)
+    leftover = (np.eye(n) - u[:, :rank] @ u[:, :rank].T) @ phi.entries.T
     return ICContext(
         T=T,
         S=S,
         xi=xi,
+        ls=ls,
         lt=lt,
         ls_pinv=ls_pinv,
         gamma=gamma,
         ker_ls=ker_ls,
-        z_space=z_space,
+        cols_u=ps @ ker_ls.basis,
+        z_space=kernel_basis(LinearOperator(leftover), tol),
         ls_pinv_phi_adj=ls_pinv @ phi.entries.T,
+        c_phi=c_phi,
+        c_l=float(s[rank - 1]) if rank else float("inf"),
     )
 
 
@@ -447,11 +450,11 @@ def ic_value(
     if z.shape[0] != phi.rows:
         raise ValueError("z must live in the measurement space")
 
-    ls = l_op.entries @ ctx.S.projector_matrix()
+    ls = ctx.ls
     if np.linalg.norm(ls @ u) > feas_tol * (1.0 + np.linalg.norm(ls) * np.linalg.norm(u)):
         raise ValueError("infeasible u: not a member of ker(L_S)")
     phz = phi.entries.T @ z
-    im_resid = phz - (ls @ (np.linalg.pinv(ls, rcond=RANK_RTOL) @ phz))
+    im_resid = phz - (ls @ (ctx.ls_pinv @ phz))
     if np.linalg.norm(im_resid) > feas_tol * (1.0 + np.linalg.norm(phz)):
         raise ValueError("infeasible z: Phi^* z is not a member of Im(L_S)")
 
@@ -620,12 +623,10 @@ def minimize_ic_full(
     if e.shape[0] != l_op.cols:
         raise ValueError(f"e has length {e.shape[0]}, expected {l_op.cols}")
     g0 = ctx.gamma @ e
-    ps = ctx.S.projector_matrix()
-    cols_u = ps @ ctx.ker_ls.basis
     cols_z = ctx.ls_pinv_phi_adj @ ctx.z_space.basis
-    columns = np.hstack([cols_u, cols_z])
+    columns = np.hstack([ctx.cols_u, cols_z])
     c, value, gap, converged = _min_dual_norm_affine(norm, g0, columns, opts)
-    k1 = cols_u.shape[1]
+    k1 = ctx.cols_u.shape[1]
     u = ctx.ker_ls.basis @ c[:k1] if k1 else np.zeros(l_op.cols)
     z = ctx.z_space.basis @ c[k1:] if c[k1:].size else np.zeros(phi.rows)
     return ICSolution(u=u, z=z, value=value, gap=gap, converged=converged)
@@ -647,7 +648,6 @@ def minimize_ic_u(
     if e.shape[0] != l_op.cols:
         raise ValueError(f"e has length {e.shape[0]}, expected {l_op.cols}")
     g0 = ctx.gamma @ e
-    cols_u = ctx.S.projector_matrix() @ ctx.ker_ls.basis
-    c, value, gap, converged = _min_dual_norm_affine(norm, g0, cols_u, opts)
+    c, value, gap, converged = _min_dual_norm_affine(norm, g0, ctx.cols_u, opts)
     u = ctx.ker_ls.basis @ c if c.size else np.zeros(l_op.cols)
     return ICSolution(u=u, z=np.zeros(phi.rows), value=value, gap=gap, converged=converged)

@@ -326,11 +326,10 @@ def test_criterion_6_frame_mode(tmp_path):
     cert = build_certificate(phi, l_op, norm, model.T, model.e)
     from decoreg.guarantees import stability_constants
 
-    s0 = model.T.complement()
     framed = stability_constants(
-        phi, l_op, norm, model.T, s0, cert, 1.0, frame_mode=1.0
+        phi, l_op, norm, model.T, cert, 1.0, frame_mode=1.0
     )
-    plain = stability_constants(phi, l_op, norm, model.T, s0, cert, 1.0)
+    plain = stability_constants(phi, l_op, norm, model.T, cert, 1.0)
     ok &= framed.c_l == pytest.approx(np.sqrt(1.0))
     ok &= plain.c_l != framed.c_l  # the standard path measures L_{S0}^*
     _report(6, ok, started, f"{len(result.rows)} frame trials, c_l = sqrt(a)")

@@ -381,10 +381,17 @@ class TestSolveTrials:
 
     @pytest.mark.parametrize("mode", ["full", "u_only", "zero"])
     def test_sweep_builds_the_ic_context_once(self, tmp_path, monkeypatch, mode):
+        """One context per sweep; the NSP check, the constants and the bound
+        checks of every trial read the model from it instead of deriving it
+        again with ``decompose_at`` or ``Subspace.complement``."""
         import decoreg.certificates as certificates
         import decoreg.experiments as experiments
+        import decoreg.guarantees as guarantees
+        from decoreg.linops import Subspace
 
         calls = {"ic_context": 0, "minimize_ic_full": 0, "minimize_ic_u": 0}
+        rederived = {"decompose_at": 0, "complement": 0}
+        inside = [0]  # depth of calls into the context consumers
 
         def counted(module, name):
             original = getattr(module, name)
@@ -395,12 +402,41 @@ class TestSolveTrials:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        def consumer(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                inside[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    inside[0] -= 1
+
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        def rederiving(owner, attr, key):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                rederived[key] += inside[0] > 0
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
         for module in (certificates, experiments):
             for name in calls:
                 counted(module, name)
-        cfg = base_config(noise_draws=1, plot=False, certificate_mode=mode)
-        run_scenario(cfg, tmp_path)
+        counted(guarantees, "ic_context")
+        for name in ("verify_bounds", "stability_constants", "strong_nsp_check"):
+            consumer(name)
+        rederiving(guarantees, "decompose_at", "decompose_at")
+        rederiving(Subspace, "complement", "complement")
+        # m = 14: no mode's certificate saturates, so every mode runs its trials
+        cfg = base_config(m=14, noise_draws=2, plot=False, certificate_mode=mode)
+        result = run_scenario(cfg, tmp_path)
+        assert len(result.rows) == 6
         assert calls == {"ic_context": 1, "minimize_ic_full": 1, "minimize_ic_u": 1}
+        assert rederived == {"decompose_at": 0, "complement": 0}
         summary = (tmp_path / "summary.txt").read_text()
         joint, u_only, zero = (
             float(v) for v in summary.split("ic chain (joint, u-only, zero): ")[1].split()[:3]
@@ -539,6 +575,24 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["json", "flag"])
+    @pytest.mark.parametrize(
+        "key, value", [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("max_iter", 0)]
+    )
+    def test_bad_solver_settings_write_nothing(self, tmp_path, source, key, value):
+        if source == "json":
+            cfg = write_config(tmp_path, solver={key: value})
+            flags = []
+        else:
+            cfg = write_config(tmp_path)
+            flags = [f"--{key.replace('_', '-')}={value}"]
+        out = tmp_path / "out"
+        code = cli_main(["stability-sweep", "--config", str(cfg), "--out", str(out)] + flags)
+        assert code == 2
+        assert not out.exists()
+        with pytest.raises(ConfigError):
+            base_config(**{key: value})
 
     def test_solver_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, epsilons=[0.05])

@@ -211,7 +211,6 @@ class TestStabilityConstants:
                 identity(4),
                 l1(4),
                 model.T,
-                model.T.complement(),
                 cert,
                 1.0,
             )
@@ -228,10 +227,9 @@ class TestStabilityConstants:
         x0 = np.linalg.solve(q, u0)
         model = decompose_at(norm, l_op.T.apply(x0))
         cert = build_certificate(phi, l_op, norm, model.T, model.e)
-        s0 = model.T.complement()
-        plain = stability_constants(phi, l_op, norm, model.T, s0, cert, 1.0)
+        plain = stability_constants(phi, l_op, norm, model.T, cert, 1.0)
         framed = stability_constants(
-            phi, l_op, norm, model.T, s0, cert, 1.0, frame_mode=1.0
+            phi, l_op, norm, model.T, cert, 1.0, frame_mode=1.0
         )
         assert plain.c_l == pytest.approx(1.0, abs=1e-10)
         assert framed.c_l == pytest.approx(plain.c_l, abs=1e-10)
@@ -247,7 +245,6 @@ class TestStabilityConstants:
                 l_op,
                 l1(3),
                 model.T,
-                model.T.complement(),
                 cert,
                 1.0,
                 frame_mode=1.0,
@@ -293,8 +290,7 @@ def stability_instance(seed=0, m=6, n=8):
     x0[5] = -1.5
     model = decompose_at(norm, x0)
     cert = build_certificate(phi, identity(n), norm, model.T, model.e)
-    s0 = model.T.complement()
-    bound = stability_constants(phi, identity(n), norm, model.T, s0, cert, 1.0)
+    bound = stability_constants(phi, identity(n), norm, model.T, cert, 1.0)
     return phi, identity(n), norm, x0, cert, bound
 
 
@@ -357,7 +353,6 @@ class TestVerifyBounds:
         # instance the weaker-margin constants must still dominate the error
         phi, l_op, norm, x0, cert, bound = stability_instance(seed=4)
         model = decompose_at(norm, x0)
-        s0 = model.T.complement()
         inactive = [i for i in range(8) if i not in model.active]
         # V carries the attaining coordinates: its margin equals the full one
         sat_by_coord = np.abs(cert.alpha)
@@ -374,7 +369,7 @@ class TestVerifyBounds:
         assert c_phi_v > 0
         sub_cert = DualCertificate(cert.eta, cert.alpha, sat_v, cert.source_residual)
         sub_bound = stability_constants(
-            phi, l_op, norm, model.T, s0, sub_cert, 1.0
+            phi, l_op, norm, model.T, sub_cert, 1.0
         )
         patched = type(sub_bound)(
             c=sub_bound.c,

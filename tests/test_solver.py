@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from decoreg.linops import (
+    RANK_RTOL,
     LinearOperator,
     Subspace,
     identity,
     image_basis,
     kernel_basis,
     projector,
+    restricted_injectivity_constant,
+    smallest_nonzero_singular_value,
 )
 from decoreg.norms import decompose_at, dual_norm_value, group, l1, norm_value, nuclear
 from decoreg.solver import (
@@ -347,6 +350,83 @@ class TestGammaApply:
         assert np.linalg.norm(projector(t).entries @ gv) <= 1e-9 * (
             1 + np.linalg.norm(gv)
         )
+
+
+def context_instance(seed, kind, t_kind, m_shift):
+    """(phi, L, T) with Phi of n + m_shift rows; T is {0}, the full analysis
+    space or the model of a random vector with some inactive parts."""
+    r = np.random.default_rng(seed)
+    if kind == "tv1d":
+        n, norm = 6, l1(5)
+        l_op = LinearOperator(np.diff(np.eye(n), axis=0).T)
+        u = r.standard_normal(5) * (r.uniform(size=5) < 0.5)
+    elif kind == "l1":
+        n, norm = 5, l1(7)
+        l_op = LinearOperator(r.standard_normal((n, 7)))
+        u = r.standard_normal(7) * (r.uniform(size=7) < 0.4)
+    elif kind == "group":
+        n, norm = 6, group([[0, 1], [2, 3], [4, 5]])
+        l_op = random_orthonormal(6)
+        u = r.standard_normal(6) * np.repeat(r.uniform(size=3) < 0.5, 2)
+    else:
+        n, norm = 4, nuclear(2, 2)
+        l_op = LinearOperator(r.standard_normal((4, 4)))
+        u = np.outer(r.standard_normal(2), r.standard_normal(2)).reshape(-1)
+    p = norm.ambient_dim
+    phi = LinearOperator(r.standard_normal((n + m_shift, n)))
+    if t_kind == "zero":
+        t = Subspace.zero(p)
+    elif t_kind == "full":
+        t = Subspace.full(p)
+    else:
+        t = decompose_at(norm, u).T
+    return phi, l_op, t
+
+
+class TestIcContext:
+    """The context's one-SVD pieces against the linops helpers as oracles."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "tv1d", "group", "nuclear"]),
+        t_kind=st.sampled_from(["zero", "full", "model"]),
+        m_shift=st.sampled_from([-1, 0, 2]),
+    )
+    def test_matches_linops_helpers(self, seed, kind, t_kind, m_shift):
+        phi, l_op, t = context_instance(seed, kind, t_kind, m_shift)
+        ls = l_op.entries @ t.complement().projector_matrix()
+        ker_ls_adj = kernel_basis(LinearOperator(ls.T))
+        c_phi = restricted_injectivity_constant(phi, ker_ls_adj)
+        try:
+            ctx = ic_context(phi, l_op, t)
+        except ValueError:
+            # only a failing injectivity condition may stop the context
+            s = np.linalg.svd(phi.entries @ ker_ls_adj.basis, compute_uv=False)
+            assert c_phi == 0.0 or s[-1] <= RANK_RTOL * s[0]
+            return
+
+        def same_span(a: Subspace, b: Subspace):
+            assert a.dim == b.dim
+            assert np.allclose(a.projector_matrix(), b.projector_matrix(), atol=1e-9)
+
+        same_span(ctx.ker_ls, kernel_basis(LinearOperator(ls)))
+        # Xi maps onto ker(L_S^*), and z is feasible iff Phi^* z is in Im(L_S)
+        same_span(image_basis(LinearOperator(ctx.xi)), ker_ls_adj)
+        im_ls = image_basis(LinearOperator(ls))
+        leftover = (np.eye(l_op.rows) - im_ls.projector_matrix()) @ phi.entries.T
+        same_span(ctx.z_space, kernel_basis(LinearOperator(leftover)))
+        assert np.allclose(ctx.ls @ ctx.ls_pinv, im_ls.projector_matrix(), atol=1e-9)
+
+        pinv = np.linalg.pinv(ls, rcond=RANK_RTOL)
+        assert np.allclose(ctx.ls_pinv, pinv, atol=1e-9 * (1.0 + np.abs(pinv).max()))
+        assert np.allclose(ctx.cols_u, ctx.S.projector_matrix() @ ctx.ker_ls.basis)
+        assert ctx.c_phi == pytest.approx(c_phi, rel=1e-9)
+        if np.abs(ls).max() == 0.0:
+            assert ctx.c_l == np.inf
+        else:
+            c_l = smallest_nonzero_singular_value(LinearOperator(ls.T))
+            assert ctx.c_l == pytest.approx(c_l, rel=1e-9)
 
 
 def tiny_ic_instance(seed=6):
