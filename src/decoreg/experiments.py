@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -518,7 +518,7 @@ def solve_vanishing_many(problems: list[Problem], opts: SolverOptions) -> list[S
         init = np.column_stack([stages[i].x_star for i in live]) if k else None
         solved = solve_penalized_many(
             [problems[i].with_data(problems[i].y, schedules[i][k]) for i in live],
-            SolverOptions(tol=opts.tol, max_iter=opts.max_iter, init=init),
+            replace(opts, init=init),
         )
         for i, report in zip(live, solved):
             stages[i] = report
@@ -785,8 +785,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
 
     Writes results.csv, summary.txt, certificate.csv and (optionally)
     error_vs_eps.svg into ``out_dir``.  The exit code is 1 exactly when some
-    bound check with valid preconditions fails; stage failures (no
-    certificate, saturated certificate) are recorded in the summary.
+    bound check with valid preconditions fails on a converged solve; a trial
+    whose solve did not converge within ``max_iter`` never sets it, and the
+    summary counts such trials on its ``unconverged trials`` line.  Stage
+    failures (no certificate, saturated certificate) are recorded in the
+    summary.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -897,12 +900,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
             )
         )
         plot_points.append((eps, check.l2.observed))
-        if check.preconditions_ok and not check.pass_all:
+        if check.preconditions_ok and not check.pass_all and report.converged:
             exit_code = 1
 
     results_path = out / "results.csv"
     _write_results_csv(results_path, rows)
     summary.append(f"trials {len(trials)}  bound violations {'yes' if exit_code else 'no'}")
+    summary.append(f"unconverged trials {sum(not r.converged for r in solved)}")
     summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(summary) + "\n")
 

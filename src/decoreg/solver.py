@@ -11,10 +11,14 @@ minimizing the irrepresentability coefficient
 over u in ker(L_S) and z with Phi^* z in Im(L_S).
 
 The splitting scheme is the standard primal-dual hybrid gradient iteration on
-the stacked operator K = (Phi; L^*) with tau = sigma = 0.99 / ||K||, the exact
-norm from the singular values ``Problem`` computes for its rank check, full
-relaxation, and deterministic initialization at zero.  Problems sharing Phi,
-L^* and the norm are solved together, one column per problem.
+the stacked operator K = (Phi; L^*) with steps tau = eta / omega and
+sigma = eta * omega, where eta = 0.99 / ||K|| uses the exact norm from the
+singular values ``Problem`` computes for its rank check, so tau sigma ||K||^2
+< 1 for every primal weight omega.  omega starts at 1 and, for long solves
+only, adapts per problem to the ratio of dual to primal movement
+(``solve_penalized_many`` gives the rule).  Full relaxation, deterministic
+initialization at zero.  Problems sharing Phi, L^* and the norm are solved
+together, one column per problem.
 The IC programs are solved in reduced coordinates: orthonormal bases of the
 feasible subspaces turn the affine-constrained dual-norm minimization into an
 unconstrained one, min_c dual_norm(g0 + C c).  The minimum-norm
@@ -172,6 +176,12 @@ def _composite_residual(
     return np.linalg.norm(grad, axis=0) + gap
 
 
+# primal-weight adaptation in ``solve_penalized_many``: the number of check
+# windows run at omega = 1 before the first update, and the clamp on omega
+_WEIGHT_WARMUP_WINDOWS = 5
+_WEIGHT_BOUNDS = (0.1, 10.0)
+
+
 def solve_penalized(p: Problem, opts: SolverOptions | None = None) -> SolveReport:
     """Minimize the penalized objective by primal-dual splitting.
 
@@ -197,12 +207,28 @@ def solve_penalized_many(
     that holds on a residual plateau too.  ``opts.init`` is None (start
     at zero), an (N,) vector that starts every column, or an (N, B) array
     with one start per column; any other shape raises ``ValueError``.
+
+    Each column has its own primal weight omega and steps tau = eta / omega,
+    sigma = eta * omega with eta = 0.99 / ||K||.  omega is 1 for the first
+    five check windows (250 iterations at ``check_every = 50``), so a solve
+    that converges by then runs the plain fixed-step iteration.  From then on,
+    at every check point, each column moves omega halfway, in log scale,
+    towards ||dual change|| / ||x change|| over the window just ended
+    (Applegate et al., "Practical large-scale linear programming using
+    primal-dual hybrid gradient", NeurIPS 2021), clamps it to [0.1, 10] and
+    restarts the extrapolation (xbar = x); a window in which either block did
+    not move leaves the column as it is.  The clamp matters at tiny lambda,
+    where the dual is confined to a ball of radius lambda and an unclamped
+    omega collapses and stalls the primal.  tau and sigma stay scalars until
+    the first update, which keeps short solves as cheap as before.
     """
     opts = opts or SolverOptions()
     if opts.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not opts.tol > 0:
         raise ValueError("tol must be positive")
+    if opts.check_every < 1:
+        raise ValueError("check_every must be at least 1")
     problems = list(problems)
     if not problems:
         return []
@@ -217,6 +243,7 @@ def solve_penalized_many(
     big = np.vstack([first.phi.entries, first.l_adjoint.entries])
     step = 0.99 / first.k_norm if first.k_norm > 0 else 1.0
     tau = sigma = step
+    adapt_from = _WEIGHT_WARMUP_WINDOWS * opts.check_every
 
     b = len(problems)
     init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
@@ -231,6 +258,9 @@ def solve_penalized_many(
     lam = np.array([q.lam for q in problems], dtype=float)
     dual_fit = np.zeros((m, b))
     dual_reg = np.zeros((first.norm.ambient_dim, b))
+    omega = np.ones(b)
+    # the iterates at the previous check point, for the primal-weight update
+    x_prev, fit_prev, reg_prev = x, dual_fit, dual_reg
 
     scale = 1.0 + np.linalg.norm(first.phi.entries.T @ y, axis=0)
     threshold = opts.tol * scale
@@ -265,12 +295,29 @@ def solve_penalized_many(
                 break
             if finished.any():
                 keep = ~finished
-                x, xbar, dual_fit, dual_reg, y, best_x = (
-                    a[:, keep] for a in (x, xbar, dual_fit, dual_reg, y, best_x)
+                x, xbar, dual_fit, dual_reg, y, best_x, x_prev, fit_prev, reg_prev = (
+                    a[:, keep]
+                    for a in (
+                        x, xbar, dual_fit, dual_reg, y, best_x, x_prev, fit_prev, reg_prev
+                    )
                 )
-                lam, threshold, margin, best_res, live = (
-                    a[keep] for a in (lam, threshold, margin, best_res, live)
+                lam, threshold, margin, best_res, live, omega = (
+                    a[keep] for a in (lam, threshold, margin, best_res, live, omega)
                 )
+            if it >= adapt_from:
+                dx = np.linalg.norm(x - x_prev, axis=0)
+                dd = np.sqrt(
+                    np.sum((dual_fit - fit_prev) ** 2, axis=0)
+                    + np.sum((dual_reg - reg_prev) ** 2, axis=0)
+                )
+                moved = (dx > 0) & (dd > 0)
+                omega[moved] = np.clip(
+                    np.exp(0.5 * np.log(dd[moved] / dx[moved]) + 0.5 * np.log(omega[moved])),
+                    *_WEIGHT_BOUNDS,
+                )
+                xbar[:, moved] = x[:, moved]
+                tau, sigma = step / omega, step * omega
+            x_prev, fit_prev, reg_prev = x, dual_fit, dual_reg
 
     reports = []
     for j, p in enumerate(problems):
@@ -572,6 +619,8 @@ def _min_dual_norm_pdhg(
     Starts at ``c_start`` when it beats c = 0 and stops once the certified
     gap meets the tolerance; the best iterate seen at a check is returned.
     """
+    if opts.check_every < 1:
+        raise ValueError("check_every must be at least 1")
     k = columns.shape[1]
     tau = sigma = 0.99 / power_iteration_norm(columns)
     base = dual_norm_value(norm, g0)

@@ -17,7 +17,15 @@ from decoreg.linops import (
     restricted_injectivity_constant,
     smallest_nonzero_singular_value,
 )
-from decoreg.norms import decompose_at, dual_norm_value, group, l1, norm_value, nuclear
+from decoreg.norms import (
+    decompose_at,
+    dual_norm_value,
+    group,
+    l1,
+    norm_value,
+    nuclear,
+    project_dual_ball,
+)
 from decoreg.solver import (
     Problem,
     SolverOptions,
@@ -30,7 +38,7 @@ from decoreg.solver import (
     solve_penalized_many,
     xi_map,
 )
-from decoreg.solver import _min_dual_norm_pdhg
+from decoreg.solver import _composite_residual, _min_dual_norm_pdhg
 
 rng = np.random.default_rng(2024)
 
@@ -132,6 +140,39 @@ class TestSolvePenalized:
         assert report.iterations == 60
 
 
+def fixed_step_reference(p, opts, init=None):
+    """Reference for solves that end within the first five check windows:
+    the fixed-step iteration, tau = sigma = 0.99 / ||K|| (primal weight 1
+    throughout), on one column, with the solver's checks and best-iterate
+    rule.  Returns (x_star, residual, iterations, converged)."""
+    m, n = p.phi.rows, p.phi.cols
+    big = np.vstack([p.phi.entries, p.l_adjoint.entries])
+    step = 0.99 / p.k_norm
+    x = np.zeros((n, 1)) if init is None else np.array(init, dtype=float).reshape(n, 1)
+    xbar = x.copy()
+    y = p.y[:, None]
+    lam = np.array([p.lam])
+    dual_fit = np.zeros((m, 1))
+    dual_reg = np.zeros((p.norm.ambient_dim, 1))
+    scale = 1.0 + np.linalg.norm(p.phi.entries.T @ y, axis=0)
+    margin = 64.0 * np.finfo(float).eps * scale
+    best_res, best_x = np.inf, x
+    for it in range(1, opts.max_iter + 1):
+        q = big @ xbar
+        dual_fit = (dual_fit + step * (q[:m] - y)) / (1.0 + step)
+        dual_reg = project_dual_ball(p.norm, dual_reg + step * q[m:], lam)
+        x_new = x - step * (big.T @ np.concatenate((dual_fit, dual_reg)))
+        xbar = 2.0 * x_new - x
+        x = x_new
+        if it % opts.check_every == 0 or it == opts.max_iter:
+            res = _composite_residual(p, x, dual_reg, y, lam)
+            if res[0] < best_res - margin[0]:
+                best_res, best_x = res[0], x
+            converged = bool(res[0] <= opts.tol * scale[0])
+            if converged or it == opts.max_iter:
+                return best_x[:, 0], float(best_res), it, converged
+
+
 def shared_batch(seed, norm, m, lams, l_adjoint=None):
     """Problems sharing one random phi, analysis operator and norm, with one
     noisy measurement of a sparse-ish signal per penalty."""
@@ -194,6 +235,75 @@ class TestSolvePenalizedMany:
             for p, x in zip(problems, own)
         ]
         assert_same_reports(batched, sequential)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear"]),
+        lams=st.lists(st.floats(1e-4, 1e-3), min_size=1, max_size=3),
+    )
+    def test_equals_sequential_solves_past_the_weight_update(self, seed, kind, lams):
+        # penalties this small need more than the five check windows (250
+        # iterations) after which every column adapts its own primal weight;
+        # the extra 1e-4 column almost always runs into max_iter
+        norm = {
+            "l1": l1(6),
+            "group": group([[3, 0], [5], [1, 4, 2]]),
+            "nuclear": nuclear(2, 3),
+        }[kind]
+        problems = shared_batch(seed, norm, 5, lams + [1e-4])
+        opts = SolverOptions(tol=1e-9, max_iter=777)
+        sequential = [solve_penalized(p, opts) for p in problems]
+        assume(any(r.iterations == 777 and not r.converged for r in sequential))
+        assert_same_reports(solve_penalized_many(problems, opts), sequential)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear", "tv1d"]),
+        lam=st.sampled_from([0.003, 0.02, 0.1, 0.5]),
+        max_iter=st.sampled_from([137, 250, 5_000]),
+        warm=st.booleans(),
+    )
+    def test_short_solves_run_the_fixed_step_iteration(self, seed, kind, lam, max_iter, warm):
+        from decoreg.experiments import difference_operator_1d
+
+        norm, l_adj = {
+            "l1": (l1(6), None),
+            "group": (group([[3, 0], [5], [1, 4, 2]]), None),
+            "nuclear": (nuclear(2, 3), None),
+            "tv1d": (l1(6), difference_operator_1d(7)),
+        }[kind]
+        (p,) = shared_batch(seed, norm, 5, [lam], l_adjoint=l_adj)
+        init = np.random.default_rng(seed).standard_normal(p.phi.cols) if warm else None
+        opts = SolverOptions(tol=1e-9, max_iter=max_iter, init=init)
+        report = solve_penalized(p, opts)
+        x_ref, res_ref, it_ref, converged_ref = fixed_step_reference(p, opts, init)
+        if it_ref <= 250:
+            # the primal weight has not moved: bit for bit the fixed-step solve
+            assert report.iterations == it_ref
+            assert report.converged == converged_ref
+            assert np.array_equal(report.x_star, x_ref)
+            assert report.optimality_residual == res_ref
+        else:
+            # not converged at any check of the first 250 iterations either
+            assert report.iterations > 250
+
+    @pytest.mark.parametrize("check_every", [0, -1])
+    def test_check_every_checked(self, check_every):
+        opts = SolverOptions(check_every=check_every)
+        from decoreg.experiments import solve_vanishing
+
+        p = l1_problem(4, 6, lam=0.1, seed=1)
+        for solve in (solve_penalized, solve_vanishing):
+            with pytest.raises(ValueError, match="check_every must be at least 1"):
+                solve(p, opts)
+        g0 = np.array([1.0, -2.0, 0.5])
+        cols = np.array([[1.0], [1.0], [0.0]])
+        with pytest.raises(ValueError, match="check_every must be at least 1"):
+            _min_dual_norm_pdhg(
+                group([[0, 1], [2]]), g0, cols, cols / np.sqrt(2.0), np.zeros(1), opts
+            )
 
     def test_mixed_batch_with_a_column_at_max_iter(self):
         # the smallest penalty needs far more iterations than the others
