@@ -33,7 +33,6 @@ from .experiments import (
 from .guarantees import (
     BoundCheck,
     BoundCheckReport,
-    NspOptions,
     StabilityBound,
     UniquenessVerdict,
     assemble_total_constant,

@@ -112,20 +112,23 @@ def _certify_command(cfg: ScenarioConfig, out: Path) -> int:
 def _uniqueness_command(cfg: ScenarioConfig, out: Path) -> int:
     phi, l_op, norm, x0, _ = generate_scenario(cfg)
     model = decompose_at(norm, l_op.T.apply(x0))
-    nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm)
-    lines = [f"strong nsp verdict: {nsp.status}"]
     opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+    ctx = joint = None
     try:
         ctx = ic_context(phi, l_op, model.T)
         cert = build_certificate(
             phi, l_op, norm, model.T, model.e,
             mode=cfg.certificate_mode, opts=opts, ctx=ctx,
         )
+        if cfg.certificate_mode == "full":
+            joint = (cert.ic_value, cert.ic_gap)
         verdict = uniqueness_from_certificate(cert, ctx.c_phi)
-        lines.append(f"certificate verdict: {verdict.status}")
-        lines.append(f"saturation: {cert.saturation!r}")
+        lines = [f"certificate verdict: {verdict.status}", f"saturation: {cert.saturation!r}"]
     except ValueError as exc:
-        lines.append(f"certificate unavailable: {exc}")
+        # the null-space check needs no restricted injectivity
+        lines = [f"certificate unavailable: {exc}"]
+    nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm, opts, ctx=ctx, joint=joint)
+    lines.insert(0, f"strong nsp verdict: {nsp.status}")
     (out / "uniqueness.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)

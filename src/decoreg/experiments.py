@@ -411,7 +411,7 @@ class OracleOptions:
     enumeration_cap: int = 10_000
 
 
-def _polish_on_model(p: Problem, model, x_ref: np.ndarray) -> np.ndarray | None:
+def _polish_on_model(p: Problem, model, x_ref: np.ndarray) -> np.ndarray:
     """Minimize the objective restricted to { x : L^* x in T }.
 
     For the l1 norm the restricted objective is quadratic plus linear and is
@@ -530,8 +530,6 @@ def solve_vanishing_many(problems: list[Problem], opts: SolverOptions) -> list[S
         for thr in (1e-1, 1e-2, 1e-3):
             model = decompose_at(problem.norm, problem.l_adjoint.apply(best_x), tol=thr)
             cand = _polish_on_model(problem, model, best_x)
-            if cand is None:
-                continue
             obj = problem.objective(cand)
             if obj < best_obj:
                 best_obj = obj
@@ -686,8 +684,6 @@ def oracle_solve(p: Problem, opts: OracleOptions | None = None) -> SolveReport:
                 candidates.extend(_enumerated_models(p, x_ref, opts))
             for model in candidates:
                 cand = _polish_on_model(p, model, x_ref)
-                if cand is None:
-                    continue
                 obj = p.objective(cand)
                 if obj < best_obj - 1e-15:
                     best_obj = obj
@@ -834,12 +830,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     else:
         ic_u = minimize_ic_u(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx).value
     if cfg.certificate_mode == "full":
-        ic_uz = cert.ic_value
+        joint = (cert.ic_value, cert.ic_gap)
     else:
-        ic_uz = minimize_ic_full(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx).value
-    summary.append(f"ic chain (joint, u-only, zero): {ic_uz!r} {ic_u!r} {ic_00!r}")
+        sol = minimize_ic_full(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx)
+        joint = (sol.value, sol.gap)
+    summary.append(f"ic chain (joint, u-only, zero): {joint[0]!r} {ic_u!r} {ic_00!r}")
 
-    nsp = strong_nsp_check(phi, l_op, T0, e0, norm, ctx=ctx)
+    nsp = strong_nsp_check(phi, l_op, T0, e0, norm, solver_opts, ctx=ctx, joint=joint)
     summary.append(f"strong nsp verdict: {nsp.status}")
 
     try:

@@ -4,10 +4,11 @@ Uniqueness comes in three forms, checked in decreasing strength:
 
 * a strong null-space condition: norm(L_S^* h) - <L_T^* h, e> > 0 for every
   nonzero kernel element h of phi.  With a trivial kernel it is vacuous;
-  with a one-dimensional kernel two sign evaluations decide it exactly; in
-  higher dimension a multi-start projected descent can only certify "up to
-  sampling".  The inequality is evaluated with the primal norm on L_S^* h,
-  which is what the directional-derivative computation produces.
+  otherwise, by convexity and homogeneity, it is a minimum dual norm over
+  an affine set, the program of the joint irrepresentability chain, whose
+  certified value decides it in any kernel dimension.  The inequality is
+  evaluated with the primal norm on L_S^* h, which is what the
+  directional-derivative computation produces.
 * a certificate criterion: a valid source condition with saturation < 1
   together with restricted injectivity.
 * its separable weakening: for norms splitting additively on S = V + W it is
@@ -35,6 +36,7 @@ import numpy as np
 
 from .certificates import DualCertificate
 from .linops import (
+    RANK_RTOL,
     LinearOperator,
     Subspace,
     image_basis,
@@ -49,18 +51,14 @@ from .norms import (
     decompose_at,
     dual_norm_value,
     is_separable,
-    norm_subgradient,
-    norm_value,
 )
-from .solver import ICContext, SolveReport, ic_context
+from .solver import ICContext, SolveReport, SolverOptions, _min_dual_norm_affine, ic_context
 
 __all__ = [
     "STATUS_UNIQUE",
-    "STATUS_SAMPLED",
     "STATUS_UNDECIDED",
     "STATUS_VIOLATED",
     "UniquenessVerdict",
-    "NspOptions",
     "strong_nsp_check",
     "uniqueness_from_certificate",
     "separable_uniqueness",
@@ -75,9 +73,11 @@ __all__ = [
 ]
 
 STATUS_UNIQUE = "unique_certified"
-STATUS_SAMPLED = "unique_up_to_sampling"
 STATUS_UNDECIDED = "undecided"
 STATUS_VIOLATED = "violated"
+
+# how far below 1 the strong null-space program must certify its value
+_NSP_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +86,9 @@ class UniquenessVerdict:
     witness: np.ndarray | None = None
 
 
-@dataclass
-class NspOptions:
-    restarts: int = 64
-    steps: int = 400
-    margin: float = 1e-6
+def _violated(ker: Subspace, c: np.ndarray) -> UniquenessVerdict:
+    h = ker.basis @ c
+    return UniquenessVerdict(STATUS_VIOLATED, witness=h / np.linalg.norm(h))
 
 
 def strong_nsp_check(
@@ -99,20 +97,29 @@ def strong_nsp_check(
     T: Subspace,
     e,
     norm: DecomposableNorm,
-    opts: NspOptions | None = None,
+    opts: SolverOptions | None = None,
     ctx: ICContext | None = None,
+    joint: tuple[float, float] | None = None,
 ) -> UniquenessVerdict:
-    """Minimize g(h) = norm(L_S^* h) - <L_T^* h, e> over unit kernel vectors.
+    """Decide g(h) = norm(L_S^* h) - <L_T^* h, e> > 0 for unit kernel vectors.
 
-    Kernel dimension zero is vacuously unique.  Dimension one is decided
-    exactly by the two sign evaluations.  Higher dimensions run a
-    deterministic multi-start projected subgradient descent on the sphere and
-    can only report "unique up to sampling" when the sampled minimum clears
-    the margin; a nonpositive value anywhere yields a violated verdict with
-    the witness kernel direction.  ``ctx`` is the ``ic_context`` of T when
-    the caller already has it; only its S is used.
+    With K an orthonormal basis of ker(phi), A_S = P_S L^* K and
+    q = K^T L P_T e, g(K c) = norm(A_S c) - <q, c> is convex and positively
+    homogeneous, so the condition holds exactly when A_S has full column rank
+    and min{dual_norm(w) : A_S^T w = q} < 1, the affine dual-norm program of
+    the joint irrepresentability chain.  One SVD of A_S gives its rank and
+    the coordinates w = w_p + N c (w_p the minimum-norm solution, N a basis
+    of ker(A_S^T)).  value + gap below 1 - margin is unique; value - gap of
+    at least 1 is violated, witnessed by A_S^+ w' for the program's dual
+    candidate w' (unit primal ball, <q, A_S^+ w'> = value - gap); anything
+    else is undecided.  A rank-deficient A_S is violated along its kernel.
+
+    ``joint`` is the (value, gap) of ``minimize_ic_full`` for this model when
+    the caller has solved it: both programs range over the same set, so a
+    joint value that proves uniqueness is used without solving again.
+    ``ctx`` is the ``ic_context`` of T when the caller already has it (only
+    its S is used); ``opts`` are the program's solver options.
     """
-    opts = opts or NspOptions()
     e = np.asarray(e, dtype=float).reshape(-1)
     ker = kernel_basis(phi)
     k = ker.dim
@@ -123,46 +130,24 @@ def strong_nsp_check(
     a_full = l_op.entries.T @ ker.basis          # P x k, L^* restricted to the kernel
     a_s = S.projector_matrix() @ a_full
     q = a_full.T @ T.project(e)
+    u, s, vt = np.linalg.svd(a_s)
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+    if rank < k:
+        # g(c) = -<q, c> on ker(A_S)
+        c = vt[-1]
+        return _violated(ker, -c if q @ c < 0 else c)
+    if joint is not None and joint[0] + joint[1] < 1.0 - _NSP_MARGIN:
+        return UniquenessVerdict(STATUS_UNIQUE)
 
-    def value(c: np.ndarray) -> float:
-        return norm_value(norm, a_s @ c) - float(q @ c)
-
-    def classify(best: float, c_best: np.ndarray, exhaustive: bool) -> UniquenessVerdict:
-        if best <= 0.0:
-            h = ker.basis @ c_best
-            return UniquenessVerdict(STATUS_VIOLATED, witness=h / np.linalg.norm(h))
-        if best > opts.margin:
-            return UniquenessVerdict(STATUS_UNIQUE if exhaustive else STATUS_SAMPLED)
-        return UniquenessVerdict(STATUS_UNDECIDED)
-
-    if k == 1:
-        plus = value(np.array([1.0]))
-        minus = value(np.array([-1.0]))
-        if plus <= minus:
-            return classify(plus, np.array([1.0]), exhaustive=True)
-        return classify(minus, np.array([-1.0]), exhaustive=True)
-
-    a_norm = float(np.linalg.norm(a_s, 2))
-    step0 = 1.0 / (1.0 + a_norm)
-    best = np.inf
-    c_best = np.zeros(k)
-    for restart in range(opts.restarts):
-        rng = np.random.default_rng(restart)
-        c = rng.standard_normal(k)
-        c /= np.linalg.norm(c)
-        for t in range(opts.steps):
-            for cand in (c, -c):
-                val = value(cand)
-                if val < best:
-                    best = val
-                    c_best = cand.copy()
-            sg = a_s.T @ norm_subgradient(norm, a_s @ c) - q
-            c = c - (step0 / np.sqrt(t + 1.0)) * sg
-            nc = np.linalg.norm(c)
-            if nc == 0.0:
-                break
-            c /= nc
-    return classify(best, c_best, exhaustive=False)
+    w_p = u[:, :k] @ ((vt @ q) / s)
+    _, value, gap, _, w_dual = _min_dual_norm_affine(
+        norm, w_p, u[:, k:], opts or SolverOptions()
+    )
+    if value + gap < 1.0 - _NSP_MARGIN:
+        return UniquenessVerdict(STATUS_UNIQUE)
+    if value - gap >= 1.0:
+        return _violated(ker, vt.T @ ((u[:, :k].T @ w_dual) / s))
+    return UniquenessVerdict(STATUS_UNDECIDED)
 
 
 def uniqueness_from_certificate(cert: DualCertificate, c_phi: float) -> UniquenessVerdict:

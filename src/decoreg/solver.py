@@ -26,7 +26,8 @@ least-squares point settles it when it cancels g0.  Otherwise the l1 case
 (an l-infinity objective) is a linear program solved by HiGHS, and the group
 and nuclear cases run the same primal-dual scheme.  Both report the value at
 their point with a duality gap from a dual candidate, the LP's marginals or
-the splitting's dual iterate, which certifies it.
+the splitting's dual iterate, which certifies it.  The strong null-space
+check solves the same program.
 """
 
 from __future__ import annotations
@@ -514,32 +515,32 @@ def _min_dual_norm_affine(
     g0: np.ndarray,
     columns: np.ndarray,
     opts: SolverOptions,
-) -> tuple[np.ndarray, float, float, bool]:
+) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
     """Minimize c -> dual_norm(g0 + columns @ c) with a certified gap.
 
     The dual of this program maximizes <g0, w> over primal-unit-ball vectors
     w with columns^T w = 0, which yields a computable optimality gap: every
     reported value comes with a certificate ``gap`` bounding its distance to
-    the true minimum.  Null columns are dropped and the minimum-norm
-    least-squares point is tried first; only when it does not cancel g0 is
-    the program solved, as a linear program for l1 and by primal-dual
-    splitting for the other norms.
+    the true minimum.  Returns (c, value, gap, converged, w), w that dual
+    candidate with <g0, w> >= value - gap, or zero where no program runs (no
+    columns, or a least-squares point that cancels g0).  Null columns are
+    dropped and the minimum-norm least-squares point is tried first; only
+    when it does not cancel g0 is the program solved, as a linear program for
+    l1 and by primal-dual splitting for the other norms.
     """
     k = columns.shape[1]
     base = dual_norm_value(norm, g0)
     if k == 0:
-        return np.zeros(0), base, 0.0, True
+        return np.zeros(0), base, 0.0, True, np.zeros_like(g0)
     # numerically null columns come out of projector and pseudoinverse
     # compositions; they contribute nothing and wreck the step size
     col_norms = np.linalg.norm(columns, axis=0)
     keep = np.nonzero(col_norms > 1e-12 * (1.0 + float(np.linalg.norm(g0))))[0]
     if keep.size < k:
-        sub_c, value, gap, converged = _min_dual_norm_affine(
-            norm, g0, columns[:, keep], opts
-        )
+        sub_c, *rest = _min_dual_norm_affine(norm, g0, columns[:, keep], opts)
         c = np.zeros(k)
         c[keep] = sub_c
-        return c, value, gap, converged
+        return (c, *rest)
 
     # least-squares preprocessing: settles the full-cancellation case (value
     # zero) exactly and provides a start otherwise.  It comes before any
@@ -549,7 +550,7 @@ def _min_dual_norm_affine(
     c_ls, *_ = np.linalg.lstsq(columns, -g0, rcond=None)
     val_ls = dual_norm_value(norm, g0 + columns @ c_ls)
     if val_ls <= opts.tol * (1.0 + base):
-        return c_ls, val_ls, val_ls, True
+        return c_ls, val_ls, val_ls, True, np.zeros_like(g0)
 
     q_im = image_basis(LinearOperator(columns)).basis
     if norm.kind == "l1":
@@ -559,8 +560,9 @@ def _min_dual_norm_affine(
 
 def _certified_gap(
     norm: DecomposableNorm, g0: np.ndarray, q_im: np.ndarray, value: float, w: np.ndarray
-) -> float:
-    """Upper bound on value - minimum from a dual candidate w.
+) -> tuple[float, np.ndarray]:
+    """Upper bound on value - minimum from a dual candidate w, and the
+    feasible candidate it comes from.
 
     w is projected onto ker(columns^T) (q_im is an orthonormal basis of the
     columns' image) and scaled into the unit primal ball; <g0, w> is then a
@@ -569,7 +571,7 @@ def _certified_gap(
     pn = norm_value(norm, w_feas)
     if pn > 1.0:
         w_feas = w_feas / pn
-    return value - float(g0 @ w_feas)
+    return value - float(g0 @ w_feas), w_feas
 
 
 def _min_linf_affine_lp(
@@ -579,14 +581,14 @@ def _min_linf_affine_lp(
     q_im: np.ndarray,
     c_start: np.ndarray,
     opts: SolverOptions,
-) -> tuple[np.ndarray, float, float, bool]:
+) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
     """The l1 case, min_c ||g0 + columns @ c||_inf, as a linear program.
 
     Variables (c, t), minimize t subject to +-(g0 + columns @ c) - t <= 0,
     solved by HiGHS.  The value is recomputed at the returned c and its gap
     comes from the inequality marginals mu+ and mu-: w = mu+ - mu- is the
     dual candidate of ``_certified_gap``.  A solver failure returns
-    ``c_start`` unconverged with an infinite gap.
+    ``c_start`` unconverged with an infinite gap and a zero candidate.
     """
     p_dim, k = columns.shape
     ones = np.ones((p_dim, 1))
@@ -598,12 +600,13 @@ def _min_linf_affine_lp(
         method="highs",
     )
     if res.status != 0:
-        return c_start, dual_norm_value(norm, g0 + columns @ c_start), np.inf, False
+        value = dual_norm_value(norm, g0 + columns @ c_start)
+        return c_start, value, np.inf, False, np.zeros_like(g0)
     c = res.x[:k]
     value = dual_norm_value(norm, g0 + columns @ c)
     marginals = res.ineqlin.marginals  # nonpositive for <= rows
-    gap = _certified_gap(norm, g0, q_im, value, marginals[p_dim:] - marginals[:p_dim])
-    return c, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value))
+    gap, w = _certified_gap(norm, g0, q_im, value, marginals[p_dim:] - marginals[:p_dim])
+    return c, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value)), w
 
 
 def _min_dual_norm_pdhg(
@@ -613,11 +616,12 @@ def _min_dual_norm_pdhg(
     q_im: np.ndarray,
     c_start: np.ndarray,
     opts: SolverOptions,
-) -> tuple[np.ndarray, float, float, bool]:
+) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
     """Primal-dual splitting for the affine dual-norm program, any norm.
 
     Starts at ``c_start`` when it beats c = 0 and stops once the certified
-    gap meets the tolerance; the best iterate seen at a check is returned.
+    gap meets the tolerance; the best iterate seen at a check is returned
+    with the dual candidate of the last check.
     """
     if opts.check_every < 1:
         raise ValueError("check_every must be at least 1")
@@ -632,6 +636,7 @@ def _min_dual_norm_pdhg(
     c = best_c.copy()
     cbar = c.copy()
     gap = np.inf
+    w_feas = np.zeros_like(g0)
     converged = False
 
     for it in range(1, opts.max_iter + 1):
@@ -644,12 +649,12 @@ def _min_dual_norm_pdhg(
             if val < best_val:
                 best_val = val
                 best_c = c.copy()
-            gap = _certified_gap(norm, g0, q_im, best_val, w)
+            gap, w_feas = _certified_gap(norm, g0, q_im, best_val, w)
             if gap <= opts.tol * (1.0 + abs(best_val)):
                 converged = True
                 break
 
-    return best_c, best_val, max(float(gap), 0.0), converged
+    return best_c, best_val, max(float(gap), 0.0), converged, w_feas
 
 
 def minimize_ic_full(
@@ -674,7 +679,7 @@ def minimize_ic_full(
     g0 = ctx.gamma @ e
     cols_z = ctx.ls_pinv_phi_adj @ ctx.z_space.basis
     columns = np.hstack([ctx.cols_u, cols_z])
-    c, value, gap, converged = _min_dual_norm_affine(norm, g0, columns, opts)
+    c, value, gap, converged, _ = _min_dual_norm_affine(norm, g0, columns, opts)
     k1 = ctx.cols_u.shape[1]
     u = ctx.ker_ls.basis @ c[:k1] if k1 else np.zeros(l_op.cols)
     z = ctx.z_space.basis @ c[k1:] if c[k1:].size else np.zeros(phi.rows)
@@ -697,6 +702,6 @@ def minimize_ic_u(
     if e.shape[0] != l_op.cols:
         raise ValueError(f"e has length {e.shape[0]}, expected {l_op.cols}")
     g0 = ctx.gamma @ e
-    c, value, gap, converged = _min_dual_norm_affine(norm, g0, ctx.cols_u, opts)
+    c, value, gap, converged, _ = _min_dual_norm_affine(norm, g0, ctx.cols_u, opts)
     u = ctx.ker_ls.basis @ c if c.size else np.zeros(l_op.cols)
     return ICSolution(u=u, z=np.zeros(phi.rows), value=value, gap=gap, converged=converged)

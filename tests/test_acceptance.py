@@ -253,6 +253,8 @@ def test_criterion_4_bounds(tmp_path):
     for name, config in BOUND_SUITE_CONFIGS.items():
         cfg, result = _run_bound_suite(dict(config), tmp_path / name)
         assert result.results_path is not None, f"{name}: certificate failed"
+        summary = result.summary_path.read_text()
+        assert "strong nsp verdict: unique_certified" in summary, name
         violations = [r for r in result.rows if not r[-1]]
         ok &= not violations
         ok &= result.exit_code == 0
@@ -262,7 +264,7 @@ def test_criterion_4_bounds(tmp_path):
 
 
 def test_criterion_5_uniqueness(tmp_path):
-    """On one-dimensional-kernel instances the exhaustive null-space verdict
+    """On one-dimensional-kernel instances the certified null-space verdict
     matches solver-restart agreement in 100/100 cases, and certificate
     verdicts imply restart agreement at 1e-6."""
     started = time.time()
@@ -286,7 +288,7 @@ def test_criterion_5_uniqueness(tmp_path):
             <= 1e-6 * (1.0 + np.linalg.norm(x0))
         )
         model = decompose_at(norm, first.x_star)
-        assert kernel_basis(phi).dim == 1  # the exhaustive regime
+        assert kernel_basis(phi).dim == 1
         verdict = strong_nsp_check(phi, identity(n), model.T, model.e, norm)
         if (verdict.status == STATUS_UNIQUE) == agree:
             matches += 1

@@ -582,13 +582,32 @@ class TestCli:
         assert (tmp_path / "out" / "certificate.csv").exists()
 
     def test_check_uniqueness(self, tmp_path):
-        cfg = write_config(tmp_path)
-        code = cli_main(
-            ["check-uniqueness", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        )
-        assert code == 0
-        text = (tmp_path / "out" / "uniqueness.txt").read_text()
-        assert "verdict" in text
+        # every config has dim ker(Phi) >= 2; the verdict is the sweep's
+        for i, overrides in enumerate(
+            [
+                {},  # m = 6, n = 8
+                {"dims": {"m": 5, "n": 8, "p": 8}, "certificate_mode": "u_only"},
+                {
+                    "dims": {"m": 4, "n": 8, "p": 8},
+                    "signal": {"kind": "analysis_sparse", "active": 3},
+                },
+                {
+                    "dims": {"m": 4, "n": 6, "p": 6},
+                    "norm": {"kind": "group", "blocks": [[1, 2], [3, 4], [5, 6]]},
+                    "signal": {"kind": "analysis_sparse", "active": 1},
+                },
+            ]
+        ):
+            cfg = write_config(tmp_path, **overrides)
+            for command, out in (("check-uniqueness", "u"), ("stability-sweep", "s")):
+                out_dir = str(tmp_path / f"{out}{i}")
+                assert cli_main([command, "--config", str(cfg), "--out", out_dir]) == 0
+            text = (tmp_path / f"u{i}" / "uniqueness.txt").read_text()
+            assert "verdict" in text
+            assert "unique_up_to_sampling" not in text
+            nsp = text.splitlines()[0]
+            assert nsp in ("strong nsp verdict: unique_certified", "strong nsp verdict: violated")
+            assert nsp in (tmp_path / f"s{i}" / "summary.txt").read_text().splitlines()
 
     def test_oracle_compare(self, tmp_path):
         cfg = write_config(tmp_path, dims={"m": 5, "n": 6, "p": 6}, epsilons=[0.05])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from decoreg.certificates import DualCertificate, build_certificate
 from decoreg.guarantees import (
-    STATUS_SAMPLED,
     STATUS_UNDECIDED,
     STATUS_UNIQUE,
     STATUS_VIOLATED,
@@ -16,10 +18,17 @@ from decoreg.guarantees import (
     uniqueness_from_certificate,
     verify_bounds,
 )
-from decoreg.linops import LinearOperator, Subspace, identity
-from decoreg.norms import decompose_at, group, l1, nuclear
-from decoreg.solver import Problem, SolverOptions, solve_penalized
-from decoreg.experiments import noise_in_ball
+from decoreg.linops import LinearOperator, Subspace, identity, kernel_basis
+from decoreg.norms import decompose_at, group, l1, norm_subgradient, norm_value, nuclear
+from decoreg.solver import (
+    Problem,
+    SolverOptions,
+    _min_dual_norm_affine,
+    ic_context,
+    minimize_ic_full,
+    solve_penalized,
+)
+from decoreg.experiments import difference_operator_1d, noise_in_ball
 
 rng = np.random.default_rng(400)
 
@@ -27,6 +36,90 @@ rng = np.random.default_rng(400)
 def l1_model(u0):
     u0 = np.asarray(u0, dtype=float)
     return decompose_at(l1(u0.size), u0)
+
+
+def nsp_margin(l_op, T, e, norm, h):
+    """g(h) = norm(L_S^* h) - <L_T^* h, e>, straight from the definition."""
+    lh = l_op.T.apply(h)
+    return norm_value(norm, lh - T.project(lh)) - float(T.project(lh) @ e)
+
+
+def sampled_nsp_minimum(phi, l_op, T, e, norm, restarts=64, steps=400):
+    """Oracle: multi-start projected subgradient descent of g over the unit
+    sphere of ker(phi), seeded deterministically.  Returns the smallest value
+    seen and its unit kernel vector; it can miss the minimum, never undercut
+    it."""
+    ker = kernel_basis(phi)
+    a_full = l_op.entries.T @ ker.basis
+    a_s = T.complement().projector_matrix() @ a_full
+    q = a_full.T @ T.project(e)
+
+    def value(c):
+        return norm_value(norm, a_s @ c) - float(q @ c)
+
+    step0 = 1.0 / (1.0 + float(np.linalg.norm(a_s, 2)))
+    best, c_best = np.inf, None
+    for restart in range(restarts):
+        c = np.random.default_rng(restart).standard_normal(ker.dim)
+        c /= np.linalg.norm(c)
+        for t in range(steps):
+            for cand in (c, -c):
+                val = value(cand)
+                if val < best:
+                    best, c_best = val, cand.copy()
+            c = c - (step0 / np.sqrt(t + 1.0)) * (
+                a_s.T @ norm_subgradient(norm, a_s @ c) - q
+            )
+            nc = np.linalg.norm(c)
+            if nc == 0.0:
+                break
+            c /= nc
+    return best, ker.basis @ c_best
+
+
+def nsp_instance(seed, kind, kernel_dim):
+    """(phi, L, norm, model) with dim ker(phi) = kernel_dim: l1 with identity
+    or tv1d analysis, group over pairs, nuclear on 3 x 3 matrices."""
+    r = np.random.default_rng(seed)
+    if kind == "tv1d":
+        n = 9
+        l_adj = difference_operator_1d(n)
+        u0 = np.zeros(n - 1)
+        jumps = r.choice(n - 1, size=int(r.integers(1, 3)), replace=False)
+        u0[jumps] = r.standard_normal(jumps.size) + np.sign(r.standard_normal(jumps.size))
+        x0 = np.r_[0.0, np.cumsum(u0)]
+        norm = l1(n - 1)
+    else:
+        n = 8 if kind != "nuclear" else 9
+        l_adj = identity(n)
+        if kind == "l1":
+            norm = l1(n)
+            x0 = np.zeros(n)
+            on = r.choice(n, size=int(r.integers(1, 3)), replace=False)
+            x0[on] = r.standard_normal(on.size) + np.sign(r.standard_normal(on.size))
+        elif kind == "group":
+            norm = group([[0, 1], [2, 3], [4, 5], [6, 7]])
+            x0 = r.standard_normal(n) * np.repeat(np.arange(4) == r.integers(4), 2)
+        else:
+            norm = nuclear(3, 3)
+            x0 = np.outer(r.standard_normal(3), r.standard_normal(3)).reshape(-1)
+    m = n - kernel_dim
+    phi = LinearOperator(r.standard_normal((m, n)) / np.sqrt(m))
+    return phi, l_adj.T, norm, decompose_at(norm, l_adj.apply(x0))
+
+
+def standalone_nsp_program(phi, l_op, norm, model):
+    """min{dual_norm(w) : A_S^T w = q} built from the definitions with scipy's
+    null space, apart from the SVD inside ``strong_nsp_check``."""
+    ker = kernel_basis(phi).basis
+    a_s = model.T.complement().projector_matrix() @ (l_op.entries.T @ ker)
+    q = ker.T @ (l_op.entries @ model.T.project(model.e))
+    assert np.linalg.matrix_rank(a_s) == ker.shape[1]
+    w_p = np.linalg.lstsq(a_s.T, q, rcond=None)[0]
+    _, value, gap, _, _ = _min_dual_norm_affine(
+        norm, w_p, null_space(a_s.T), SolverOptions()
+    )
+    return value, gap
 
 
 class TestStrongNsp:
@@ -73,17 +166,99 @@ class TestStrongNsp:
         verdict = strong_nsp_check(phi, identity(2), model.T, model.e, l1(2))
         assert verdict.status == STATUS_UNIQUE
 
-    def test_multidimensional_kernel_reports_sampling(self):
+    @pytest.mark.parametrize(
+        "a, status",
+        [
+            (1.0 - 1e-4, STATUS_UNIQUE),
+            (1.0 - 1e-7, STATUS_UNDECIDED),  # inside the 1e-6 margin
+            (1.0 + 1e-4, STATUS_VIOLATED),
+        ],
+    )
+    def test_near_boundary_kernel(self, a, status):
+        # ker [1, a] is spanned by h = (a, -1); at the model of (1, 0),
+        # g(+-h) = 1 -+ a, and the program's value is a
+        phi = LinearOperator([[1.0, a]])
+        model = l1_model([1.0, 0.0])
+        verdict = strong_nsp_check(phi, identity(2), model.T, model.e, l1(2))
+        assert verdict.status == status
+        if status == STATUS_VIOLATED:
+            h = np.array([a, -1.0]) / np.hypot(a, 1.0)
+            assert verdict.witness == pytest.approx(h, abs=1e-12)
+
+    def test_multidimensional_kernel_decided(self):
         r = np.random.default_rng(17)
         phi = LinearOperator(r.standard_normal((4, 7)) / 2.0)
         x0 = np.zeros(7)
         x0[0] = 2.0
         model = l1_model(x0)
         verdict = strong_nsp_check(phi, identity(7), model.T, model.e, l1(7))
-        assert verdict.status in (STATUS_SAMPLED, STATUS_VIOLATED, STATUS_UNDECIDED)
+        assert verdict.status in (STATUS_UNIQUE, STATUS_VIOLATED)
         if verdict.status == STATUS_VIOLATED:
             w = verdict.witness
+            assert np.linalg.norm(w) == pytest.approx(1.0)
             assert np.linalg.norm(phi.apply(w)) <= 1e-9
+            assert nsp_margin(identity(7), model.T, model.e, l1(7), w) <= 1e-9
+        else:
+            assert verdict.witness is None
+
+    def test_rank_deficient_restriction_violated(self):
+        # ker(phi) = span(e_0, e_1) with both coordinates in the model:
+        # L_S^* h = 0 on the whole kernel, so g = -<h, e> takes a value <= 0
+        phi = LinearOperator(np.c_[np.zeros((2, 2)), np.eye(2)])
+        model = l1_model([1.0, -1.0, 0.0, 0.0])
+        verdict = strong_nsp_check(phi, identity(4), model.T, model.e, l1(4))
+        assert verdict.status == STATUS_VIOLATED
+        w = verdict.witness
+        assert np.linalg.norm(phi.apply(w)) <= 1e-12
+        assert float(model.e @ w) >= 0.0
+        assert nsp_margin(identity(4), model.T, model.e, l1(4), w) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "tv1d", "group", "nuclear"]),
+        kernel_dim=st.integers(2, 4),
+    )
+    def test_sampler_never_undercuts_the_verdict(self, seed, kind, kernel_dim):
+        phi, l_op, norm, model = nsp_instance(seed, kind, kernel_dim)
+        verdict = strong_nsp_check(phi, l_op, model.T, model.e, norm)
+        if verdict.status == STATUS_VIOLATED:
+            w = verdict.witness
+            assert np.linalg.norm(w) == pytest.approx(1.0)
+            assert np.linalg.norm(phi.apply(w)) <= 1e-9
+            assert nsp_margin(l_op, model.T, model.e, norm, w) <= 1e-9
+            return
+        assert verdict.witness is None
+        best, h = sampled_nsp_minimum(
+            phi, l_op, model.T, model.e, norm, restarts=8, steps=150
+        )
+        assert nsp_margin(l_op, model.T, model.e, norm, h) == pytest.approx(best)
+        if verdict.status == STATUS_UNIQUE:
+            assert best > 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "tv1d", "group", "nuclear"]),
+        kernel_dim=st.integers(1, 4),
+    )
+    def test_program_value_equals_the_joint_ic_value(self, seed, kind, kernel_dim):
+        # "L alpha in Im Phi^*" is "A_S^T alpha_S = -q": both programs range
+        # over the same affine set, which is what lets run_scenario hand its
+        # joint value to the null-space check
+        phi, l_op, norm, model = nsp_instance(seed, kind, kernel_dim)
+        try:
+            ctx = ic_context(phi, l_op, model.T)
+        except ValueError:
+            assume(False)
+        joint = minimize_ic_full(phi, l_op, norm, model.T, model.e, ctx=ctx)
+        value, gap = standalone_nsp_program(phi, l_op, norm, model)
+        assert abs(value - joint.value) <= gap + joint.gap + 1e-12 * (1.0 + value)
+        alone = strong_nsp_check(phi, l_op, model.T, model.e, norm)
+        reused = strong_nsp_check(
+            phi, l_op, model.T, model.e, norm, ctx=ctx, joint=(joint.value, joint.gap)
+        )
+        assert reused.status == alone.status
 
     def test_sampled_minimum_never_below_true_minimum_1d(self):
         # on 1-d kernels the exhaustive value can be recomputed directly
@@ -94,8 +269,6 @@ class TestStrongNsp:
             x0[int(r.integers(4))] = 1.0
             model = l1_model(x0)
             verdict = strong_nsp_check(phi, identity(4), model.T, model.e, l1(4))
-            from decoreg.linops import kernel_basis
-
             ker = kernel_basis(phi)
             assert ker.dim == 1
             h = ker.basis[:, 0]

@@ -1,0 +1,37 @@
+"""Every exported name and every name the benchmark tracer wraps exists."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import decoreg
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(decoreg.__path__))
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_names():
+    """perfbench/tracing.py's TRACED list, read from its source without
+    importing it."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TRACED list")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"decoreg.{module}")
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("module, name", traced_names())
+def test_traced_name_exists(module, name):
+    assert module in MODULES
+    assert hasattr(importlib.import_module(f"decoreg.{module}"), name)

@@ -771,7 +771,7 @@ class TestL1ProgramLp:
         assume(cols.shape[1] > 0)
         q_im = image_basis(LinearOperator(cols)).basis
         pdhg_opts = SolverOptions(tol=1e-9, max_iter=20_000)
-        _, pdhg_value, pdhg_gap, _ = _min_dual_norm_pdhg(
+        _, pdhg_value, pdhg_gap, _, _ = _min_dual_norm_pdhg(
             norm, g0, cols, q_im, np.zeros(cols.shape[1]), pdhg_opts
         )
         assert lp.value <= pdhg_value + 1e-12
