@@ -236,22 +236,35 @@ def project_dual_ball(
     one; ``radius`` is a scalar or a (B,) array of per-column radii.
     """
     radius = np.asarray(radius, dtype=float)
-    # ndarray methods: the per-iteration call is too small for the overhead
-    # of np.any and np.clip
     if radius.size and radius.min() < 0:
         raise ValueError("radius must be nonnegative")
     cols, single = _as_columns(norm, v)
+    out = _project_dual_ball_inplace(norm, cols.copy(), radius, -radius)
+    return out[:, 0] if single else out
+
+
+def _project_dual_ball_inplace(
+    norm: DecomposableNorm, cols: np.ndarray, radius, neg_radius
+) -> np.ndarray:
+    """``project_dual_ball`` of a (P, B) float array, written over it.
+
+    ``radius`` is a nonnegative scalar or (B,) array and ``neg_radius`` its
+    negative; nothing is checked.  This is the solver's per-iteration
+    kernel, where the checks and the copy of the public function would cost
+    more than the projection itself.  Returns ``cols``.
+    """
     if norm.kind == "l1":
-        out = cols.clip(-radius, radius)
+        np.minimum(cols, radius, out=cols)
+        np.maximum(cols, neg_radius, out=cols)
     elif norm.kind == "group":
         nb = _block_norms(norm, cols)
         scale = np.divide(radius, nb, out=np.ones_like(nb), where=nb > radius)
-        out = cols * scale.take(norm._block_of, axis=0)
+        cols *= scale.take(norm._block_of, axis=0)
     else:
         uu, s, vt = np.linalg.svd(_transposed_matrices(norm, cols), full_matrices=False)
-        clipped = np.minimum(s, radius.reshape(-1, 1))
-        out = ((uu * clipped[:, None, :]) @ vt).reshape(cols.shape[1], -1).T
-    return out[:, 0] if single else out
+        np.minimum(s, np.reshape(radius, (-1, 1)), out=s)
+        cols[...] = ((uu * s[:, None, :]) @ vt).reshape(cols.shape[1], -1).T
+    return cols
 
 
 def _project_simplex_like(absv: np.ndarray, radius: float) -> float:

@@ -18,13 +18,15 @@ singular values ``Problem`` computes for its rank check, so tau sigma ||K||^2
 only, adapts per problem to the ratio of dual to primal movement
 (``solve_penalized_many`` gives the rule).  Full relaxation, deterministic
 initialization at zero.  Problems sharing Phi, L^* and the norm are solved
-together, one column per problem.
+together, one column per problem, and each iteration updates the stacked
+dual in place in the array K xbar.
 The IC programs are solved in reduced coordinates: orthonormal bases of the
 feasible subspaces turn the affine-constrained dual-norm minimization into an
 unconstrained one, min_c dual_norm(g0 + C c).  The minimum-norm
 least-squares point settles it when it cancels g0.  Otherwise the l1 case
 (an l-infinity objective) is a linear program solved by HiGHS, and the group
-and nuclear cases run the same primal-dual scheme.  Both report the value at
+and nuclear cases run the same primal-dual scheme, with the same
+primal-weight rule.  Both report the value at
 their point with a duality gap from a dual candidate, the LP's marginals or
 the splitting's dual iterate, which certifies it.  The strong null-space
 check solves the same program.
@@ -48,6 +50,7 @@ from .linops import (
 )
 from .norms import (
     DecomposableNorm,
+    _project_dual_ball_inplace,
     dual_norm_value,
     norm_value,
     project_dual_ball,
@@ -177,10 +180,19 @@ def _composite_residual(
     return np.linalg.norm(grad, axis=0) + gap
 
 
-# primal-weight adaptation in ``solve_penalized_many``: the number of check
-# windows run at omega = 1 before the first update, and the clamp on omega
+# primal-weight adaptation in ``solve_penalized_many`` and the IC programs'
+# splitting: the number of check windows run at omega = 1 before the first
+# update, and the clamp on omega
 _WEIGHT_WARMUP_WINDOWS = 5
 _WEIGHT_BOUNDS = (0.1, 10.0)
+
+
+def _next_weight(omega, dual_move, primal_move):
+    """The primal weight moved halfway, in log scale, towards the ratio of
+    dual to primal movement over a check window, clamped to the bounds."""
+    return np.clip(
+        np.exp(0.5 * np.log(dual_move / primal_move) + 0.5 * np.log(omega)), *_WEIGHT_BOUNDS
+    )
 
 
 def solve_penalized(p: Problem, opts: SolverOptions | None = None) -> SolveReport:
@@ -222,6 +234,12 @@ def solve_penalized_many(
     where the dual is confined to a ball of radius lambda and an unclamped
     omega collapses and stalls the primal.  tau and sigma stay scalars until
     the first update, which keeps short solves as cheap as before.
+
+    An iteration forms q = K xbar once and turns it into the new stacked
+    dual in place: the fit rows become (fit + sigma (q - y)) / (1 + sigma),
+    the regularizer rows reg + sigma q projected onto the lam-ball by the
+    unchecked kernel behind ``project_dual_ball``; then x moves by
+    tau K^T q.  1 + sigma and -lam change only at check points.
     """
     opts = opts or SolverOptions()
     if opts.max_iter < 1:
@@ -274,11 +292,22 @@ def solve_penalized_many(
     live = np.arange(b)  # problem index of each working column
     done: dict[int, tuple[np.ndarray, float, int, bool]] = {}
 
+    one_plus_sigma, neg_lam = 1.0 + sigma, -lam
     for it in range(1, opts.max_iter + 1):
+        # q becomes the stacked dual (fit rows over regularizer rows), updated
+        # in place, both blocks scaled by sigma in one step; it is a fresh
+        # array every iteration, so the views kept of the previous one as
+        # dual_fit, dual_reg and *_prev stay intact
         q = big @ xbar
-        dual_fit = (dual_fit + sigma * (q[:m] - y)) / (1.0 + sigma)
-        dual_reg = project_dual_ball(first.norm, dual_reg + sigma * q[m:], lam)
-        x_new = x - tau * (big.T @ np.concatenate((dual_fit, dual_reg)))
+        fit, reg = q[:m], q[m:]
+        fit -= y
+        q *= sigma
+        fit += dual_fit
+        fit /= one_plus_sigma
+        reg += dual_reg
+        _project_dual_ball_inplace(first.norm, reg, lam, neg_lam)
+        dual_fit, dual_reg = fit, reg
+        x_new = x - tau * (big.T @ q)
         xbar = 2.0 * x_new - x
         x = x_new
         if it % opts.check_every == 0 or it == opts.max_iter:
@@ -312,12 +341,10 @@ def solve_penalized_many(
                     + np.sum((dual_reg - reg_prev) ** 2, axis=0)
                 )
                 moved = (dx > 0) & (dd > 0)
-                omega[moved] = np.clip(
-                    np.exp(0.5 * np.log(dd[moved] / dx[moved]) + 0.5 * np.log(omega[moved])),
-                    *_WEIGHT_BOUNDS,
-                )
+                omega[moved] = _next_weight(omega[moved], dd[moved], dx[moved])
                 xbar[:, moved] = x[:, moved]
                 tau, sigma = step / omega, step * omega
+            one_plus_sigma, neg_lam = 1.0 + sigma, -lam
             x_prev, fit_prev, reg_prev = x, dual_fit, dual_reg
 
     reports = []
@@ -621,12 +648,17 @@ def _min_dual_norm_pdhg(
 
     Starts at ``c_start`` when it beats c = 0 and stops once the certified
     gap meets the tolerance; the best iterate seen at a check is returned
-    with the dual candidate of the last check.
+    with the dual candidate of the last check.  The steps follow
+    ``solve_penalized_many``'s primal-weight rule, with c as the primal and
+    w as the dual block.
     """
     if opts.check_every < 1:
         raise ValueError("check_every must be at least 1")
     k = columns.shape[1]
-    tau = sigma = 0.99 / power_iteration_norm(columns)
+    step = 0.99 / power_iteration_norm(columns)
+    tau = sigma = step
+    omega = 1.0
+    adapt_from = _WEIGHT_WARMUP_WINDOWS * opts.check_every
     base = dual_norm_value(norm, g0)
     val_start = dual_norm_value(norm, g0 + columns @ c_start)
     w = np.zeros_like(g0)
@@ -638,6 +670,7 @@ def _min_dual_norm_pdhg(
     gap = np.inf
     w_feas = np.zeros_like(g0)
     converged = False
+    c_prev, w_prev = c, w
 
     for it in range(1, opts.max_iter + 1):
         w = project_primal_ball(norm, w + sigma * (columns @ cbar + g0), 1.0)
@@ -653,6 +686,14 @@ def _min_dual_norm_pdhg(
             if gap <= opts.tol * (1.0 + abs(best_val)):
                 converged = True
                 break
+            if it >= adapt_from:
+                dc = np.linalg.norm(c - c_prev)
+                dw = np.linalg.norm(w - w_prev)
+                if dc > 0 and dw > 0:
+                    omega = float(_next_weight(omega, dw, dc))
+                    cbar = c
+                    tau, sigma = step / omega, step * omega
+            c_prev, w_prev = c, w
 
     return best_c, best_val, max(float(gap), 0.0), converged, w_feas
 

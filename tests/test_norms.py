@@ -22,6 +22,7 @@ from decoreg.norms import (
     separable_split,
     subdiff_membership,
 )
+from decoreg.norms import _project_dual_ball_inplace
 
 rng = np.random.default_rng(77)
 
@@ -301,6 +302,27 @@ class TestColumnwise:
             scale = 1e-10 * (1.0 + np.linalg.norm(v[:, j]) + np.linalg.norm(w[:, j]))
             assert np.linalg.norm(project_primal_ball(norm, pv, r) - pv) <= scale
             assert np.linalg.norm(pv - pw) <= np.linalg.norm(v[:, j] - w[:, j]) + scale
+
+    @PROPERTY
+    @given(projection_cases(), st.booleans(), st.booleans())
+    def test_public_projection_copies_checks_and_calls_the_kernel(
+        self, case, one_vector, scalar_radius
+    ):
+        norm, v, _, radii = case
+        if one_vector:
+            v, radii = v[:, 0], radii[:1]
+        radius = float(radii[0]) if scalar_radius else radii
+        before = v.copy()
+        out = project_dual_ball(norm, v, radius)
+        assert np.array_equal(v, before)
+        assert not np.shares_memory(out, v)
+        assert out.shape == v.shape
+        buf = v.reshape(norm.ambient_dim, -1).copy()
+        r = np.asarray(radius)
+        assert _project_dual_ball_inplace(norm, buf, r, -r) is buf
+        assert np.array_equal(out, buf[:, 0] if one_vector else buf)
+        with pytest.raises(ValueError, match="nonnegative"):
+            project_dual_ball(norm, v, -r - 0.5)
 
     def test_uneven_scattered_blocks_and_rectangular_matrices(self):
         cases = [

@@ -173,6 +173,84 @@ def fixed_step_reference(p, opts, init=None):
                 return best_x[:, 0], float(best_res), it, converged
 
 
+def allocating_batched_reference(problems, opts):
+    """Reference for ``solve_penalized_many``: its loop written with a new
+    array for every intermediate, the dual blocks joined by np.concatenate
+    and projected by the public ``project_dual_ball``, and the primal-weight
+    rule written out.  The in-place loop does the same arithmetic in the
+    same order.  Returns one (x_star, residual, iterations, converged) per
+    problem."""
+    first = problems[0]
+    m, n = first.phi.rows, first.phi.cols
+    big = np.vstack([first.phi.entries, first.l_adjoint.entries])
+    step = 0.99 / first.k_norm
+    tau = sigma = step
+    b = len(problems)
+    init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
+    x = np.repeat(init[:, None], b, axis=1) if init.shape == (n,) else init.copy()
+    xbar = x.copy()
+    y = np.column_stack([q.y for q in problems])
+    lam = np.array([q.lam for q in problems])
+    dual_fit = np.zeros((m, b))
+    dual_reg = np.zeros((first.norm.ambient_dim, b))
+    omega = np.ones(b)
+    x_prev, fit_prev, reg_prev = x, dual_fit, dual_reg
+    scale = 1.0 + np.linalg.norm(first.phi.entries.T @ y, axis=0)
+    threshold = opts.tol * scale
+    margin = 64.0 * np.finfo(float).eps * scale
+    best_res = np.full(b, np.inf)
+    best_x = x.copy()
+    live = np.arange(b)
+    done = {}
+    for it in range(1, opts.max_iter + 1):
+        q = big @ xbar
+        dual_fit = (dual_fit + sigma * (q[:m] - y)) / (1.0 + sigma)
+        dual_reg = project_dual_ball(first.norm, dual_reg + sigma * q[m:], lam)
+        x_new = x - tau * (big.T @ np.concatenate((dual_fit, dual_reg)))
+        xbar = 2.0 * x_new - x
+        x = x_new
+        if it % opts.check_every == 0 or it == opts.max_iter:
+            res = _composite_residual(first, x, dual_reg, y, lam)
+            better = res < best_res - margin
+            best_res[better] = res[better]
+            best_x[:, better] = x[:, better]
+            converged = res <= threshold
+            finished = converged | (it == opts.max_iter)
+            for j in np.nonzero(finished)[0]:
+                done[int(live[j])] = (
+                    best_x[:, j].copy(), float(best_res[j]), it, bool(converged[j])
+                )
+            if finished.all():
+                break
+            if finished.any():
+                keep = ~finished
+                x, xbar, dual_fit, dual_reg, y, best_x, x_prev, fit_prev, reg_prev = (
+                    a[:, keep]
+                    for a in (
+                        x, xbar, dual_fit, dual_reg, y, best_x, x_prev, fit_prev, reg_prev
+                    )
+                )
+                lam, threshold, margin, best_res, live, omega = (
+                    a[keep] for a in (lam, threshold, margin, best_res, live, omega)
+                )
+            if it >= 5 * opts.check_every:
+                dx = np.linalg.norm(x - x_prev, axis=0)
+                dd = np.sqrt(
+                    np.sum((dual_fit - fit_prev) ** 2, axis=0)
+                    + np.sum((dual_reg - reg_prev) ** 2, axis=0)
+                )
+                moved = (dx > 0) & (dd > 0)
+                omega[moved] = np.clip(
+                    np.exp(0.5 * np.log(dd[moved] / dx[moved]) + 0.5 * np.log(omega[moved])),
+                    0.1,
+                    10.0,
+                )
+                xbar[:, moved] = x[:, moved]
+                tau, sigma = step / omega, step * omega
+            x_prev, fit_prev, reg_prev = x, dual_fit, dual_reg
+    return [done[j] for j in range(b)]
+
+
 def shared_batch(seed, norm, m, lams, l_adjoint=None):
     """Problems sharing one random phi, analysis operator and norm, with one
     noisy measurement of a sparse-ish signal per penalty."""
@@ -256,6 +334,47 @@ class TestSolvePenalizedMany:
         sequential = [solve_penalized(p, opts) for p in problems]
         assume(any(r.iterations == 777 and not r.converged for r in sequential))
         assert_same_reports(solve_penalized_many(problems, opts), sequential)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear"]),
+        lams=st.lists(
+            st.sampled_from([1e-4, 1e-3, 0.003, 0.02, 0.1, 0.5]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        max_iter=st.sampled_from([300, 777, 1_500]),
+        start=st.sampled_from(["zero", "shared", "per_column"]),
+    )
+    def test_matches_the_allocating_reference(self, seed, kind, lams, max_iter, start):
+        # spread penalties leave the batch at different checks, and every
+        # budget runs past the first primal-weight update (iteration 250)
+        norm = {
+            "l1": l1(6),
+            "group": group([[3, 0], [5], [1, 4, 2]]),
+            "nuclear": nuclear(2, 3),
+        }[kind]
+        problems = shared_batch(seed, norm, 5, lams)
+        starts = np.random.default_rng(seed + 1).standard_normal((6, len(problems)))
+        init = {"zero": None, "shared": starts[:, 0], "per_column": starts}[start]
+        opts = SolverOptions(tol=1e-9, max_iter=max_iter, init=init)
+        reports = solve_penalized_many(problems, opts)
+        reference = allocating_batched_reference(problems, opts)
+        for report, (x_ref, res_ref, it_ref, converged_ref) in zip(
+            reports, reference, strict=True
+        ):
+            assert report.iterations == it_ref
+            assert report.converged == converged_ref
+            if kind == "nuclear":
+                # the projection writes its SVD back in another memory
+                # layout, which reorders the rounding of column sums
+                assert np.linalg.norm(report.x_star - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+                assert report.optimality_residual == pytest.approx(res_ref, rel=1e-12)
+            else:
+                assert np.array_equal(report.x_star, x_ref)
+                assert report.optimality_residual == res_ref
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
@@ -708,6 +827,20 @@ class TestMinimizeIc:
 
         sol = minimize_ic_full(phi, l_op, norm, model.T, model.e)
         assert sol.value == pytest.approx(oracle_val, abs=1e-4)
+
+    def test_group_joint_program_adapts_its_primal_weight(self):
+        # criterion 4's gaussian-group instance: at the fixed step (omega = 1
+        # throughout) the joint program needs about 9,000 iterations
+        from decoreg.experiments import ScenarioConfig, generate_scenario
+
+        norm = group([list(range(4 * i, 4 * i + 4)) for i in range(6)])
+        cfg = ScenarioConfig(seed=2, m=20, n=24, p=24, norm=norm, signal_active=2)
+        phi, l_op, _, x0, _ = generate_scenario(cfg)
+        model = decompose_at(norm, l_op.T.apply(x0))
+        opts = SolverOptions(tol=1e-8, max_iter=2_000)
+        sol = minimize_ic_full(phi, l_op, norm, model.T, model.e, opts)
+        assert sol.converged
+        assert sol.gap <= opts.tol * (1.0 + sol.value)
 
     def test_xi_defining_property_via_context(self):
         phi, l_op, norm, model = tiny_ic_instance(seed=14)
