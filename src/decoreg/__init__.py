@@ -87,14 +87,12 @@ from .solver import (
     Problem,
     SolveReport,
     SolverOptions,
-    gamma_apply,
     ic_context,
     ic_value,
     minimize_ic_full,
     minimize_ic_u,
     solve_penalized,
     solve_penalized_many,
-    xi_map,
 )
 
 __version__ = "0.1.0"

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
 from .certificates import build_certificate, certificate_quality, write_certificate_csv
 from .experiments import (
-    ConfigError,
     ScenarioConfig,
     generate_scenario,
     oracle_solve,
@@ -27,7 +27,9 @@ from .norms import decompose_at
 from .solver import SolverOptions, ic_context
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="decoreg",
         description="Penalized analysis recovery: solve, certify, verify.",
@@ -185,10 +187,7 @@ def main(argv=None) -> int:
             return result.exit_code
         if args.command == "oracle-compare":
             return _oracle_command(cfg, out)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -4,8 +4,9 @@ A scenario bundles a measurement operator, an analysis operator, a norm, a
 structured signal and a noise-level schedule, all drawn deterministically
 from one seed.  The harness builds the certificate, computes the stability
 constants, solves the penalized problem at lambda = c * eps for every noise
-level and noise draw, and writes the observed-versus-bound table as CSV plus
-a text summary and an error plot.
+level and noise draw (each distinct problem once; the noiseless one at a
+vanishing penalty, by continuation), and writes the observed-versus-bound
+table as CSV plus a text summary and an error plot.
 
 A brute-force oracle for tiny instances (averaged subgradient descent with
 diminishing steps followed by a smooth polish on the detected model
@@ -35,7 +36,6 @@ from .linops import (
     LinearOperator,
     Subspace,
     kernel_basis,
-    power_iteration_norm,
     read_operator_csv,
 )
 from .norms import (
@@ -55,6 +55,7 @@ from .solver import (
     ic_value,
     minimize_ic_full,
     minimize_ic_u,
+    solve_penalized,
     solve_penalized_many,
 )
 
@@ -69,7 +70,6 @@ __all__ = [
     "noise_in_ball",
     "vanishing_penalty",
     "solve_vanishing",
-    "solve_vanishing_many",
     "solve_trials",
     "first_order_residual",
     "generate_scenario",
@@ -481,71 +481,48 @@ def first_order_residual(p: Problem, x: np.ndarray) -> float:
 
 
 def solve_vanishing(problem: Problem, opts: SolverOptions) -> SolveReport:
-    """Solve one problem at a vanishing penalty: ``solve_vanishing_many`` of
-    a batch of one."""
-    return solve_vanishing_many([problem], opts)[0]
-
-
-def solve_vanishing_many(problems: list[Problem], opts: SolverOptions) -> list[SolveReport]:
-    """Solve problems at vanishing penalties by continuation plus model polish.
+    """Solve one problem at a vanishing penalty by continuation plus model polish.
 
     Plain splitting started at zero crawls along ker(phi) when lambda is
     tiny; a geometric penalty schedule with warm starts gets close fast and
     the exact solve on the detected model finishes the job (the restricted
     problem is strongly convex whenever the injectivity condition holds).
-    Each problem's schedule falls by factors of ten from 0.01 (1 + ||Phi^* y||)
-    and ends at the problem's own lambda, so schedules may differ in length.
-    The problems share phi, l_adjoint and norm: stage k of every schedule
-    that has one is a single ``solve_penalized_many`` call, each column
-    warm-started at its problem's stage k - 1 iterate.  The polish and the
-    first-order residual are per problem.  Reports come in problem order;
-    ``iterations`` counts the last stage.
+    The schedule falls by factors of ten from 0.01 (1 + ||Phi^* y||) and ends
+    at the problem's own lambda; each stage is one ``solve_penalized`` call
+    warm-started at the previous stage's iterate.  ``iterations`` counts the
+    last stage.
     """
-    scales = [1.0 + float(np.linalg.norm(p.phi.entries.T @ p.y)) for p in problems]
-    schedules = []
-    for p, scale in zip(problems, scales):
-        lams = []
-        lam = 0.01 * scale
-        while lam > p.lam * 5.0:
-            lams.append(lam)
-            lam *= 0.1
-        lams.append(p.lam)
-        schedules.append(lams)
+    scale = 1.0 + float(np.linalg.norm(problem.phi.entries.T @ problem.y))
+    lams = []
+    lam = 0.01 * scale
+    while lam > problem.lam * 5.0:
+        lams.append(lam)
+        lam *= 0.1
+    lams.append(problem.lam)
 
-    stages: list[SolveReport | None] = [None] * len(problems)
-    for k in range(max(map(len, schedules), default=0)):
-        live = [i for i, lams in enumerate(schedules) if k < len(lams)]
-        init = np.column_stack([stages[i].x_star for i in live]) if k else None
-        solved = solve_penalized_many(
-            [problems[i].with_data(problems[i].y, schedules[i][k]) for i in live],
-            replace(opts, init=init),
-        )
-        for i, report in zip(live, solved):
-            stages[i] = report
+    x = None
+    for lam in lams:
+        last = solve_penalized(problem.with_data(problem.y, lam), replace(opts, init=x))
+        x = last.x_star
 
-    reports = []
-    for problem, scale, last in zip(problems, scales, stages):
-        best_x = last.x_star
-        best_obj = problem.objective(best_x)
-        for thr in (1e-1, 1e-2, 1e-3):
-            model = decompose_at(problem.norm, problem.l_adjoint.apply(best_x), tol=thr)
-            cand = _polish_on_model(problem, model, best_x)
-            obj = problem.objective(cand)
-            if obj < best_obj:
-                best_obj = obj
-                best_x = cand
-        resid = first_order_residual(problem, best_x)
-        reports.append(
-            SolveReport(
-                x_star=best_x,
-                objective=best_obj,
-                optimality_residual=resid,
-                iterations=last.iterations,
-                converged=bool(resid <= opts.tol * scale) or last.converged,
-                problem=problem,
-            )
-        )
-    return reports
+    best_x = last.x_star
+    best_obj = problem.objective(best_x)
+    for thr in (1e-1, 1e-2, 1e-3):
+        model = decompose_at(problem.norm, problem.l_adjoint.apply(best_x), tol=thr)
+        cand = _polish_on_model(problem, model, best_x)
+        obj = problem.objective(cand)
+        if obj < best_obj:
+            best_obj = obj
+            best_x = cand
+    resid = first_order_residual(problem, best_x)
+    return SolveReport(
+        x_star=best_x,
+        objective=best_obj,
+        optimality_residual=resid,
+        iterations=last.iterations,
+        converged=bool(resid <= opts.tol * scale) or last.converged,
+        problem=problem,
+    )
 
 
 def solve_trials(
@@ -558,24 +535,30 @@ def solve_trials(
 ) -> list[SolveReport]:
     """Solve the penalized problem for every (eps, y) trial, in trial order.
 
-    All trials share phi, l_adjoint and norm, so they are solved in two
-    batches: the eps > 0 trials at lambda = c * eps in one
-    ``solve_penalized_many`` run, and the eps = 0 trials at the vanishing
-    penalty in one ``solve_vanishing_many`` run, whose continuation stages
-    are batched across trials.
+    Each distinct (y, lambda) is solved once and its report is shared by
+    every trial with that data; the noiseless trials of a sweep are all one
+    problem, since their noise is zero.  All problems share phi, l_adjoint
+    and norm: the eps > 0 ones at lambda = c * eps are solved in one
+    ``solve_penalized_many`` run, each eps = 0 one at the vanishing penalty
+    by ``solve_vanishing``.
     """
-    problems: list[Problem] = []
+    problems: dict[tuple, Problem] = {}
+    keys = []
     for eps, y in trials:
+        y = np.asarray(y, dtype=float).reshape(-1)
         lam = coupling_c * eps if eps > 0 else vanishing_penalty(phi, y)
-        problems.append(
-            problems[0].with_data(y, lam) if problems
-            else Problem(phi=phi, l_adjoint=l_adjoint, norm=norm, y=y, lam=lam)
-        )
-    noisy = [p for (eps, _), p in zip(trials, problems) if eps > 0]
-    noiseless = [p for (eps, _), p in zip(trials, problems) if not eps > 0]
-    batched = iter(solve_penalized_many(noisy, opts))
-    vanishing = iter(solve_vanishing_many(noiseless, opts))
-    return [next(batched) if eps > 0 else next(vanishing) for eps, _ in trials]
+        # the regime decides the solver, the data decide the problem
+        key = (eps > 0, lam, y.tobytes())
+        if key not in problems:
+            problems[key] = (
+                next(iter(problems.values())).with_data(y, lam) if problems
+                else Problem(phi=phi, l_adjoint=l_adjoint, norm=norm, y=y, lam=lam)
+            )
+        keys.append(key)
+    noisy = [key for key in problems if key[0]]
+    solved = dict(zip(noisy, solve_penalized_many([problems[k] for k in noisy], opts)))
+    solved.update((k, solve_vanishing(p, opts)) for k, p in problems.items() if not k[0])
+    return [solved[key] for key in keys]
 
 
 def _enumerated_models(p: Problem, x_ref: np.ndarray, opts: OracleOptions):
@@ -641,7 +624,7 @@ def oracle_solve(p: Problem, opts: OracleOptions | None = None) -> SolveReport:
     opts = opts or OracleOptions()
 
     stacked = np.vstack([p.phi.entries, p.l_adjoint.entries])
-    scale = power_iteration_norm(stacked)
+    scale = float(np.linalg.norm(stacked, 2))
     step0 = 1.0 / (1.0 + scale * scale)
 
     x = np.zeros(p.phi.cols)

@@ -46,7 +46,6 @@ from .linops import (
     Subspace,
     image_basis,
     kernel_basis,
-    power_iteration_norm,
 )
 from .norms import (
     DecomposableNorm,
@@ -63,8 +62,6 @@ __all__ = [
     "SolveReport",
     "solve_penalized",
     "solve_penalized_many",
-    "xi_map",
-    "gamma_apply",
     "ICContext",
     "ic_context",
     "ICSolution",
@@ -218,8 +215,8 @@ def solve_penalized_many(
     ``solve_penalized`` gives up to rounding.  A check point becomes the
     best iterate only when its residual is lower by more than rounding, so
     that holds on a residual plateau too.  ``opts.init`` is None (start
-    at zero), an (N,) vector that starts every column, or an (N, B) array
-    with one start per column; any other shape raises ``ValueError``.
+    at zero) or an (N,) vector that starts every column; any other shape
+    raises ``ValueError``.
 
     Each column has its own primal weight omega and steps tau = eta / omega,
     sigma = eta * omega with eta = 0.99 / ||K||.  omega is 1 for the first
@@ -266,12 +263,9 @@ def solve_penalized_many(
 
     b = len(problems)
     init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
-    if init.shape == (n,):
-        x = np.repeat(init[:, None], b, axis=1)
-    elif init.shape == (n, b):
-        x = init.copy()
-    else:
-        raise ValueError(f"init has shape {init.shape}, expected ({n},) or ({n}, {b})")
+    if init.shape != (n,):
+        raise ValueError(f"init has shape {init.shape}, expected ({n},)")
+    x = np.repeat(init[:, None], b, axis=1)
     xbar = x.copy()
     y = np.column_stack([q.y for q in problems])
     lam = np.array([q.lam for q in problems], dtype=float)
@@ -385,46 +379,6 @@ def _xi_matrix(
         raise ValueError("restricted injectivity fails: Phi is singular on ker(L_S^*)")
     inner = vt.T @ np.diag(1.0 / s**2) @ vt
     return ker @ inner @ ker.T, float(s[-1])
-
-
-def xi_map(phi: LinearOperator, l_s_adjoint: LinearOperator, h, tol: float = RANK_RTOL) -> np.ndarray:
-    """Solve the quadratic program restricted to ker(L_S^*).
-
-    Returns the minimizer of 0.5 ||Phi x||^2 - <h, x> over that kernel; the
-    result satisfies P_ker(Phi^T Phi Xi h - h) = 0.
-    """
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != phi.cols:
-        raise ValueError(f"h has length {h.shape[0]}, expected {phi.cols}")
-    xi, _ = _xi_matrix(phi, kernel_basis(l_s_adjoint, tol).basis, tol)
-    return xi @ h
-
-
-def gamma_apply(
-    phi: LinearOperator,
-    l_op: LinearOperator,
-    T: Subspace,
-    S: Subspace,
-    v,
-    tol: float = RANK_RTOL,
-) -> np.ndarray:
-    """Apply the transfer operator pinv(L_S) (Phi^T Phi Xi - Id) L_T.
-
-    S must be the orthogonal complement of T.  Its range lies inside
-    Im(L_S^*); restricted injectivity failures propagate from the inner
-    quadratic solve.
-    """
-    p_dim = l_op.cols
-    if T.ambient_dim != p_dim or S.ambient_dim != p_dim:
-        raise ValueError("T and S must live in the analysis space")
-    if T.dim + S.dim != p_dim or (
-        T.basis.size and S.basis.size and np.max(np.abs(T.basis.T @ S.basis)) > 1e-10
-    ):
-        raise ValueError("S must be the orthogonal complement of T")
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != p_dim:
-        raise ValueError(f"v has length {v.shape[0]}, expected {p_dim}")
-    return ic_context(phi, l_op, T, tol).gamma @ v
 
 
 @dataclass(frozen=True, eq=False)
@@ -650,12 +604,13 @@ def _min_dual_norm_pdhg(
     gap meets the tolerance; the best iterate seen at a check is returned
     with the dual candidate of the last check.  The steps follow
     ``solve_penalized_many``'s primal-weight rule, with c as the primal and
-    w as the dual block.
+    w as the dual block and eta = 0.99 / ||columns|| from the exact spectral
+    norm.
     """
     if opts.check_every < 1:
         raise ValueError("check_every must be at least 1")
     k = columns.shape[1]
-    step = 0.99 / power_iteration_norm(columns)
+    step = 0.99 / np.linalg.norm(columns, 2)
     tau = sigma = step
     omega = 1.0
     adapt_from = _WEIGHT_WARMUP_WINDOWS * opts.check_every

@@ -3,8 +3,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from decoreg import experiments
 from decoreg.cli import main as cli_main
@@ -20,7 +18,6 @@ from decoreg.experiments import (
     run_scenario,
     solve_trials,
     solve_vanishing,
-    solve_vanishing_many,
     vanishing_penalty,
 )
 from decoreg.linops import identity, LinearOperator
@@ -394,18 +391,46 @@ class TestSolveTrials:
         phi, l_op, norm, _, ys = generate_scenario(cfg)
         l_adj = l_op.T
         opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
-        trials = [(eps, y) for eps, y in zip(cfg.epsilons, ys)] + [(0.1, ys[0])]
+        # repeats of the noiseless trial (a copy of its y, as another draw
+        # gives) and of a noisy one share one solve each
+        trials = [(eps, y) for eps, y in zip(cfg.epsilons, ys)] + [
+            (0.1, ys[0]),
+            (0.0, ys[0].copy()),
+            (0.01, ys[1]),
+            (0.0, ys[0]),
+        ]
         reports = solve_trials(phi, l_adj, norm, trials, 2.0, opts)
         for (eps, y), report in zip(trials, reports, strict=True):
             lam = 2.0 * eps if eps > 0 else vanishing_penalty(phi, y)
             p = Problem(phi=phi, l_adjoint=l_adj, norm=norm, y=y, lam=lam)
             alone = solve_penalized(p, opts) if eps > 0 else solve_vanishing(p, opts)
             assert report.problem.lam == lam
+            assert np.array_equal(report.problem.y, y)
             assert report.iterations == alone.iterations
             assert report.converged == alone.converged
             assert np.linalg.norm(report.x_star - alone.x_star) <= 1e-10 * (
                 1.0 + np.linalg.norm(alone.x_star)
             )
+        assert reports[4] is reports[0] and reports[6] is reports[0]
+        assert reports[5] is reports[1]
+        assert len({id(r) for r in reports}) == 4
+        assert solve_trials(phi, l_adj, norm, [], 2.0, opts) == []
+
+    def test_sweep_solves_the_noiseless_problem_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = experiments.solve_vanishing
+
+        def counted(problem, opts):
+            calls.append(problem)
+            return original(problem, opts)
+
+        monkeypatch.setattr(experiments, "solve_vanishing", counted)
+        cfg = base_config(m=14, epsilons=(0.0, 0.01), noise_draws=3, plot=False)
+        result = run_scenario(cfg, tmp_path)
+        assert len(result.rows) == 6
+        assert len(calls) == 1
+        # the three noiseless rows report the one shared solve
+        assert result.rows[0][3:] == result.rows[1][3:] == result.rows[2][3:]
 
     @pytest.mark.parametrize("mode", ["full", "u_only", "zero"])
     def test_sweep_builds_the_ic_context_once(self, tmp_path, monkeypatch, mode):
@@ -473,52 +498,7 @@ class TestSolveTrials:
 
 
 class TestSolveVanishingMany:
-    """The batched continuation gives every problem the report of its own."""
-
-    INSTANCES = {
-        "l1": dict(m=8, n=10, p=10, norm=l1(10)),
-        "tv1d": dict(m=8, n=10, p=9, norm=l1(9), l_kind="tv1d", signal_active=2),
-    }
-
-    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-    @given(
-        kind=st.sampled_from(sorted(INSTANCES)),
-        # (which right-hand side, its scale, the penalty over the vanishing
-        # one): the sides are one clean and two noisy measurements, repeats
-        # are likely, and the penalty factor shortens the schedule by up to
-        # four stages
-        draws=st.lists(
-            st.tuples(
-                st.integers(0, 2),
-                st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]),
-                st.sampled_from([1.0, 1e2, 1e4]),
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-    )
-    def test_equals_one_continuation_per_problem(self, kind, draws):
-        cfg = base_config(epsilons=(0.0, 0.01, 0.1), **self.INSTANCES[kind])
-        phi, l_op, norm, _, ys = generate_scenario(cfg)
-        base = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=ys[0], lam=1.0)
-        problems = []
-        for which, scale, factor in draws:
-            y = scale * ys[which]
-            problems.append(base.with_data(y, factor * vanishing_penalty(phi, y)))
-        opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
-        batched = solve_vanishing_many(problems, opts)
-        for p, b in zip(problems, batched, strict=True):
-            alone = solve_vanishing(p, opts)
-            assert b.problem is p
-            assert b.iterations == alone.iterations
-            assert b.converged == alone.converged
-            # rounding level: the batch's matrix products round differently
-            # from a single column's, by about 1e-16 relative
-            bound = 1e-12 * (1.0 + np.linalg.norm(phi.entries.T @ p.y))
-            assert np.linalg.norm(b.x_star - alone.x_star) <= bound * (
-                1.0 + np.linalg.norm(alone.x_star)
-            )
-            assert abs(b.optimality_residual - alone.optimality_residual) <= bound
+    """The continuation at a vanishing penalty."""
 
     def test_tv1d_stage_at_tiny_penalty(self):
         # the last continuation stage, warm-started at lambda = 1e-6 (1 +
@@ -533,9 +513,6 @@ class TestSolveVanishingMany:
         report = solve_vanishing(p, SolverOptions(tol=cfg.tol, max_iter=20_000))
         assert report.converged
         assert report.iterations <= 5_000
-
-    def test_empty_batch(self):
-        assert solve_vanishing_many([], SolverOptions()) == []
 
 
 def write_config(tmp_path, **overrides):
