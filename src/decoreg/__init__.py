@@ -17,7 +17,6 @@ from .certificates import (
 )
 from .experiments import (
     ConfigError,
-    OracleOptions,
     ScenarioConfig,
     ScenarioResult,
     difference_operator_1d,

@@ -21,16 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .linops import LinearOperator, Subspace
+from .linops import LinearOperator
 from .norms import DecomposableNorm, dual_norm_value, subdiff_membership
-from .solver import (
-    ICContext,
-    ICSolution,
-    SolverOptions,
-    ic_context,
-    minimize_ic_full,
-    minimize_ic_u,
-)
+from .solver import ICContext, ICSolution, SolverOptions, minimize_ic_full, minimize_ic_u
 
 __all__ = [
     "DualCertificate",
@@ -77,33 +70,30 @@ class SourceCheck:
 
 
 def build_certificate(
-    phi: LinearOperator,
-    l_op: LinearOperator,
+    ctx: ICContext,
     norm: DecomposableNorm,
-    T0: Subspace,
     e0,
     mode: str = "full",
     opts: SolverOptions | None = None,
-    ctx: ICContext | None = None,
 ) -> DualCertificate:
-    """Assemble a certificate from the irrepresentability minimizers.
+    """Assemble a certificate for the model (``ctx.T``, e0) from the
+    irrepresentability minimizers.
 
     ``mode`` selects the feasible pair: "full" uses the joint minimizer,
     "u_only" fixes z = 0, "zero" uses (0, 0).  Requires phi injective on
-    ker(L_S0^*), which ``ic_context`` checks; a certificate whose saturation
-    reaches 1 is still returned (the value itself is what phase-transition
-    experiments need), only its quality margin is nonpositive.  ``ctx`` is
-    the ``ic_context`` of T0 when the caller already has it.
+    ker(L_S0^*), which ``ic_context`` checked when it built ``ctx``; a
+    certificate whose saturation reaches 1 is still returned (the value
+    itself is what phase-transition experiments need), only its quality
+    margin is nonpositive.
     """
     if mode not in ("full", "u_only", "zero"):
         raise ValueError(f"unknown certificate mode {mode!r}")
-    opts = opts or SolverOptions()
+    phi, l_op = ctx.phi, ctx.l_op
     e0 = np.asarray(e0, dtype=float).reshape(-1)
-    ctx = ctx or ic_context(phi, l_op, T0)
     if mode == "full":
-        sol = minimize_ic_full(phi, l_op, norm, T0, e0, opts=opts, ctx=ctx)
+        sol = minimize_ic_full(ctx, norm, e0, opts)
     elif mode == "u_only":
-        sol = minimize_ic_u(phi, l_op, norm, T0, e0, opts=opts, ctx=ctx)
+        sol = minimize_ic_u(ctx, norm, e0, opts)
     else:
         sol = ICSolution(
             u=np.zeros(l_op.cols),

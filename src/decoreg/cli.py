@@ -98,9 +98,8 @@ def _certify_command(cfg: ScenarioConfig, out: Path) -> int:
     model = decompose_at(norm, l_op.T.apply(x0))
     opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
     try:
-        cert = build_certificate(
-            phi, l_op, norm, model.T, model.e, mode=cfg.certificate_mode, opts=opts
-        )
+        ctx = ic_context(phi, l_op, model.T)
+        cert = build_certificate(ctx, norm, model.e, mode=cfg.certificate_mode, opts=opts)
     except ValueError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return 0
@@ -115,13 +114,10 @@ def _uniqueness_command(cfg: ScenarioConfig, out: Path) -> int:
     phi, l_op, norm, x0, _ = generate_scenario(cfg)
     model = decompose_at(norm, l_op.T.apply(x0))
     opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
-    ctx = joint = None
+    joint = None
     try:
         ctx = ic_context(phi, l_op, model.T)
-        cert = build_certificate(
-            phi, l_op, norm, model.T, model.e,
-            mode=cfg.certificate_mode, opts=opts, ctx=ctx,
-        )
+        cert = build_certificate(ctx, norm, model.e, mode=cfg.certificate_mode, opts=opts)
         if cfg.certificate_mode == "full":
             joint = (cert.ic_value, cert.ic_gap)
         verdict = uniqueness_from_certificate(cert, ctx.c_phi)
@@ -129,7 +125,7 @@ def _uniqueness_command(cfg: ScenarioConfig, out: Path) -> int:
     except ValueError as exc:
         # the null-space check needs no restricted injectivity
         lines = [f"certificate unavailable: {exc}"]
-    nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm, opts, ctx=ctx, joint=joint)
+    nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm, opts, joint=joint)
     lines.insert(0, f"strong nsp verdict: {nsp.status}")
     (out / "uniqueness.txt").write_text("\n".join(lines) + "\n")
     for line in lines:

@@ -2,11 +2,12 @@
 
 A scenario bundles a measurement operator, an analysis operator, a norm, a
 structured signal and a noise-level schedule, all drawn deterministically
-from one seed.  The harness builds the certificate, computes the stability
-constants, solves the penalized problem at lambda = c * eps for every noise
-level and noise draw (each distinct problem once; the noiseless one at a
-vanishing penalty, by continuation), and writes the observed-versus-bound
-table as CSV plus a text summary and an error plot.
+from one seed.  The harness builds the model context once and from it the
+certificate and the stability constants, solves the penalized problem at
+lambda = c * eps for every noise level and noise draw (each distinct problem
+once; the noiseless one at a vanishing penalty, by continuation), checks the
+bounds once per distinct solve, and writes the observed-versus-bound table
+as CSV plus a text summary and an error plot.
 
 A brute-force oracle for tiny instances (averaged subgradient descent with
 diminishing steps followed by a smooth polish on the detected model
@@ -36,6 +37,7 @@ from .linops import (
     LinearOperator,
     Subspace,
     kernel_basis,
+    numerical_rank,
     read_operator_csv,
 )
 from .norms import (
@@ -63,7 +65,6 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "ScenarioResult",
-    "OracleOptions",
     "difference_operator_1d",
     "difference_operator_2d",
     "parseval_frame_analysis",
@@ -365,7 +366,7 @@ def _build_signal(
             if np.linalg.norm(l_adjoint.apply(x0) - u0) > 1e-8 * (1 + np.linalg.norm(u0)):
                 raise ConfigError("requested low-rank pattern is not an analysis image")
             s = np.linalg.svd(u0.reshape(norm.shape, order="F"), compute_uv=False)
-            if int(np.sum(s > 1e-8 * s[0])) == r:
+            if numerical_rank(s, 1e-8) == r:
                 return x0
         raise ConfigError("could not realize the requested rank")
 
@@ -400,15 +401,6 @@ def generate_scenario(cfg: ScenarioConfig):
     clean = phi.apply(x0)
     ys = [clean + noise_in_ball(rng, cfg.m, eps) for eps in cfg.epsilons]
     return phi, l_op, cfg.norm, x0, ys
-
-
-@dataclass
-class OracleOptions:
-    iterations: int = 20_000
-    track_every: int = 5
-    polish_rounds: int = 2
-    thresholds: tuple[float, ...] = (3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-    enumeration_cap: int = 10_000
 
 
 def _polish_on_model(p: Problem, model, x_ref: np.ndarray) -> np.ndarray:
@@ -561,16 +553,17 @@ def solve_trials(
     return [solved[key] for key in keys]
 
 
-def _enumerated_models(p: Problem, x_ref: np.ndarray, opts: OracleOptions):
+def _enumerated_models(p: Problem, x_ref: np.ndarray, cap: int):
     """Brute-force candidate models for the polish stage.
 
-    Sign patterns for l1, block subsets for the group norm, and the full
-    rank sweep of the reference point for the nuclear norm; feasible at the
-    oracle's tiny scale and independent of any active-set detection.
+    Sign patterns for l1, block subsets for the group norm (each when there
+    are at most ``cap`` of them), and the full rank sweep of the reference
+    point for the nuclear norm; feasible at the oracle's tiny scale and
+    independent of any active-set detection.
     """
     pdim = p.norm.ambient_dim
     models = []
-    if p.norm.kind == "l1" and 3**pdim <= opts.enumeration_cap:
+    if p.norm.kind == "l1" and 3**pdim <= cap:
         for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=pdim):
             e = np.array(pattern)
             support = [i for i, s in enumerate(pattern) if s != 0.0]
@@ -581,7 +574,7 @@ def _enumerated_models(p: Problem, x_ref: np.ndarray, opts: OracleOptions):
                     active=tuple(support),
                 )
             )
-    elif p.norm.kind == "group" and 2 ** len(p.norm.blocks) <= opts.enumeration_cap:
+    elif p.norm.kind == "group" and 2 ** len(p.norm.blocks) <= cap:
         nblocks = len(p.norm.blocks)
         for mask in range(2**nblocks):
             chosen = [b for b in range(nblocks) if mask >> b & 1]
@@ -610,7 +603,7 @@ def _enumerated_models(p: Problem, x_ref: np.ndarray, opts: OracleOptions):
     return models
 
 
-def oracle_solve(p: Problem, opts: OracleOptions | None = None) -> SolveReport:
+def oracle_solve(p: Problem) -> SolveReport:
     """High-precision reference minimizer for tiny instances.
 
     Averaged subgradient descent with diminishing steps explores globally;
@@ -621,7 +614,11 @@ def oracle_solve(p: Problem, opts: OracleOptions | None = None) -> SolveReport:
     """
     if p.phi.cols > 8 or p.norm.ambient_dim > 8:
         raise ValueError("oracle restricted to tiny instances (N <= 8, P <= 8)")
-    opts = opts or OracleOptions()
+    iterations = 20_000
+    track_every = 5
+    polish_rounds = 2
+    thresholds = (3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+    enumeration_cap = 10_000
 
     stacked = np.vstack([p.phi.entries, p.l_adjoint.entries])
     scale = float(np.linalg.norm(stacked, 2))
@@ -630,10 +627,10 @@ def oracle_solve(p: Problem, opts: OracleOptions | None = None) -> SolveReport:
     x = np.zeros(p.phi.cols)
     best_x = x.copy()
     best_obj = p.objective(x)
-    half = opts.iterations // 2
+    half = iterations // 2
     avg = np.zeros_like(x)
     navg = 0
-    for k in range(opts.iterations):
+    for k in range(iterations):
         g = p.phi.entries.T @ (p.phi.apply(x) - p.y) + p.lam * (
             p.l_adjoint.entries.T @ norm_subgradient(p.norm, p.l_adjoint.apply(x))
         )
@@ -641,7 +638,7 @@ def oracle_solve(p: Problem, opts: OracleOptions | None = None) -> SolveReport:
         if k >= half:
             avg += x
             navg += 1
-        if k % opts.track_every == 0:
+        if k % track_every == 0:
             obj = p.objective(x)
             if obj < best_obj:
                 best_obj = obj
@@ -656,15 +653,15 @@ def oracle_solve(p: Problem, opts: OracleOptions | None = None) -> SolveReport:
         avg = best_x
 
     references = [best_x.copy(), avg]
-    for round_idx in range(opts.polish_rounds):
+    for round_idx in range(polish_rounds):
         improved = False
         for x_ref in references:
             u_ref = p.l_adjoint.apply(x_ref)
             candidates = [
-                decompose_at(p.norm, u_ref, tol=thr) for thr in opts.thresholds
+                decompose_at(p.norm, u_ref, tol=thr) for thr in thresholds
             ]
             if round_idx == 0 and x_ref is references[0]:
-                candidates.extend(_enumerated_models(p, x_ref, opts))
+                candidates.extend(_enumerated_models(p, x_ref, enumeration_cap))
             for model in candidates:
                 cand = _polish_on_model(p, model, x_ref)
                 obj = p.objective(cand)
@@ -680,7 +677,7 @@ def oracle_solve(p: Problem, opts: OracleOptions | None = None) -> SolveReport:
         x_star=best_x,
         objective=best_obj,
         optimality_residual=first_order_residual(p, best_x),
-        iterations=opts.iterations,
+        iterations=iterations,
         converged=True,
         problem=p,
     )
@@ -789,9 +786,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
 
     try:
         ctx = ic_context(phi, l_op, T0)
-        cert = build_certificate(
-            phi, l_op, norm, T0, e0, mode=cfg.certificate_mode, opts=solver_opts, ctx=ctx
-        )
+        cert = build_certificate(ctx, norm, e0, mode=cfg.certificate_mode, opts=solver_opts)
     except ValueError as exc:
         summary.append(f"certificate failed: {exc}")
         (out / "summary.txt").write_text("\n".join(summary) + "\n")
@@ -804,34 +799,26 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     summary.append(f"source_residual {cert.source_residual!r}")
     summary.append(f"ic program gap {cert.ic_gap!r} converged {cert.ic_converged}")
 
-    ic_00 = ic_value(
-        phi, l_op, norm, T0, e0, np.zeros(cfg.p), np.zeros(cfg.m), ctx=ctx
-    )
+    ic_00 = ic_value(ctx, norm, e0, np.zeros(cfg.p), np.zeros(cfg.m))
     # the certificate already solved the program of its own mode
     if cfg.certificate_mode == "u_only":
         ic_u = cert.ic_value
     else:
-        ic_u = minimize_ic_u(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx).value
+        ic_u = minimize_ic_u(ctx, norm, e0, solver_opts).value
     if cfg.certificate_mode == "full":
         joint = (cert.ic_value, cert.ic_gap)
     else:
-        sol = minimize_ic_full(phi, l_op, norm, T0, e0, opts=solver_opts, ctx=ctx)
+        sol = minimize_ic_full(ctx, norm, e0, solver_opts)
         joint = (sol.value, sol.gap)
     summary.append(f"ic chain (joint, u-only, zero): {joint[0]!r} {ic_u!r} {ic_00!r}")
 
-    nsp = strong_nsp_check(phi, l_op, T0, e0, norm, solver_opts, ctx=ctx, joint=joint)
+    nsp = strong_nsp_check(phi, l_op, T0, e0, norm, solver_opts, joint=joint)
     summary.append(f"strong nsp verdict: {nsp.status}")
 
     try:
         bound = stability_constants(
-            phi,
-            l_op,
-            norm,
-            T0,
-            cert,
-            cfg.coupling_c,
+            ctx, norm, cert, cfg.coupling_c,
             frame_mode=cfg.frame_bound if cfg.frame_mode else None,
-            ctx=ctx,
         )
     except ValueError as exc:
         summary.append(f"stability constants unavailable: {exc}")
@@ -858,10 +845,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
             trials.append((eps, y))
     solved = solve_trials(phi, l_op.T, norm, trials, cfg.coupling_c, solver_opts)
 
+    # trials that share a solve share its check
+    checks: dict[tuple[int, float], BoundCheckReport] = {}
     for trial, ((eps, _), report) in enumerate(zip(trials, solved)):
-        check = verify_bounds(
-            phi, l_op, norm, x0, cert, eps, cfg.coupling_c, report, bound, ctx=ctx
-        )
+        key = (id(report), eps)
+        if key not in checks:
+            checks[key] = verify_bounds(ctx, norm, x0, cert, eps, cfg.coupling_c, report, bound)
+        check = checks[key]
         reports.append(check)
         rows.append(
             (

@@ -36,11 +36,11 @@ import numpy as np
 
 from .certificates import DualCertificate
 from .linops import (
-    RANK_RTOL,
     LinearOperator,
     Subspace,
     image_basis,
     kernel_basis,
+    numerical_rank,
     operator_norm,
     restricted_injectivity_constant,
 )
@@ -48,11 +48,10 @@ from .norms import (
     DecomposableNorm,
     bregman,
     coercivity_constant,
-    decompose_at,
     dual_norm_value,
     is_separable,
 )
-from .solver import ICContext, SolveReport, SolverOptions, _min_dual_norm_affine, ic_context
+from .solver import ICContext, SolveReport, SolverOptions, _min_dual_norm_affine
 
 __all__ = [
     "STATUS_UNIQUE",
@@ -98,7 +97,6 @@ def strong_nsp_check(
     e,
     norm: DecomposableNorm,
     opts: SolverOptions | None = None,
-    ctx: ICContext | None = None,
     joint: tuple[float, float] | None = None,
 ) -> UniquenessVerdict:
     """Decide g(h) = norm(L_S^* h) - <L_T^* h, e> > 0 for unit kernel vectors.
@@ -117,8 +115,9 @@ def strong_nsp_check(
     ``joint`` is the (value, gap) of ``minimize_ic_full`` for this model when
     the caller has solved it: both programs range over the same set, so a
     joint value that proves uniqueness is used without solving again.
-    ``ctx`` is the ``ic_context`` of T when the caller already has it (only
-    its S is used); ``opts`` are the program's solver options.
+    ``opts`` are the program's solver options.  The check takes no model
+    context: it must run where ``ic_context`` raises, since it needs no
+    restricted injectivity.
     """
     e = np.asarray(e, dtype=float).reshape(-1)
     ker = kernel_basis(phi)
@@ -126,13 +125,12 @@ def strong_nsp_check(
     if k == 0:
         return UniquenessVerdict(STATUS_UNIQUE)
 
-    S = ctx.S if ctx is not None else T.complement()
+    S = T.complement()
     a_full = l_op.entries.T @ ker.basis          # P x k, L^* restricted to the kernel
     a_s = S.projector_matrix() @ a_full
     q = a_full.T @ T.project(e)
     u, s, vt = np.linalg.svd(a_s)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
-    if rank < k:
+    if numerical_rank(s) < k:
         # g(c) = -<q, c> on ker(A_S)
         c = vt[-1]
         return _violated(ker, -c if q @ c < 0 else c)
@@ -265,29 +263,27 @@ def assemble_total_constant(
 
 
 def stability_constants(
-    phi: LinearOperator,
-    l_op: LinearOperator,
+    ctx: ICContext,
     norm: DecomposableNorm,
-    T0: Subspace,
     cert: DualCertificate,
     c: float,
     frame_mode: float | None = None,
-    ctx: ICContext | None = None,
 ) -> StabilityBound:
-    """Compute every constant of the error bound for one model and certificate.
+    """Compute every constant of the error bound for the model ``ctx.T`` and
+    a certificate.
 
-    C_Phi and C_L are read from ``ctx``, the ``ic_context`` of T0 (built
-    when not given); C_L is +inf when L_S0 vanishes, since that error
-    component is then absent.  ``frame_mode``, when given, is the lower
-    frame bound a of the analysis operator; it requires ker(L^*) = {0},
-    replaces C_L by sqrt(a) and takes the injectivity constant over the
-    image of the dual frame restricted to the model subspace.
+    C_Phi and C_L are read from ``ctx``; C_L is +inf when L_S0 vanishes,
+    since that error component is then absent.  ``frame_mode``, when given,
+    is the lower frame bound a of the analysis operator; it requires
+    ker(L^*) = {0}, replaces C_L by sqrt(a) and takes the injectivity
+    constant over the image of the dual frame restricted to the model
+    subspace.
     """
     if not cert.saturation < 1.0:
         raise ValueError("no stability guarantee: certificate saturates")
 
+    phi, l_op = ctx.phi, ctx.l_op
     if frame_mode is None:
-        ctx = ctx or ic_context(phi, l_op, T0)
         c_phi, c_l = ctx.c_phi, ctx.c_l
     else:
         a = float(frame_mode)
@@ -297,7 +293,7 @@ def stability_constants(
             raise ValueError("frame mode requires ker(L^*) = {0}")
         frame_op = l_op.entries @ l_op.entries.T
         dual_frame = np.linalg.solve(frame_op, l_op.entries)
-        sub = image_basis(LinearOperator(dual_frame @ T0.projector_matrix()))
+        sub = image_basis(LinearOperator(dual_frame @ ctx.T.projector_matrix()))
         c_phi = restricted_injectivity_constant(phi, sub)
         c_l = float(np.sqrt(a))
 
@@ -390,8 +386,7 @@ def _check(observed: float, bound: float, slack: float) -> BoundCheck:
 
 
 def verify_bounds(
-    phi: LinearOperator,
-    l_op: LinearOperator,
+    ctx: ICContext,
     norm: DecomposableNorm,
     x0,
     cert: DualCertificate,
@@ -400,7 +395,6 @@ def verify_bounds(
     report: SolveReport,
     bound: StabilityBound,
     slack: float | None = None,
-    ctx: ICContext | None = None,
 ) -> BoundCheckReport:
     """Compare the four observed errors of a solved instance against their
     theoretical bounds.
@@ -410,10 +404,11 @@ def verify_bounds(
     data within epsilon of phi x0.  Violated preconditions mark the report
     invalid rather than raising; failed comparisons are recorded with
     passed = False.  ``slack`` absorbs solver inexactness on top of the
-    relative tolerance of each comparison.  The model error is measured on
-    S0, the complement of the model at L^* x0: ``ctx.S`` when the caller
-    has that model's ``ic_context``.
+    relative tolerance of each comparison.  ``ctx`` is the context of the
+    model T0 at L^* x0; the model error is measured on its complement
+    S0 = ``ctx.S``.
     """
+    phi, l_op = ctx.phi, ctx.l_op
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     problem = report.problem
     if slack is None:
@@ -445,8 +440,7 @@ def verify_bounds(
     observed_pred = float(np.linalg.norm(phi.apply(x_star) - phi.apply(x0)))
     observed_breg = bregman(norm, u_star, u0, cert.alpha, tol=1e-6)
 
-    S0 = ctx.S if ctx is not None else decompose_at(norm, u0).T.complement()
-    observed_ls0 = float(np.linalg.norm(S0.project(u_star - u0)))
+    observed_ls0 = float(np.linalg.norm(ctx.S.project(u_star - u0)))
     ls0_bound = bregman_to_l2(breg_bound, bound.saturation, bound.c_a)
 
     observed_l2 = float(np.linalg.norm(x_star - x0))

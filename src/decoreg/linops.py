@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "RANK_RTOL",
+    "numerical_rank",
     "LinearOperator",
     "Subspace",
     "identity",
@@ -36,6 +37,14 @@ __all__ = [
 
 # Singular values at or below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-10
+
+
+def numerical_rank(s: np.ndarray, tol: float = RANK_RTOL) -> int:
+    """Number of singular values above ``tol`` times the largest; ``s`` is in
+    descending order, as ``np.linalg.svd`` returns it.  No singular values,
+    or a largest one of zero, give rank zero."""
+    smax = s[0] if s.size else 0.0
+    return int(np.sum(s > tol * smax)) if smax > 0 else 0
 
 
 def _vector(x, n: int, what: str) -> np.ndarray:
@@ -153,9 +162,7 @@ class Subspace:
         if a.shape[1] == 0:
             return cls.zero(a.shape[0])
         u, s, _ = np.linalg.svd(a, full_matrices=False)
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-        return cls(a.shape[0], u[:, :rank])
+        return cls(a.shape[0], u[:, :numerical_rank(s, tol)])
 
     @classmethod
     def from_coordinates(cls, n: int, indices) -> "Subspace":
@@ -207,9 +214,7 @@ def kernel_basis(op: LinearOperator, tol: float = RANK_RTOL) -> Subspace:
     if n == 0:
         return Subspace.zero(0)
     _, s, vt = np.linalg.svd(op.entries, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return Subspace(n, vt[rank:, :].T)
+    return Subspace(n, vt[numerical_rank(s, tol):, :].T)
 
 
 def image_basis(op: LinearOperator, tol: float = RANK_RTOL) -> Subspace:
@@ -218,9 +223,7 @@ def image_basis(op: LinearOperator, tol: float = RANK_RTOL) -> Subspace:
     if op.cols == 0 or m == 0:
         return Subspace.zero(m)
     u, s, _ = np.linalg.svd(op.entries, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return Subspace(m, u[:, :rank])
+    return Subspace(m, u[:, :numerical_rank(s, tol)])
 
 
 def restricted_injectivity_constant(phi: LinearOperator, sub: Subspace) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linops import Subspace
+from .linops import Subspace, numerical_rank
 
 __all__ = [
     "ACTIVE_RTOL",
@@ -214,13 +214,11 @@ def prox(norm: DecomposableNorm, u, tau: float) -> np.ndarray:
     if norm.kind == "l1":
         return np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
     if norm.kind == "group":
-        out = np.zeros_like(u)
-        for b in norm.blocks:
-            idx = list(b)
-            nb = np.linalg.norm(u[idx])
-            if nb > tau:
-                out[idx] = u[idx] * (1.0 - tau / nb)
-        return out
+        nb = _block_norms(norm, u[:, None])[:, 0]
+        kept = nb > tau
+        shrink = np.zeros_like(nb)
+        shrink[kept] = 1.0 - tau / nb[kept]
+        return u * shrink[norm._block_of]
     x = _to_matrix(norm, u)
     uu, s, vt = np.linalg.svd(x, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
@@ -315,17 +313,11 @@ def norm_subgradient(norm: DecomposableNorm, u) -> np.ndarray:
     if norm.kind == "l1":
         return np.sign(u)
     if norm.kind == "group":
-        out = np.zeros_like(u)
-        for b in norm.blocks:
-            idx = list(b)
-            nb = np.linalg.norm(u[idx])
-            if nb > 0:
-                out[idx] = u[idx] / nb
-        return out
+        nb = _block_norms(norm, u[:, None])[:, 0][norm._block_of]
+        return np.divide(u, nb, out=np.zeros_like(u), where=nb > 0)
     x = _to_matrix(norm, u)
     uu, s, vt = np.linalg.svd(x, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > 1e-14 * smax)) if smax > 0 else 0
+    r = numerical_rank(s, 1e-14)
     return _to_vector(uu[:, :r] @ vt[:r, :])
 
 
@@ -373,25 +365,22 @@ def decompose_at(norm: DecomposableNorm, u, tol: float = ACTIVE_RTOL) -> Decompo
         )
 
     if norm.kind == "group":
-        norms = np.array([np.linalg.norm(u[list(b)]) for b in norm.blocks])
-        mx = float(norms.max()) if norms.size else 0.0
-        active = [] if mx == 0.0 else [int(i) for i in np.nonzero(norms > tol * mx)[0]]
-        coords: list[int] = []
-        e = np.zeros(p)
-        for i in active:
-            idx = list(norm.blocks[i])
-            coords.extend(idx)
-            e[idx] = u[idx] / norms[i]
+        norms = _block_norms(norm, u[:, None])[:, 0]
+        mx = float(norms.max())
+        on = norms > tol * mx if mx > 0.0 else np.zeros(norms.size, dtype=bool)
+        coord_on = on[norm._block_of]
+        e = np.divide(u, norms[norm._block_of], out=np.zeros(p), where=coord_on)
         return DecompositionModel(
-            T=Subspace.from_coordinates(p, coords), e=e, active=tuple(active)
+            T=Subspace.from_coordinates(p, np.nonzero(coord_on)[0]),
+            e=e,
+            active=tuple(int(i) for i in np.nonzero(on)[0]),
         )
 
     # nuclear: model space is { U A^T + B V^T } for the thin singular spaces
     m, n = norm.shape
     x = _to_matrix(norm, u)
     uu, s, vt = np.linalg.svd(x, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    r = numerical_rank(s, tol)
     # deterministic sign convention: first significant entry of each kept
     # left singular vector is positive (the paired right vector flips too)
     for i in range(r):

@@ -46,6 +46,7 @@ from .linops import (
     Subspace,
     image_basis,
     kernel_basis,
+    numerical_rank,
 )
 from .norms import (
     DecomposableNorm,
@@ -57,6 +58,8 @@ from .norms import (
 )
 
 __all__ = [
+    "CHECK_EVERY",
+    "IC_FEASIBILITY_TOL",
     "SolverOptions",
     "Problem",
     "SolveReport",
@@ -71,11 +74,16 @@ __all__ = [
 ]
 
 
+# iterations between the convergence checks of the primal-dual loops
+CHECK_EVERY = 50
+# relative tolerance of ``ic_value``'s feasibility checks
+IC_FEASIBILITY_TOL = 1e-9
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-9
     max_iter: int = 200_000
-    check_every: int = 50
     init: np.ndarray | None = None
 
 
@@ -113,14 +121,12 @@ class Problem:
         self._check_data()
         stacked = np.vstack([self.phi.entries, self.l_adjoint.entries])
         s = np.linalg.svd(stacked, compute_uv=False)
-        smax = float(s[0]) if s.size else 0.0
-        rank = int(np.sum(s > RANK_RTOL * smax)) if smax > 0 else 0
-        if rank < n:
+        if numerical_rank(s) < n:
             raise ValueError(
                 "ker(phi) and ker(l_adjoint) intersect nontrivially: "
                 "the solution set is unbounded"
             )
-        object.__setattr__(self, "k_norm", smax)
+        object.__setattr__(self, "k_norm", float(s[0]) if s.size else 0.0)
 
     def _check_data(self) -> None:
         y = np.asarray(self.y, dtype=float).reshape(-1)
@@ -220,8 +226,8 @@ def solve_penalized_many(
 
     Each column has its own primal weight omega and steps tau = eta / omega,
     sigma = eta * omega with eta = 0.99 / ||K||.  omega is 1 for the first
-    five check windows (250 iterations at ``check_every = 50``), so a solve
-    that converges by then runs the plain fixed-step iteration.  From then on,
+    five check windows (250 iterations, one check per ``CHECK_EVERY``), so a
+    solve that converges by then runs the plain fixed-step iteration.  From then on,
     at every check point, each column moves omega halfway, in log scale,
     towards ||dual change|| / ||x change|| over the window just ended
     (Applegate et al., "Practical large-scale linear programming using
@@ -243,8 +249,6 @@ def solve_penalized_many(
         raise ValueError("max_iter must be at least 1")
     if not opts.tol > 0:
         raise ValueError("tol must be positive")
-    if opts.check_every < 1:
-        raise ValueError("check_every must be at least 1")
     problems = list(problems)
     if not problems:
         return []
@@ -259,7 +263,7 @@ def solve_penalized_many(
     big = np.vstack([first.phi.entries, first.l_adjoint.entries])
     step = 0.99 / first.k_norm if first.k_norm > 0 else 1.0
     tau = sigma = step
-    adapt_from = _WEIGHT_WARMUP_WINDOWS * opts.check_every
+    adapt_from = _WEIGHT_WARMUP_WINDOWS * CHECK_EVERY
 
     b = len(problems)
     init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
@@ -304,7 +308,7 @@ def solve_penalized_many(
         x_new = x - tau * (big.T @ q)
         xbar = 2.0 * x_new - x
         x = x_new
-        if it % opts.check_every == 0 or it == opts.max_iter:
+        if it % CHECK_EVERY == 0 or it == opts.max_iter:
             res = _composite_residual(first, x, dual_reg, y, lam)
             better = res < best_res - margin
             best_res[better] = res[better]
@@ -357,9 +361,7 @@ def solve_penalized_many(
     return reports
 
 
-def _xi_matrix(
-    phi: LinearOperator, ker: np.ndarray, tol: float = RANK_RTOL
-) -> tuple[np.ndarray, float]:
+def _xi_matrix(phi: LinearOperator, ker: np.ndarray) -> tuple[np.ndarray, float]:
     """Dense matrix of the map h -> argmin over ker(L_S^*) of
     0.5 ||Phi x||^2 - <h, x>, namely B (B^T Phi^T Phi B)^{-1} B^T for the
     orthonormal kernel basis B = ``ker``, and C_Phi, the smallest singular
@@ -375,7 +377,7 @@ def _xi_matrix(
             "the measurement space"
         )
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
         raise ValueError("restricted injectivity fails: Phi is singular on ker(L_S^*)")
     inner = vt.T @ np.diag(1.0 / s**2) @ vt
     return ker @ inner @ ker.T, float(s[-1])
@@ -383,11 +385,14 @@ def _xi_matrix(
 
 @dataclass(frozen=True, eq=False)
 class ICContext:
-    """Everything that depends only on (Phi, L, T): the model's complement
-    S, L_S = L P_S and the pieces built from its one SVD, shared by the
-    certificate, the irrepresentability programs, the null-space check and
-    the stability constants."""
+    """Everything that depends only on (Phi, L, T): the operators and the
+    model themselves, the model's complement S, L_S = L P_S and the pieces
+    built from its one SVD.  The irrepresentability programs, the
+    certificate, the stability constants and the bound checks take it in
+    place of (Phi, L, T); ``ic_context`` builds it."""
 
+    phi: LinearOperator
+    l_op: LinearOperator
     T: Subspace
     S: Subspace
     xi: np.ndarray               # N x N restricted normal-equation map
@@ -403,9 +408,7 @@ class ICContext:
     c_l: float                   # smallest nonzero singular value of L_S^*
 
 
-def ic_context(
-    phi: LinearOperator, l_op: LinearOperator, T: Subspace, tol: float = RANK_RTOL
-) -> ICContext:
+def ic_context(phi: LinearOperator, l_op: LinearOperator, T: Subspace) -> ICContext:
     """Build the context of the model subspace T.
 
     One SVD of L_S gives ker(L_S), Im(L_S), ker(L_S^*), pinv(L_S) and C_L
@@ -418,14 +421,15 @@ def ic_context(
     lt = l_op.entries @ T.projector_matrix()
     ls = l_op.entries @ ps
     u, s, vt = np.linalg.svd(ls, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    rank = numerical_rank(s)
     ls_pinv = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
-    xi, c_phi = _xi_matrix(phi, u[:, rank:], tol)
+    xi, c_phi = _xi_matrix(phi, u[:, rank:])
     gamma = ls_pinv @ ((phi.entries.T @ (phi.entries @ xi) - np.eye(n)) @ lt)
     ker_ls = Subspace(l_op.cols, vt[rank:].T)
     leftover = (np.eye(n) - u[:, :rank] @ u[:, :rank].T) @ phi.entries.T
     return ICContext(
+        phi=phi,
+        l_op=l_op,
         T=T,
         S=S,
         xi=xi,
@@ -435,7 +439,7 @@ def ic_context(
         gamma=gamma,
         ker_ls=ker_ls,
         cols_u=ps @ ker_ls.basis,
-        z_space=kernel_basis(LinearOperator(leftover), tol),
+        z_space=kernel_basis(LinearOperator(leftover)),
         ls_pinv_phi_adj=ls_pinv @ phi.entries.T,
         c_phi=c_phi,
         c_l=float(s[rank - 1]) if rank else float("inf"),
@@ -453,38 +457,29 @@ class ICSolution:
     converged: bool
 
 
-def ic_value(
-    phi: LinearOperator,
-    l_op: LinearOperator,
-    norm: DecomposableNorm,
-    T: Subspace,
-    e,
-    u,
-    z,
-    feas_tol: float = 1e-9,
-    ctx: ICContext | None = None,
-) -> float:
+def ic_value(ctx: ICContext, norm: DecomposableNorm, e, u, z) -> float:
     """Evaluate the irrepresentability coefficient at a feasible pair (u, z).
 
     Feasibility (u in ker(L_S), Phi^* z in Im(L_S)) is enforced up to
-    ``feas_tol`` and violations name the failing membership.
+    ``IC_FEASIBILITY_TOL`` relative and violations name the failing
+    membership.
     """
-    ctx = ctx or ic_context(phi, l_op, T)
     e = np.asarray(e, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
     z = np.asarray(z, dtype=float).reshape(-1)
-    p_dim = l_op.cols
+    p_dim = ctx.l_op.cols
     if e.shape[0] != p_dim or u.shape[0] != p_dim:
         raise ValueError("e and u must live in the analysis space")
-    if z.shape[0] != phi.rows:
+    if z.shape[0] != ctx.phi.rows:
         raise ValueError("z must live in the measurement space")
 
     ls = ctx.ls
-    if np.linalg.norm(ls @ u) > feas_tol * (1.0 + np.linalg.norm(ls) * np.linalg.norm(u)):
+    tol = IC_FEASIBILITY_TOL
+    if np.linalg.norm(ls @ u) > tol * (1.0 + np.linalg.norm(ls) * np.linalg.norm(u)):
         raise ValueError("infeasible u: not a member of ker(L_S)")
-    phz = phi.entries.T @ z
+    phz = ctx.phi.entries.T @ z
     im_resid = phz - (ls @ (ctx.ls_pinv @ phz))
-    if np.linalg.norm(im_resid) > feas_tol * (1.0 + np.linalg.norm(phz)):
+    if np.linalg.norm(im_resid) > tol * (1.0 + np.linalg.norm(phz)):
         raise ValueError("infeasible z: Phi^* z is not a member of Im(L_S)")
 
     vec = ctx.gamma @ e + ctx.S.project(u) + ctx.ls_pinv_phi_adj @ z
@@ -607,13 +602,11 @@ def _min_dual_norm_pdhg(
     w as the dual block and eta = 0.99 / ||columns|| from the exact spectral
     norm.
     """
-    if opts.check_every < 1:
-        raise ValueError("check_every must be at least 1")
     k = columns.shape[1]
     step = 0.99 / np.linalg.norm(columns, 2)
     tau = sigma = step
     omega = 1.0
-    adapt_from = _WEIGHT_WARMUP_WINDOWS * opts.check_every
+    adapt_from = _WEIGHT_WARMUP_WINDOWS * CHECK_EVERY
     base = dual_norm_value(norm, g0)
     val_start = dual_norm_value(norm, g0 + columns @ c_start)
     w = np.zeros_like(g0)
@@ -632,7 +625,7 @@ def _min_dual_norm_pdhg(
         c_new = c - tau * (columns.T @ w)
         cbar = 2.0 * c_new - c
         c = c_new
-        if it % opts.check_every == 0 or it == opts.max_iter:
+        if it % CHECK_EVERY == 0 or it == opts.max_iter:
             val = dual_norm_value(norm, g0 + columns @ c)
             if val < best_val:
                 best_val = val
@@ -653,51 +646,41 @@ def _min_dual_norm_pdhg(
     return best_c, best_val, max(float(gap), 0.0), converged, w_feas
 
 
+def _minimize_ic(
+    ctx: ICContext, norm: DecomposableNorm, e, opts: SolverOptions | None, joint: bool
+) -> ICSolution:
+    """The irrepresentability program over u in ker(L_S) and, when ``joint``,
+    z in the z-space too, both in orthonormal coordinates."""
+    opts = opts or SolverOptions()
+    e = np.asarray(e, dtype=float).reshape(-1)
+    if e.shape[0] != ctx.l_op.cols:
+        raise ValueError(f"e has length {e.shape[0]}, expected {ctx.l_op.cols}")
+    z_basis = ctx.z_space.basis if joint else np.zeros((ctx.phi.rows, 0))
+    columns = np.hstack([ctx.cols_u, ctx.ls_pinv_phi_adj @ z_basis])
+    c, value, gap, converged, _ = _min_dual_norm_affine(norm, ctx.gamma @ e, columns, opts)
+    k1 = ctx.cols_u.shape[1]
+    return ICSolution(
+        u=ctx.ker_ls.basis @ c[:k1],
+        z=z_basis @ c[k1:],
+        value=value,
+        gap=gap,
+        converged=converged,
+    )
+
+
 def minimize_ic_full(
-    phi: LinearOperator,
-    l_op: LinearOperator,
-    norm: DecomposableNorm,
-    T: Subspace,
-    e,
-    opts: SolverOptions | None = None,
-    ctx: ICContext | None = None,
+    ctx: ICContext, norm: DecomposableNorm, e, opts: SolverOptions | None = None
 ) -> ICSolution:
     """Minimize the irrepresentability coefficient over both feasible blocks.
 
     u ranges over ker(L_S) and z over the preimage parametrization of
-    { z : Phi^* z in Im(L_S) }; both are reduced to orthonormal coordinates.
+    { z : Phi^* z in Im(L_S) }.
     """
-    opts = opts or SolverOptions()
-    ctx = ctx or ic_context(phi, l_op, T)
-    e = np.asarray(e, dtype=float).reshape(-1)
-    if e.shape[0] != l_op.cols:
-        raise ValueError(f"e has length {e.shape[0]}, expected {l_op.cols}")
-    g0 = ctx.gamma @ e
-    cols_z = ctx.ls_pinv_phi_adj @ ctx.z_space.basis
-    columns = np.hstack([ctx.cols_u, cols_z])
-    c, value, gap, converged, _ = _min_dual_norm_affine(norm, g0, columns, opts)
-    k1 = ctx.cols_u.shape[1]
-    u = ctx.ker_ls.basis @ c[:k1] if k1 else np.zeros(l_op.cols)
-    z = ctx.z_space.basis @ c[k1:] if c[k1:].size else np.zeros(phi.rows)
-    return ICSolution(u=u, z=z, value=value, gap=gap, converged=converged)
+    return _minimize_ic(ctx, norm, e, opts, joint=True)
 
 
 def minimize_ic_u(
-    phi: LinearOperator,
-    l_op: LinearOperator,
-    norm: DecomposableNorm,
-    T: Subspace,
-    e,
-    opts: SolverOptions | None = None,
-    ctx: ICContext | None = None,
+    ctx: ICContext, norm: DecomposableNorm, e, opts: SolverOptions | None = None
 ) -> ICSolution:
     """Minimize the irrepresentability coefficient over u alone (z fixed to 0)."""
-    opts = opts or SolverOptions()
-    ctx = ctx or ic_context(phi, l_op, T)
-    e = np.asarray(e, dtype=float).reshape(-1)
-    if e.shape[0] != l_op.cols:
-        raise ValueError(f"e has length {e.shape[0]}, expected {l_op.cols}")
-    g0 = ctx.gamma @ e
-    c, value, gap, converged, _ = _min_dual_norm_affine(norm, g0, ctx.cols_u, opts)
-    u = ctx.ker_ls.basis @ c if c.size else np.zeros(l_op.cols)
-    return ICSolution(u=u, z=np.zeros(phi.rows), value=value, gap=gap, converged=converged)
+    return _minimize_ic(ctx, norm, e, opts, joint=False)

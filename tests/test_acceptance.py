@@ -182,20 +182,17 @@ def test_criterion_3_certificates():
             model = decompose_at(norm, l_op.T.apply(x0))
             try:
                 ctx = ic_context(phi, l_op, model.T)
-                cert = build_certificate(
-                    phi, l_op, norm, model.T, model.e, mode="full", opts=opts
-                )
+                cert = build_certificate(ctx, norm, model.e, mode="full", opts=opts)
             except ValueError:
                 continue  # injectivity fails for this draw
             ok &= bool(cert.source_residual <= 1e-7)
             ok &= bool(
                 np.linalg.norm(model.T.project(cert.alpha) - model.e) <= 1e-9
             )
-            joint = minimize_ic_full(phi, l_op, norm, model.T, model.e, opts, ctx=ctx)
-            u_only = minimize_ic_u(phi, l_op, norm, model.T, model.e, opts, ctx=ctx)
+            joint = minimize_ic_full(ctx, norm, model.e, opts)
+            u_only = minimize_ic_u(ctx, norm, model.e, opts)
             zero = ic_value(
-                phi, l_op, norm, model.T, model.e,
-                np.zeros(norm.ambient_dim), np.zeros(phi.rows), ctx=ctx,
+                ctx, norm, model.e, np.zeros(norm.ambient_dim), np.zeros(phi.rows)
             )
             ok &= bool(joint.value <= u_only.value + 1e-7)
             ok &= bool(u_only.value <= zero + 1e-7)
@@ -292,7 +289,7 @@ def test_criterion_5_uniqueness(tmp_path):
         verdict = strong_nsp_check(phi, identity(n), model.T, model.e, norm)
         if (verdict.status == STATUS_UNIQUE) == agree:
             matches += 1
-        cert = build_certificate(phi, identity(n), norm, model.T, model.e)
+        cert = build_certificate(ic_context(phi, identity(n), model.T), norm, model.e)
         s = model.T.complement()
         ls_adj = LinearOperator((identity(n).entries @ s.projector_matrix()).T)
         c_phi = restricted_injectivity_constant(phi, kernel_basis(ls_adj))
@@ -325,13 +322,12 @@ def test_criterion_6_frame_mode(tmp_path):
     # the constant must be sqrt(a) exactly, not the restricted singular value
     phi, l_op, norm, x0, _ = generate_scenario(cfg)
     model = decompose_at(norm, l_op.T.apply(x0))
-    cert = build_certificate(phi, l_op, norm, model.T, model.e)
+    ctx = ic_context(phi, l_op, model.T)
+    cert = build_certificate(ctx, norm, model.e)
     from decoreg.guarantees import stability_constants
 
-    framed = stability_constants(
-        phi, l_op, norm, model.T, cert, 1.0, frame_mode=1.0
-    )
-    plain = stability_constants(phi, l_op, norm, model.T, cert, 1.0)
+    framed = stability_constants(ctx, norm, cert, 1.0, frame_mode=1.0)
+    plain = stability_constants(ctx, norm, cert, 1.0)
     ok &= framed.c_l == pytest.approx(np.sqrt(1.0))
     ok &= plain.c_l != framed.c_l  # the standard path measures L_{S0}^*
     _report(6, ok, started, f"{len(result.rows)} frame trials, c_l = sqrt(a)")

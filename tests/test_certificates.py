@@ -16,7 +16,7 @@ from decoreg.linops import (
     restricted_injectivity_constant,
 )
 from decoreg.norms import decompose_at, l1, group, nuclear
-from decoreg.solver import Problem, SolverOptions, solve_penalized
+from decoreg.solver import Problem, SolverOptions, ic_context, solve_penalized
 
 rng = np.random.default_rng(31)
 
@@ -78,7 +78,7 @@ class TestBuildCertificate:
         norm = l1(4)
         x0 = np.array([1.0, 0.0, 0.0, 0.0])
         model = decompose_at(norm, x0)
-        cert = build_certificate(phi, identity(4), norm, model.T, model.e)
+        cert = build_certificate(ic_context(phi, identity(4), model.T), norm, model.e)
         assert np.allclose(cert.eta, phi.entries[:, 0], atol=1e-9)
         assert np.allclose(cert.alpha, model.e, atol=1e-9)
         assert cert.saturation == pytest.approx(0.0, abs=1e-9)
@@ -88,17 +88,17 @@ class TestBuildCertificate:
         norm = l1(2)
         model = decompose_at(norm, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            build_certificate(phi, identity(2), norm, model.T, model.e)
+            build_certificate(ic_context(phi, identity(2), model.T), norm, model.e)
 
     def test_unknown_mode_rejected(self):
         phi, l_op, norm, x0, model = certificate_instance(0)
         with pytest.raises(ValueError):
-            build_certificate(phi, l_op, norm, model.T, model.e, mode="dual")
+            build_certificate(ic_context(phi, l_op, model.T), norm, model.e, mode="dual")
 
     def test_built_certificates_satisfy_source_condition(self):
         for seed in range(10):
             phi, l_op, norm, x0, model = certificate_instance(seed)
-            cert = build_certificate(phi, l_op, norm, model.T, model.e)
+            cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
             assert cert.source_residual <= 1e-7
             res = check_source_condition(phi, l_op, norm, x0, cert)
             if cert.saturation <= 1.0:
@@ -106,12 +106,12 @@ class TestBuildCertificate:
 
     def test_model_part_matches_direction(self):
         phi, l_op, norm, x0, model = certificate_instance(7)
-        cert = build_certificate(phi, l_op, norm, model.T, model.e)
+        cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
         assert np.linalg.norm(model.T.project(cert.alpha) - model.e) <= 1e-9
 
     def test_saturation_recomputable(self):
         phi, l_op, norm, x0, model = certificate_instance(3)
-        cert = build_certificate(phi, l_op, norm, model.T, model.e)
+        cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
         from decoreg.norms import dual_norm_value
 
         s = model.T.complement()
@@ -127,11 +127,10 @@ class TestBuildCertificate:
             assert seed < 300, "instance generation starved"
             phi, l_op, norm, x0, model = certificate_instance(seed, m=6, n=8)
             try:
-                full = build_certificate(phi, l_op, norm, model.T, model.e, mode="full")
-                u_only = build_certificate(
-                    phi, l_op, norm, model.T, model.e, mode="u_only"
-                )
-                zero = build_certificate(phi, l_op, norm, model.T, model.e, mode="zero")
+                ctx = ic_context(phi, l_op, model.T)
+                full = build_certificate(ctx, norm, model.e, mode="full")
+                u_only = build_certificate(ctx, norm, model.e, mode="u_only")
+                zero = build_certificate(ctx, norm, model.e, mode="zero")
             except ValueError:
                 continue
             assert full.saturation <= u_only.saturation + 1e-7
@@ -139,21 +138,18 @@ class TestBuildCertificate:
             checked += 1
 
     def test_carries_its_program_value_and_gap(self):
-        from decoreg.solver import ic_context, ic_value, minimize_ic_full, minimize_ic_u
+        from decoreg.solver import ic_value, minimize_ic_full, minimize_ic_u
 
         phi, l_op, norm, _, model = certificate_instance(3)
         T, e = model.T, model.e
         ctx = ic_context(phi, l_op, T)
         programs = {
-            "full": minimize_ic_full(phi, l_op, norm, T, e, ctx=ctx),
-            "u_only": minimize_ic_u(phi, l_op, norm, T, e, ctx=ctx),
+            "full": minimize_ic_full(ctx, norm, e),
+            "u_only": minimize_ic_u(ctx, norm, e),
         }
-        zero_value = ic_value(phi, l_op, norm, T, e, np.zeros(8), np.zeros(6), ctx=ctx)
+        zero_value = ic_value(ctx, norm, e, np.zeros(8), np.zeros(6))
         for mode in ("full", "u_only", "zero"):
-            cert = build_certificate(phi, l_op, norm, T, e, mode=mode, ctx=ctx)
-            fresh = build_certificate(phi, l_op, norm, T, e, mode=mode)
-            assert np.array_equal(cert.alpha, fresh.alpha)
-            assert cert.ic_value == fresh.ic_value
+            cert = build_certificate(ctx, norm, e, mode=mode)
             if mode == "zero":
                 assert cert.ic_value == zero_value
                 assert cert.ic_gap == 0.0 and cert.ic_converged
@@ -171,7 +167,7 @@ class TestBuildCertificate:
         for seed in range(40):
             phi, l_op, norm, x0, model = certificate_instance(seed, m=3, n=8, support=2)
             try:
-                cert = build_certificate(phi, l_op, norm, model.T, model.e)
+                cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
             except ValueError:
                 continue
             if cert.saturation >= 1.0:
@@ -187,7 +183,7 @@ class TestBuildCertificate:
         x0 = np.zeros(9)
         x0[:3] = [1.0, -2.0, 0.5]
         model = decompose_at(norm, x0)
-        cert = build_certificate(phi, identity(9), norm, model.T, model.e)
+        cert = build_certificate(ic_context(phi, identity(9), model.T), norm, model.e)
         assert cert.source_residual <= 1e-7
         assert np.linalg.norm(model.T.project(cert.alpha) - model.e) <= 1e-9
 
@@ -195,7 +191,7 @@ class TestBuildCertificate:
         phi2 = LinearOperator(r.standard_normal((8, 9)) / np.sqrt(8))
         u0 = np.outer(r.standard_normal(3), r.standard_normal(3)).reshape(-1, order="F")
         model2 = decompose_at(nuc, u0)
-        cert2 = build_certificate(phi2, identity(9), nuc, model2.T, model2.e)
+        cert2 = build_certificate(ic_context(phi2, identity(9), model2.T), nuc, model2.e)
         assert cert2.source_residual <= 1e-7
         assert np.linalg.norm(model2.T.project(cert2.alpha) - model2.e) <= 1e-9
 
@@ -218,7 +214,7 @@ class TestUniquenessCrossCheck:
 
         for seed in (1, 4, 9):
             phi, l_op, norm, x0, model = certificate_instance(seed)
-            cert = build_certificate(phi, l_op, norm, model.T, model.e)
+            cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
             if cert.saturation >= 1.0:
                 continue
             s = model.T.complement()
@@ -268,7 +264,7 @@ class TestCsv:
         x0[:3] = [1.0, -2.0, 0.5]
         model = decompose_at(norm, x0)
         short = build_certificate(
-            phi, identity(9), norm, model.T, model.e, opts=SolverOptions(max_iter=3)
+            ic_context(phi, identity(9), model.T), norm, model.e, opts=SolverOptions(max_iter=3)
         )
         assert not short.ic_converged and short.ic_gap > 0
         write_certificate_csv(short, path)

@@ -432,18 +432,36 @@ class TestSolveTrials:
         # the three noiseless rows report the one shared solve
         assert result.rows[0][3:] == result.rows[1][3:] == result.rows[2][3:]
 
+    def test_sweep_verifies_each_distinct_solve_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = experiments.verify_bounds
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "verify_bounds", counted)
+        cfg = base_config(m=14, epsilons=(0.0, 0.01), noise_draws=3, plot=False)
+        result = run_scenario(cfg, tmp_path)
+        assert len(result.rows) == len(result.reports) == 6
+        # one check for the shared noiseless solve, one per noisy draw
+        assert len(calls) == 4
+        assert result.reports[0] is result.reports[1] is result.reports[2]
+        assert len({id(r) for r in result.reports[3:]}) == 3
+
     @pytest.mark.parametrize("mode", ["full", "u_only", "zero"])
     def test_sweep_builds_the_ic_context_once(self, tmp_path, monkeypatch, mode):
-        """One context per sweep; the NSP check, the constants and the bound
-        checks of every trial read the model from it instead of deriving it
-        again with ``decompose_at`` or ``Subspace.complement``."""
+        """One context per sweep; the constants and the bound checks of every
+        trial read the model from it instead of deriving it again with
+        ``Subspace.complement``."""
         import decoreg.certificates as certificates
         import decoreg.experiments as experiments
         import decoreg.guarantees as guarantees
+        import decoreg.solver as solver
         from decoreg.linops import Subspace
 
         calls = {"ic_context": 0, "minimize_ic_full": 0, "minimize_ic_u": 0}
-        rederived = {"decompose_at": 0, "complement": 0}
+        rederived = {"complement": 0}
         inside = [0]  # depth of calls into the context consumers
 
         def counted(module, name):
@@ -476,20 +494,19 @@ class TestSolveTrials:
 
             monkeypatch.setattr(owner, attr, wrapper)
 
-        for module in (certificates, experiments):
+        for module in (certificates, experiments, guarantees, solver):
             for name in calls:
-                counted(module, name)
-        counted(guarantees, "ic_context")
-        for name in ("verify_bounds", "stability_constants", "strong_nsp_check"):
+                if hasattr(module, name):
+                    counted(module, name)
+        for name in ("verify_bounds", "stability_constants"):
             consumer(name)
-        rederiving(guarantees, "decompose_at", "decompose_at")
         rederiving(Subspace, "complement", "complement")
         # m = 14: no mode's certificate saturates, so every mode runs its trials
         cfg = base_config(m=14, noise_draws=2, plot=False, certificate_mode=mode)
         result = run_scenario(cfg, tmp_path)
         assert len(result.rows) == 6
         assert calls == {"ic_context": 1, "minimize_ic_full": 1, "minimize_ic_u": 1}
-        assert rederived == {"decompose_at": 0, "complement": 0}
+        assert rederived == {"complement": 0}
         summary = (tmp_path / "summary.txt").read_text()
         joint, u_only, zero = (
             float(v) for v in summary.split("ic chain (joint, u-only, zero): ")[1].split()[:3]

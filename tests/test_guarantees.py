@@ -251,12 +251,12 @@ class TestStrongNsp:
             ctx = ic_context(phi, l_op, model.T)
         except ValueError:
             assume(False)
-        joint = minimize_ic_full(phi, l_op, norm, model.T, model.e, ctx=ctx)
+        joint = minimize_ic_full(ctx, norm, model.e)
         value, gap = standalone_nsp_program(phi, l_op, norm, model)
         assert abs(value - joint.value) <= gap + joint.gap + 1e-12 * (1.0 + value)
         alone = strong_nsp_check(phi, l_op, model.T, model.e, norm)
         reused = strong_nsp_check(
-            phi, l_op, model.T, model.e, norm, ctx=ctx, joint=(joint.value, joint.gap)
+            phi, l_op, model.T, model.e, norm, joint=(joint.value, joint.gap)
         )
         assert reused.status == alone.status
 
@@ -380,12 +380,7 @@ class TestStabilityConstants:
         model = l1_model([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             stability_constants(
-                LinearOperator(np.eye(3, 4)),
-                identity(4),
-                l1(4),
-                model.T,
-                cert,
-                1.0,
+                ic_context(LinearOperator(np.eye(3, 4)), identity(4), model.T), l1(4), cert, 1.0
             )
 
     def test_frame_mode_matches_standard_on_orthonormal_analysis(self):
@@ -399,11 +394,10 @@ class TestStabilityConstants:
         u0 = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
         x0 = np.linalg.solve(q, u0)
         model = decompose_at(norm, l_op.T.apply(x0))
-        cert = build_certificate(phi, l_op, norm, model.T, model.e)
-        plain = stability_constants(phi, l_op, norm, model.T, cert, 1.0)
-        framed = stability_constants(
-            phi, l_op, norm, model.T, cert, 1.0, frame_mode=1.0
-        )
+        ctx = ic_context(phi, l_op, model.T)
+        cert = build_certificate(ctx, norm, model.e)
+        plain = stability_constants(ctx, norm, cert, 1.0)
+        framed = stability_constants(ctx, norm, cert, 1.0, frame_mode=1.0)
         assert plain.c_l == pytest.approx(1.0, abs=1e-10)
         assert framed.c_l == pytest.approx(plain.c_l, abs=1e-10)
 
@@ -414,12 +408,7 @@ class TestStabilityConstants:
         l_op = LinearOperator(np.eye(4, 3))  # L: R^3 -> R^4, L^* = 3x4
         with pytest.raises(ValueError, match="frame"):
             stability_constants(
-                LinearOperator(np.eye(4)),
-                l_op,
-                l1(3),
-                model.T,
-                cert,
-                1.0,
+                ic_context(LinearOperator(np.eye(4)), l_op, model.T), l1(3), cert, 1.0,
                 frame_mode=1.0,
             )
 
@@ -462,14 +451,16 @@ def stability_instance(seed=0, m=6, n=8):
     x0[1] = 2.0
     x0[5] = -1.5
     model = decompose_at(norm, x0)
-    cert = build_certificate(phi, identity(n), norm, model.T, model.e)
-    bound = stability_constants(phi, identity(n), norm, model.T, cert, 1.0)
-    return phi, identity(n), norm, x0, cert, bound
+    ctx = ic_context(phi, identity(n), model.T)
+    cert = build_certificate(ctx, norm, model.e)
+    bound = stability_constants(ctx, norm, cert, 1.0)
+    return ctx, norm, x0, cert, bound
 
 
 class TestVerifyBounds:
     def test_all_pass_across_noise_draws(self):
-        phi, l_op, norm, x0, cert, bound = stability_instance()
+        ctx, norm, x0, cert, bound = stability_instance()
+        phi, l_op = ctx.phi, ctx.l_op
         c = 1.0
         for eps in (1e-3, 1e-2, 1e-1):
             for draw in range(5):
@@ -477,13 +468,14 @@ class TestVerifyBounds:
                 y = phi.apply(x0) + w
                 p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=c * eps)
                 report = solve_penalized(p, SolverOptions(tol=1e-9))
-                chk = verify_bounds(phi, l_op, norm, x0, cert, eps, c, report, bound)
+                chk = verify_bounds(ctx, norm, x0, cert, eps, c, report, bound)
                 assert chk.preconditions_ok
                 assert chk.pass_all
 
     def test_failed_comparison_recorded_not_raised(self):
         # shrink the assembled constant until the l2 check cannot hold
-        phi, l_op, norm, x0, cert, bound = stability_instance()
+        ctx, norm, x0, cert, bound = stability_instance()
+        phi, l_op = ctx.phi, ctx.l_op
         tiny = type(bound)(
             c=bound.c, eta_norm=bound.eta_norm, saturation=bound.saturation,
             c_phi=bound.c_phi, c_l=bound.c_l, c_a=bound.c_a,
@@ -493,38 +485,39 @@ class TestVerifyBounds:
         y = phi.apply(x0) + noise_in_ball(np.random.default_rng(1), 6, eps)
         p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=eps)
         report = solve_penalized(p, SolverOptions(tol=1e-9))
-        chk = verify_bounds(
-            phi, l_op, norm, x0, cert, eps, 1.0, report, tiny, slack=0.0
-        )
+        chk = verify_bounds(ctx, norm, x0, cert, eps, 1.0, report, tiny, slack=0.0)
         assert chk.preconditions_ok
         assert not chk.l2.passed
         assert not chk.pass_all
 
     def test_mis_scaled_lambda_flagged(self):
-        phi, l_op, norm, x0, cert, bound = stability_instance()
+        ctx, norm, x0, cert, bound = stability_instance()
+        phi, l_op = ctx.phi, ctx.l_op
         eps = 0.01
         y = phi.apply(x0) + noise_in_ball(np.random.default_rng(0), 6, eps)
         p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=0.5)
         report = solve_penalized(p, SolverOptions(tol=1e-9))
-        chk = verify_bounds(phi, l_op, norm, x0, cert, eps, 1.0, report, bound)
+        chk = verify_bounds(ctx, norm, x0, cert, eps, 1.0, report, bound)
         assert not chk.preconditions_ok
         assert "lambda" in chk.reason
         assert not chk.pass_all
 
     def test_noise_outside_ball_flagged(self):
-        phi, l_op, norm, x0, cert, bound = stability_instance()
+        ctx, norm, x0, cert, bound = stability_instance()
+        phi, l_op = ctx.phi, ctx.l_op
         eps = 0.01
         y = phi.apply(x0) + 10 * eps * np.ones(6) / np.sqrt(6)
         p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=eps)
         report = solve_penalized(p, SolverOptions(tol=1e-9))
-        chk = verify_bounds(phi, l_op, norm, x0, cert, eps, 1.0, report, bound)
+        chk = verify_bounds(ctx, norm, x0, cert, eps, 1.0, report, bound)
         assert not chk.preconditions_ok
         assert "noise" in chk.reason
 
     def test_separable_margin_substitution_still_passes(self):
         # substitute the V-part margin and injectivity constant; on this
         # instance the weaker-margin constants must still dominate the error
-        phi, l_op, norm, x0, cert, bound = stability_instance(seed=4)
+        ctx, norm, x0, cert, bound = stability_instance(seed=4)
+        phi, l_op = ctx.phi, ctx.l_op
         model = decompose_at(norm, x0)
         inactive = [i for i in range(8) if i not in model.active]
         # V carries the attaining coordinates: its margin equals the full one
@@ -541,9 +534,7 @@ class TestVerifyBounds:
         c_phi_v = restricted_injectivity_constant(phi, kernel_basis(ls_adj))
         assert c_phi_v > 0
         sub_cert = DualCertificate(cert.eta, cert.alpha, sat_v, cert.source_residual)
-        sub_bound = stability_constants(
-            phi, l_op, norm, model.T, sub_cert, 1.0
-        )
+        sub_bound = stability_constants(ctx, norm, sub_cert, 1.0)
         patched = type(sub_bound)(
             c=sub_bound.c,
             eta_norm=sub_bound.eta_norm,
@@ -567,7 +558,5 @@ class TestVerifyBounds:
             y = phi.apply(x0) + noise_in_ball(np.random.default_rng(5), 6, eps)
             p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=eps)
             report = solve_penalized(p, SolverOptions(tol=1e-9))
-            chk = verify_bounds(
-                phi, l_op, norm, x0, sub_cert, eps, 1.0, report, patched
-            )
+            chk = verify_bounds(ctx, norm, x0, sub_cert, eps, 1.0, report, patched)
             assert chk.pass_all

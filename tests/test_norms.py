@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoreg.norms import (
+    ACTIVE_RTOL,
     bregman,
     coercivity_constant,
     decompose_at,
@@ -593,8 +594,45 @@ def reference_group_primal_projection(norm, v, radius):
     return out
 
 
+def reference_group_blockwise(norm, u, tau):
+    """Group prox at tau, the subgradient with zero on vanishing blocks and
+    the model's active blocks and e, written out block by block."""
+    block_norms = [np.linalg.norm(u[list(b)]) for b in norm.blocks]
+    mx = max(block_norms)
+    prox_u, subgrad, e = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    active = []
+    for i, (b, nb) in enumerate(zip(norm.blocks, block_norms)):
+        idx = list(b)
+        if nb > tau:
+            prox_u[idx] = u[idx] * (1.0 - tau / nb)
+        if nb > 0:
+            subgrad[idx] = u[idx] / nb
+        if mx > 0 and nb > ACTIVE_RTOL * mx:
+            active.append(i)
+            e[idx] = u[idx] / nb
+    return prox_u, subgrad, tuple(active), e
+
+
 class TestGroupBlockLayout:
-    """The group dual norm and primal-ball projection against per-block loops."""
+    """The group norm's block-layout code against per-block loops."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_prox_subgradient_and_model_match_block_loops(self, data):
+        norm = data.draw(group_norms())
+        u = data.draw(columns(norm, 1))[:, 0]
+        for i in data.draw(st.sets(st.integers(0, len(norm.blocks) - 1))):
+            u[list(norm.blocks[i])] = 0.0
+        tau = data.draw(st.floats(0.05, 2.0))
+        prox_u, subgrad, active, e = reference_group_blockwise(norm, u, tau)
+        scale = ROUNDING * (1.0 + np.linalg.norm(u))
+        assert np.linalg.norm(prox(norm, u, tau) - prox_u) <= scale
+        assert np.linalg.norm(norm_subgradient(norm, u) - subgrad) <= ROUNDING
+        model = decompose_at(norm, u)
+        assert model.active == active
+        coords = sorted(i for a in active for i in norm.blocks[a])
+        assert np.array_equal(model.T.basis, np.eye(norm.ambient_dim)[:, coords])
+        assert np.linalg.norm(model.e - e) <= ROUNDING
 
     @PROPERTY
     @given(st.data())

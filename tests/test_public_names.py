@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -29,6 +30,20 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(f"decoreg.{module}")
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("module", ["solver", "certificates", "guarantees"])
+def test_no_function_takes_an_optional_context(module):
+    """The model context is passed in, never rebuilt behind a ``ctx=None``."""
+    mod = importlib.import_module(f"decoreg.{module}")
+    optional = [
+        name
+        for name in mod.__all__
+        if inspect.isfunction(getattr(mod, name))
+        and "ctx" in (params := inspect.signature(getattr(mod, name)).parameters)
+        and params["ctx"].default is not inspect.Parameter.empty
+    ]
+    assert not optional
 
 
 @pytest.mark.parametrize("module, name", traced_names())

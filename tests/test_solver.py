@@ -27,6 +27,7 @@ from decoreg.norms import (
     project_dual_ball,
 )
 from decoreg.solver import (
+    CHECK_EVERY,
     Problem,
     SolverOptions,
     ic_context,
@@ -162,7 +163,7 @@ def fixed_step_reference(p, opts, init=None):
         x_new = x - step * (big.T @ np.concatenate((dual_fit, dual_reg)))
         xbar = 2.0 * x_new - x
         x = x_new
-        if it % opts.check_every == 0 or it == opts.max_iter:
+        if it % CHECK_EVERY == 0 or it == opts.max_iter:
             res = _composite_residual(p, x, dual_reg, y, lam)
             if res[0] < best_res - margin[0]:
                 best_res, best_x = res[0], x
@@ -207,7 +208,7 @@ def allocating_batched_reference(problems, opts):
         x_new = x - tau * (big.T @ np.concatenate((dual_fit, dual_reg)))
         xbar = 2.0 * x_new - x
         x = x_new
-        if it % opts.check_every == 0 or it == opts.max_iter:
+        if it % CHECK_EVERY == 0 or it == opts.max_iter:
             res = _composite_residual(first, x, dual_reg, y, lam)
             better = res < best_res - margin
             best_res[better] = res[better]
@@ -231,7 +232,7 @@ def allocating_batched_reference(problems, opts):
                 lam, threshold, margin, best_res, live, omega = (
                     a[keep] for a in (lam, threshold, margin, best_res, live, omega)
                 )
-            if it >= 5 * opts.check_every:
+            if it >= 5 * CHECK_EVERY:
                 dx = np.linalg.norm(x - x_prev, axis=0)
                 dd = np.sqrt(
                     np.sum((dual_fit - fit_prev) ** 2, axis=0)
@@ -393,22 +394,6 @@ class TestSolvePenalizedMany:
         else:
             # not converged at any check of the first 250 iterations either
             assert report.iterations > 250
-
-    @pytest.mark.parametrize("check_every", [0, -1])
-    def test_check_every_checked(self, check_every):
-        opts = SolverOptions(check_every=check_every)
-        from decoreg.experiments import solve_vanishing
-
-        p = l1_problem(4, 6, lam=0.1, seed=1)
-        for solve in (solve_penalized, solve_vanishing):
-            with pytest.raises(ValueError, match="check_every must be at least 1"):
-                solve(p, opts)
-        g0 = np.array([1.0, -2.0, 0.5])
-        cols = np.array([[1.0], [1.0], [0.0]])
-        with pytest.raises(ValueError, match="check_every must be at least 1"):
-            _min_dual_norm_pdhg(
-                group([[0, 1], [2]]), g0, cols, cols / np.sqrt(2.0), np.zeros(1), opts
-            )
 
     def test_mixed_batch_with_a_column_at_max_iter(self):
         # the smallest penalty needs far more iterations than the others
@@ -647,14 +632,15 @@ class TestIcValue:
         phi = random_orthonormal(4)
         t = Subspace.from_coordinates(4, [0])
         norm = l1(4)
-        val = ic_value(phi, identity(4), norm, t, [1.0, 0, 0, 0], np.zeros(4), np.zeros(4))
+        ctx = ic_context(phi, identity(4), t)
+        val = ic_value(ctx, norm, [1.0, 0, 0, 0], np.zeros(4), np.zeros(4))
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_direction_drops_transfer_term(self):
         phi, l_op, norm, model = tiny_ic_instance()
         ctx = ic_context(phi, l_op, model.T)
         z_dir = ctx.z_space.basis[:, 0] if ctx.z_space.dim else np.zeros(3)
-        val = ic_value(phi, l_op, norm, model.T, np.zeros(4), np.zeros(4), z_dir)
+        val = ic_value(ctx, norm, np.zeros(4), np.zeros(4), z_dir)
         expected = dual_norm_value(norm, ctx.ls_pinv_phi_adj @ z_dir)
         assert val == pytest.approx(expected, abs=1e-10)
 
@@ -664,7 +650,7 @@ class TestIcValue:
         ctx = ic_context(phi, l_op, model.T)
         z = ctx.z_space.basis @ np.array([0.7, -0.2][: ctx.z_space.dim])
         u = np.zeros(4)
-        val = ic_value(phi, l_op, norm, model.T, model.e, u, z)
+        val = ic_value(ctx, norm, model.e, u, z)
 
         ps = projector(model.T.complement()).entries
         ls = l_op.entries @ ps
@@ -681,7 +667,7 @@ class TestIcValue:
         phi, l_op, norm, model = tiny_ic_instance()
         bad_u = np.array([0.0, 1.0, 0.0, 0.0])  # in S, not in ker(L_S)
         with pytest.raises(ValueError, match="ker"):
-            ic_value(phi, l_op, norm, model.T, model.e, bad_u, np.zeros(3))
+            ic_value(ic_context(phi, l_op, model.T), norm, model.e, bad_u, np.zeros(3))
 
     def test_infeasible_z_named(self):
         phi, l_op, norm, model = tiny_ic_instance()
@@ -694,7 +680,7 @@ class TestIcValue:
                 bad = z
                 break
         with pytest.raises(ValueError, match="Im"):
-            ic_value(phi, l_op, norm, model.T, model.e, np.zeros(4), bad)
+            ic_value(ctx, norm, model.e, np.zeros(4), bad)
 
 
 class TestMinimizeIc:
@@ -702,17 +688,19 @@ class TestMinimizeIc:
         phi = random_orthonormal(4)
         t = Subspace.from_coordinates(4, [0])
         e = np.array([1.0, 0, 0, 0])
-        sol = minimize_ic_full(phi, identity(4), l1(4), t, e)
+        ctx = ic_context(phi, identity(4), t)
+        sol = minimize_ic_full(ctx, l1(4), e)
         assert sol.value == pytest.approx(0.0, abs=1e-8)
         assert sol.converged
-        sol_u = minimize_ic_u(phi, identity(4), l1(4), t, e)
+        sol_u = minimize_ic_u(ctx, l1(4), e)
         assert sol_u.value == pytest.approx(0.0, abs=1e-8)
 
     def test_singleton_feasible_set(self):
         # ker(L_S) = T and L = Id: the u-program cannot move
         phi, l_op, norm, model = tiny_ic_instance()
-        sol = minimize_ic_u(phi, l_op, norm, model.T, model.e)
-        base = ic_value(phi, l_op, norm, model.T, model.e, np.zeros(4), np.zeros(3))
+        ctx = ic_context(phi, l_op, model.T)
+        sol = minimize_ic_u(ctx, norm, model.e)
+        base = ic_value(ctx, norm, model.e, np.zeros(4), np.zeros(3))
         assert sol.value == pytest.approx(base, abs=1e-9)
 
     def test_chain_inequality(self):
@@ -735,11 +723,9 @@ class TestMinimizeIc:
                 ctx = ic_context(phi, l_op, model.T)
             except ValueError:
                 continue
-            full = minimize_ic_full(phi, l_op, norm, model.T, model.e, opts, ctx=ctx)
-            u_only = minimize_ic_u(phi, l_op, norm, model.T, model.e, opts, ctx=ctx)
-            zero = ic_value(
-                phi, l_op, norm, model.T, model.e, np.zeros(7), np.zeros(5), ctx=ctx
-            )
+            full = minimize_ic_full(ctx, norm, model.e, opts)
+            u_only = minimize_ic_u(ctx, norm, model.e, opts)
+            zero = ic_value(ctx, norm, model.e, np.zeros(7), np.zeros(5))
             assert full.value <= u_only.value + 1e-7
             assert u_only.value <= zero + 1e-7
             checked += 1
@@ -747,12 +733,12 @@ class TestMinimizeIc:
     def test_never_beaten_by_feasible_probes(self):
         phi, l_op, norm, model = tiny_ic_instance(seed=33)
         ctx = ic_context(phi, l_op, model.T)
-        sol = minimize_ic_full(phi, l_op, norm, model.T, model.e, ctx=ctx)
+        sol = minimize_ic_full(ctx, norm, model.e)
         r = np.random.default_rng(0)
         for _ in range(1000):
             u = ctx.ker_ls.basis @ r.standard_normal(ctx.ker_ls.dim)
             z = ctx.z_space.basis @ r.standard_normal(ctx.z_space.dim)
-            probe = ic_value(phi, l_op, norm, model.T, model.e, u, z, ctx=ctx)
+            probe = ic_value(ctx, norm, model.e, u, z)
             assert sol.value <= probe + 1e-7
 
     def test_reduces_to_classical_correlation_coefficient(self):
@@ -768,9 +754,8 @@ class TestMinimizeIc:
             u0[support] = signs * (1.0 + r.uniform(size=3))
             model = decompose_at(l1(n), u0)
             phi = LinearOperator(phi_mat)
-            val = ic_value(
-                phi, identity(n), l1(n), model.T, model.e, np.zeros(n), np.zeros(m)
-            )
+            ctx = ic_context(phi, identity(n), model.T)
+            val = ic_value(ctx, l1(n), model.e, np.zeros(n), np.zeros(m))
             phi_t = phi_mat[:, support]
             corr = phi_mat.T @ phi_t @ np.linalg.solve(phi_t.T @ phi_t, signs)
             off = [j for j in range(n) if j not in support]
@@ -798,7 +783,7 @@ class TestMinimizeIc:
                                      options={"xatol": 1e-10, "fatol": 1e-12})
         oracle_val = min(best_val, float(polished.fun))
 
-        sol = minimize_ic_full(phi, l_op, norm, model.T, model.e)
+        sol = minimize_ic_full(ic_context(phi, l_op, model.T), norm, model.e)
         assert sol.value == pytest.approx(oracle_val, abs=1e-4)
 
     def test_group_joint_program_adapts_its_primal_weight(self):
@@ -811,7 +796,7 @@ class TestMinimizeIc:
         phi, l_op, _, x0, _ = generate_scenario(cfg)
         model = decompose_at(norm, l_op.T.apply(x0))
         opts = SolverOptions(tol=1e-8, max_iter=2_000)
-        sol = minimize_ic_full(phi, l_op, norm, model.T, model.e, opts)
+        sol = minimize_ic_full(ic_context(phi, l_op, model.T), norm, model.e, opts)
         assert sol.converged
         assert sol.gap <= opts.tol * (1.0 + sol.value)
 
@@ -869,7 +854,7 @@ class TestL1ProgramLp:
         except ValueError:
             assume(False)
         opts = SolverOptions(tol=1e-9)
-        lp = minimize_ic_full(phi, l_op, norm, model.T, model.e, opts, ctx=ctx)
+        lp = minimize_ic_full(ctx, norm, model.e, opts)
         assert lp.converged
         g0, cols = joint_program(ctx, model.e)
         keep = np.linalg.norm(cols, axis=0) > 1e-12 * (1.0 + np.linalg.norm(g0))
@@ -889,14 +874,14 @@ class TestL1ProgramLp:
         for _ in range(50):
             u = ctx.ker_ls.basis @ r.standard_normal(ctx.ker_ls.dim)
             z = ctx.z_space.basis @ r.standard_normal(ctx.z_space.dim)
-            probe = ic_value(phi, l_op, norm, model.T, model.e, u, z, ctx=ctx)
+            probe = ic_value(ctx, norm, model.e, u, z)
             assert lower <= probe + 1e-12
             assert pdhg_value - pdhg_gap <= probe + 1e-12
 
     def test_lp_failure_is_unconverged(self, monkeypatch):
         phi, l_op, norm, model = l1_ic_instance(3, 10, 8, "tv1d", 2)
         ctx = ic_context(phi, l_op, model.T)
-        solved = minimize_ic_full(phi, l_op, norm, model.T, model.e, ctx=ctx)
+        solved = minimize_ic_full(ctx, norm, model.e)
         assert solved.converged and solved.gap <= 1e-12
 
         def failing_linprog(*args, **kwargs):
@@ -905,7 +890,7 @@ class TestL1ProgramLp:
             )
 
         monkeypatch.setattr(optimize, "linprog", failing_linprog)
-        failed = minimize_ic_full(phi, l_op, norm, model.T, model.e, ctx=ctx)
+        failed = minimize_ic_full(ctx, norm, model.e)
         assert not failed.converged
         assert failed.gap == np.inf
         # the least-squares start is what comes back, with its own value
