@@ -46,7 +46,7 @@ from .linops import (
 )
 from .norms import (
     DecomposableNorm,
-    bregman,
+    _bregman_value,
     coercivity_constant,
     dual_norm_value,
     is_separable,
@@ -406,7 +406,8 @@ def verify_bounds(
     passed = False.  ``slack`` absorbs solver inexactness on top of the
     relative tolerance of each comparison.  ``ctx`` is the context of the
     model T0 at L^* x0; the model error is measured on its complement
-    S0 = ``ctx.S``.
+    S0 = ``ctx.S``.  The caller checks once that ``cert.alpha`` is a
+    subgradient at L^* x0, as ``run_scenario`` does with ``bregman``.
     """
     phi, l_op = ctx.phi, ctx.l_op
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -438,7 +439,7 @@ def verify_bounds(
     u_star = l_op.T.apply(x_star)
     u0 = l_op.T.apply(x0)
     observed_pred = float(np.linalg.norm(phi.apply(x_star) - phi.apply(x0)))
-    observed_breg = bregman(norm, u_star, u0, cert.alpha, tol=1e-6)
+    observed_breg = _bregman_value(norm, u_star, u0, cert.alpha)
 
     observed_ls0 = float(np.linalg.norm(ctx.S.project(u_star - u0)))
     ls0_bound = bregman_to_l2(breg_bound, bound.saturation, bound.c_a)

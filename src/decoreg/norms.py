@@ -440,6 +440,11 @@ def bregman(norm: DecomposableNorm, u, u0, alpha, tol: float = ACTIVE_RTOL) -> f
     mem = subdiff_membership(norm, u0, alpha, tol=tol)
     if not mem.member:
         raise ValueError(f"alpha is not a subgradient at u0: {mem.reason}")
+    return _bregman_value(norm, u, u0, alpha)
+
+
+def _bregman_value(norm: DecomposableNorm, u, u0, alpha) -> float:
+    """``bregman`` for an alpha already validated at u0; rounding below 0 reads 0."""
     d = norm_value(norm, u) - norm_value(norm, u0) - float(alpha @ (u - u0))
     scale = 1.0 + norm_value(norm, u) + norm_value(norm, u0)
     if d < 0 and d > -1e-9 * scale:

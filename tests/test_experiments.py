@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoreg import experiments
 from decoreg.cli import main as cli_main
@@ -11,6 +13,7 @@ from decoreg.experiments import (
     ScenarioConfig,
     difference_operator_1d,
     difference_operator_2d,
+    first_order_residual,
     generate_scenario,
     noise_in_ball,
     oracle_solve,
@@ -21,7 +24,15 @@ from decoreg.experiments import (
     vanishing_penalty,
 )
 from decoreg.linops import identity, LinearOperator
-from decoreg.norms import decompose_at, l1, group, nuclear
+from decoreg.norms import (
+    decompose_at,
+    dual_norm_value,
+    group,
+    l1,
+    norm_value,
+    nuclear,
+    prox,
+)
 from decoreg.solver import Problem, SolverOptions, solve_penalized
 
 rng = np.random.default_rng(9)
@@ -266,6 +277,15 @@ class TestOracle:
         rep = oracle_solve(p)
         assert np.allclose(rep.x_star, 0.0, atol=1e-10)
 
+    def test_converged_is_the_certified_residual_verdict(self, monkeypatch):
+        y = np.array([2.0, 0.5, -3.0])
+        p = Problem(phi=identity(3), l_adjoint=identity(3), norm=l1(3), y=y, lam=1.0)
+        rep = oracle_solve(p)
+        assert rep.converged
+        assert rep.optimality_residual <= 1e-9 * (1.0 + np.linalg.norm(y))
+        monkeypatch.setattr(experiments, "first_order_residual", lambda p, x: 1.0)
+        assert not oracle_solve(p).converged
+
     def test_mutual_domination(self):
         norms = {
             "l1": l1(6),
@@ -400,10 +420,15 @@ class TestSolveTrials:
             (0.0, ys[0]),
         ]
         reports = solve_trials(phi, l_adj, norm, trials, 2.0, opts)
+        # the noiseless solve starts at the first smallest-lambda solution
+        start = reports[1].x_star
         for (eps, y), report in zip(trials, reports, strict=True):
             lam = 2.0 * eps if eps > 0 else vanishing_penalty(phi, y)
             p = Problem(phi=phi, l_adjoint=l_adj, norm=norm, y=y, lam=lam)
-            alone = solve_penalized(p, opts) if eps > 0 else solve_vanishing(p, opts)
+            if eps > 0:
+                alone = solve_penalized(p, opts)
+            else:
+                alone = solve_vanishing(p, opts, start=start)
             assert report.problem.lam == lam
             assert np.array_equal(report.problem.y, y)
             assert report.iterations == alone.iterations
@@ -416,13 +441,31 @@ class TestSolveTrials:
         assert len({id(r) for r in reports}) == 4
         assert solve_trials(phi, l_adj, norm, [], 2.0, opts) == []
 
+    def test_noiseless_solve_starts_at_the_first_smallest_lambda_solution(self, monkeypatch):
+        cfg = base_config(m=8, n=10, p=10, norm=l1(10), epsilons=(0.0, 0.01, 0.1))
+        phi, l_op, norm, _, ys = generate_scenario(cfg)
+        starts = []
+        original = experiments.solve_vanishing
+
+        def recorded(problem, opts, start=None):
+            starts.append(start)
+            return original(problem, opts, start=start)
+
+        monkeypatch.setattr(experiments, "solve_vanishing", recorded)
+        trials = [(0.1, ys[2]), (0.01, ys[1]), (0.0, ys[0]), (0.01, ys[2])]
+        opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+        reports = solve_trials(phi, l_op.T, norm, trials, 2.0, opts)
+        assert len(starts) == 1 and starts[0] is reports[1].x_star
+        solve_trials(phi, l_op.T, norm, trials[2:3], 2.0, opts)
+        assert starts[1] is None
+
     def test_sweep_solves_the_noiseless_problem_once(self, tmp_path, monkeypatch):
         calls = []
         original = experiments.solve_vanishing
 
-        def counted(problem, opts):
+        def counted(problem, opts, start=None):
             calls.append(problem)
-            return original(problem, opts)
+            return original(problem, opts, start=start)
 
         monkeypatch.setattr(experiments, "solve_vanishing", counted)
         cfg = base_config(m=14, epsilons=(0.0, 0.01), noise_draws=3, plot=False)
@@ -448,6 +491,29 @@ class TestSolveTrials:
         assert len(calls) == 4
         assert result.reports[0] is result.reports[1] is result.reports[2]
         assert len({id(r) for r in result.reports[3:]}) == 3
+
+    def test_sweep_checks_the_certificate_alpha_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = experiments.bregman
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "bregman", counted)
+        cfg = base_config(m=14, noise_draws=2, plot=False)
+        assert len(run_scenario(cfg, tmp_path / "valid").rows) == 6
+        assert len(calls) == 1
+
+        build = experiments.build_certificate
+
+        def flipped(*args, **kwargs):
+            cert = build(*args, **kwargs)
+            return dataclasses.replace(cert, alpha=-cert.alpha)
+
+        monkeypatch.setattr(experiments, "build_certificate", flipped)
+        with pytest.raises(ValueError, match="not a subgradient"):
+            run_scenario(cfg, tmp_path / "flipped")
 
     @pytest.mark.parametrize("mode", ["full", "u_only", "zero"])
     def test_sweep_builds_the_ic_context_once(self, tmp_path, monkeypatch, mode):
@@ -514,8 +580,136 @@ class TestSolveTrials:
         assert joint <= u_only + 1e-7 <= zero + 2e-7
 
 
+RESIDUAL_NORMS = {
+    "l1": l1(6),
+    "group": group([[3, 0], [5], [1, 4, 2]]),
+    "nuclear": nuclear(2, 3),
+}
+
+
+class TestFirstOrderResidual:
+    @pytest.mark.parametrize("kind", sorted(RESIDUAL_NORMS))
+    def test_prox_is_certified(self, kind):
+        # with phi = L = I the minimizer is the proximity operator at y
+        norm = RESIDUAL_NORMS[kind]
+        for seed in range(5):
+            y = 2.0 * np.random.default_rng(seed).standard_normal(6)
+            p = Problem(phi=identity(6), l_adjoint=identity(6), norm=norm, y=y, lam=0.7)
+            x = prox(norm, y, 0.7)
+            assert first_order_residual(p, x) <= 1e-10
+            # 1e-7 off the minimizer the bound is of that order, not of lam:
+            # a coarser model drops the point's spurious small coordinates
+            wobble = 1e-7 * np.random.default_rng(seed + 10).standard_normal(6)
+            assert first_order_residual(p, x + wobble) <= 1e-4
+
+    @pytest.mark.parametrize("kind, seed", [("l1", 0), ("group", 0), ("nuclear", 4)])
+    def test_zero_is_certified_through_a_kernel_move(self, kind, seed):
+        # y = lam L alpha* with alpha* of dual norm 0.9 (saturated on every
+        # coordinate, block or singular value) makes x = 0 the minimizer; on
+        # these seeds the minimum-norm alpha of the redundant L leaves the
+        # unit dual ball, and only the program's move along ker L certifies
+        norm = RESIDUAL_NORMS[kind]
+        r = np.random.default_rng(seed)
+        l_adj = r.standard_normal((6, 3))
+        if kind == "l1":
+            alpha_star = np.sign(r.standard_normal(6))
+        elif kind == "group":
+            alpha_star = r.standard_normal(6)
+            for block in norm.blocks:
+                alpha_star[list(block)] /= np.linalg.norm(alpha_star[list(block)])
+        else:
+            u, _, vt = np.linalg.svd(r.standard_normal((2, 3)), full_matrices=False)
+            alpha_star = (u @ vt).reshape(-1, order="F")
+        alpha_star *= 0.9
+        y = 0.5 * l_adj.T @ alpha_star
+        p = Problem(phi=identity(3), l_adjoint=LinearOperator(l_adj), norm=norm, y=y, lam=0.5)
+        assert dual_norm_value(norm, alpha_star) == pytest.approx(0.9)
+        assert dual_norm_value(norm, np.linalg.pinv(l_adj.T) @ (y / 0.5)) > 1.0
+        assert first_order_residual(p, np.zeros(3)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", sorted(RESIDUAL_NORMS))
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([3, 4, 6]),
+        lam=st.sampled_from([0.01, 0.1, 0.5, 2.0]),
+        max_iter=st.sampled_from([0, 50, 5_000]),
+    )
+    def test_bound_comes_from_a_subgradient_candidate(self, seed, kind, n, lam, max_iter):
+        # max_iter = 0 takes x = 0, whose model T = {0} leaves L B a kernel
+        # for the affine dual-norm program whenever n < 6
+        norm = RESIDUAL_NORMS[kind]
+        r = np.random.default_rng(seed)
+        m = int(r.integers(2, n + 1))
+        p = Problem(
+            phi=LinearOperator(r.standard_normal((m, n))),
+            l_adjoint=LinearOperator(r.standard_normal((6, n))),
+            norm=norm,
+            y=r.standard_normal(m),
+            lam=lam,
+        )
+        x = np.zeros(n)
+        if max_iter:
+            x = solve_penalized(p, SolverOptions(tol=1e-10, max_iter=max_iter)).x_star
+        value, alpha = experiments._certified_residual(p, x)
+        assert value == first_order_residual(p, x)
+
+        u = p.l_adjoint.apply(x)
+        r0 = p.phi.entries.T @ (p.phi.apply(x) - p.y)
+        recomputed = np.linalg.norm(r0 + lam * (p.l_adjoint.entries.T @ alpha)) + lam * max(
+            norm_value(norm, u) - alpha @ u, 0.0
+        )
+        assert value == pytest.approx(recomputed, rel=1e-12, abs=1e-15)
+        # alpha = e + beta on one of the models read off u, beta in its
+        # complement and inside the unit dual ball
+        models = [decompose_at(norm, u, tol=thr) for thr in (1e-8, 1e-6, 1e-3)]
+        assert any(
+            np.linalg.norm(mdl.T.project(alpha) - mdl.e) <= 1e-10
+            and dual_norm_value(norm, alpha - mdl.T.project(alpha)) <= 1.0 + 1e-12
+            for mdl in models
+        )
+
+
 class TestSolveVanishingMany:
-    """The continuation at a vanishing penalty."""
+    """The continuation at a vanishing penalty, and the polish of a start."""
+
+    @staticmethod
+    def noiseless_problem():
+        cfg = base_config(m=14, epsilons=(0.0, 0.01))
+        phi, l_op, norm, _, ys = generate_scenario(cfg)
+        p = Problem(
+            phi=phi, l_adjoint=l_op.T, norm=norm, y=ys[0], lam=vanishing_penalty(phi, ys[0])
+        )
+        opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+        return p, opts, solve_penalized(p.with_data(ys[1], 0.01), opts).x_star
+
+    def test_certified_start_runs_no_stage(self, monkeypatch):
+        p, opts, start = self.noiseless_problem()
+        calls = []
+        original = experiments.solve_penalized
+
+        def counted(problem, opts=None):
+            calls.append(problem)
+            return original(problem, opts)
+
+        monkeypatch.setattr(experiments, "solve_penalized", counted)
+        report = solve_vanishing(p, opts, start=start)
+        assert report.converged
+        assert report.iterations == 0
+        assert calls == []
+        scale = 1.0 + np.linalg.norm(p.phi.entries.T @ p.y)
+        assert report.optimality_residual <= opts.tol * scale
+
+    def test_useless_start_gives_the_unstarted_report(self):
+        p, opts, _ = self.noiseless_problem()
+        started = solve_vanishing(p, opts, start=np.zeros(p.phi.cols))
+        alone = solve_vanishing(p, opts)
+        assert np.array_equal(started.x_star, alone.x_star)
+        assert (started.objective, started.optimality_residual) == (
+            alone.objective, alone.optimality_residual
+        )
+        assert (started.iterations, started.converged) == (alone.iterations, alone.converged)
+        assert alone.iterations > 0
 
     def test_tv1d_stage_at_tiny_penalty(self):
         # the last continuation stage, warm-started at lambda = 1e-6 (1 +
