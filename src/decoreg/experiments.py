@@ -5,9 +5,11 @@ structured signal and a noise-level schedule, all drawn deterministically
 from one seed.  The harness builds the model context once and from it the
 certificate and the stability constants, solves the penalized problem at
 lambda = c * eps for every noise level and noise draw (each distinct problem
-once; the noiseless one at a vanishing penalty, by a certified polish of the
-smallest-lambda solution), checks the bounds once per distinct solve, and
-writes the observed-versus-bound table as CSV, a text summary and a plot.
+once; the noisy ones in one batch, or, when phi has a kernel, one batch per
+level warm-started at the level above; the noiseless one at a vanishing
+penalty, by a certified polish of the smallest-lambda solution), checks the
+bounds once per distinct solve, and writes the observed-versus-bound table
+as CSV, a text summary and a plot.
 
 A brute-force oracle for tiny instances (averaged subgradient descent with
 diminishing steps followed by a smooth polish on the detected model
@@ -450,6 +452,10 @@ def _certified_residual(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     l_mat = p.l_adjoint.entries.T
     r0 = p.phi.entries.T @ (p.phi.apply(x) - p.y)
     models = [decompose_at(p.norm, u, tol=thr) for thr in (1e-8, 1e-6, 1e-3)]
+    # relative thresholds never read a nearly-zero u as zero; the model
+    # T = {0} has the largest program, so it is tried only where u is tiny
+    if np.linalg.norm(u) <= 1e-8 * (1.0 + float(np.linalg.norm(p.phi.entries.T @ p.y))):
+        models.append(decompose_at(p.norm, np.zeros_like(u)))
     bounds = []
     for i, model in enumerate(models):
         if i and np.array_equal(model.e, models[i - 1].e):
@@ -472,9 +478,10 @@ def first_order_residual(p: Problem, x: np.ndarray) -> float:
 
     x is a minimizer exactly when Phi^*(y - Phi x) / lam = L (e + beta) with
     beta in S = T^perp of dual norm at most 1, the source condition.  For the
-    models of L^* x at thresholds 1e-8, 1e-6 and 1e-3, one SVD of L B (B a
-    basis of S) and the shared affine dual-norm program give the beta of
-    least dual norm, scaled into the unit ball.  Returns the least
+    models of L^* x at thresholds 1e-8, 1e-6 and 1e-3, and T = {0} when
+    ||L^* x|| <= 1e-8 (1 + ||Phi^* y||), one SVD of L B (B a basis of S) and
+    the shared affine dual-norm program give the beta of least dual norm,
+    scaled into the unit ball.  Returns the least
     ||r0 + lam L alpha|| + lam (||u|| - <alpha, u>), r0 = Phi^*(Phi x - y);
     every such beta bounds it, so an early stop of the program stays honest.
     """
@@ -544,9 +551,14 @@ def solve_trials(
     Each distinct (y, lambda) is solved once and its report is shared by
     every trial with that data; the noiseless trials of a sweep are all one
     problem, since their noise is zero.  All problems share phi, l_adjoint
-    and norm: the eps > 0 ones at lambda = c * eps are solved first, in one
-    ``solve_penalized_many`` run, then each eps = 0 one by ``solve_vanishing``
-    started at the first smallest-lambda solution.
+    and norm, and the eps > 0 ones at lambda = c * eps are solved first.
+    When phi is injective they are one ``solve_penalized_many`` run from
+    ``opts.init``.  Otherwise splitting from zero crawls along ker(phi),
+    where only the penalty acts, and most at small lambda; so the problems
+    are grouped into levels of equal lambda and solved as a continuation,
+    one run per level in descending lambda, each started at the first
+    solution of the level above.  Then each eps = 0 problem is solved by
+    ``solve_vanishing`` started at the first smallest-lambda solution.
     """
     problems: dict[tuple, Problem] = {}
     keys = []
@@ -562,7 +574,16 @@ def solve_trials(
             )
         keys.append(key)
     noisy = [key for key in problems if key[0]]
-    solved = dict(zip(noisy, solve_penalized_many([problems[k] for k in noisy], opts)))
+    levels = [noisy] if noisy else []
+    if noisy and kernel_basis(phi).dim > 0:
+        lams = sorted({k[1] for k in noisy}, reverse=True)
+        levels = [[k for k in noisy if k[1] == lam] for lam in lams]
+    solved: dict[tuple, SolveReport] = {}
+    init = opts.init
+    for level in levels:
+        reports = solve_penalized_many([problems[k] for k in level], replace(opts, init=init))
+        solved.update(zip(level, reports))
+        init = reports[0].x_star
     start = solved[min(noisy, key=lambda k: k[1])].x_star if noisy else None
     solved.update(
         (k, solve_vanishing(p, opts, start=start)) for k, p in problems.items() if not k[0]

@@ -23,7 +23,7 @@ from decoreg.experiments import (
     solve_vanishing,
     vanishing_penalty,
 )
-from decoreg.linops import identity, LinearOperator
+from decoreg.linops import identity, kernel_basis, LinearOperator
 from decoreg.norms import (
     decompose_at,
     dual_norm_value,
@@ -405,6 +405,15 @@ class TestRunScenario:
         assert "failed" in result.summary_path.read_text()
 
 
+# (n, config overrides) of the instances the staged-solve property draws
+STAGED_INSTANCES = {
+    "l1": (8, dict(p=8, norm=l1(8), signal_active=2)),
+    "tv1d": (8, dict(p=7, norm=l1(7), l_kind="tv1d", signal_active=2)),
+    "group": (8, dict(p=8, norm=group([[0, 1], [2, 3], [4, 5], [6, 7]]), signal_active=1)),
+    "nuclear": (8, dict(p=8, norm=nuclear(2, 4), signal_kind="low_rank", signal_rank=1)),
+}
+
+
 class TestSolveTrials:
     def test_matches_one_solve_per_trial(self):
         cfg = base_config(m=8, n=10, p=10, norm=l1(10), epsilons=(0.0, 0.01, 0.1))
@@ -420,13 +429,16 @@ class TestSolveTrials:
             (0.0, ys[0]),
         ]
         reports = solve_trials(phi, l_adj, norm, trials, 2.0, opts)
-        # the noiseless solve starts at the first smallest-lambda solution
+        # m < n gives phi a kernel, so the eps = 0.01 level starts at the
+        # first eps = 0.1 solution; the noiseless solve starts at the first
+        # smallest-lambda solution
+        level_starts = {0.1: None, 0.01: reports[2].x_star}
         start = reports[1].x_star
         for (eps, y), report in zip(trials, reports, strict=True):
             lam = 2.0 * eps if eps > 0 else vanishing_penalty(phi, y)
             p = Problem(phi=phi, l_adjoint=l_adj, norm=norm, y=y, lam=lam)
             if eps > 0:
-                alone = solve_penalized(p, opts)
+                alone = solve_penalized(p, dataclasses.replace(opts, init=level_starts[eps]))
             else:
                 alone = solve_vanishing(p, opts, start=start)
             assert report.problem.lam == lam
@@ -440,6 +452,100 @@ class TestSolveTrials:
         assert reports[5] is reports[1]
         assert len({id(r) for r in reports}) == 4
         assert solve_trials(phi, l_adj, norm, [], 2.0, opts) == []
+
+    @staticmethod
+    def recorded_batches(monkeypatch):
+        calls = []
+        original = experiments.solve_penalized_many
+
+        def recorded(problems, opts=None):
+            reports = original(problems, opts)
+            calls.append((problems, opts.init, reports))
+            return reports
+
+        monkeypatch.setattr(experiments, "solve_penalized_many", recorded)
+        return calls
+
+    def test_injective_phi_is_one_batch_from_zero(self, monkeypatch):
+        cfg = base_config(m=10, n=10, p=10, norm=l1(10), epsilons=(0.001, 0.01, 0.1))
+        phi, l_op, norm, x0, ys = generate_scenario(cfg)
+        assert kernel_basis(phi).dim == 0
+        calls = self.recorded_batches(monkeypatch)
+        trials = [(eps, y) for eps, y in zip(cfg.epsilons, ys)] + [
+            (0.01, phi.apply(x0) + noise_in_ball(np.random.default_rng(4), 10, 0.01))
+        ]
+        opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+        reports = solve_trials(phi, l_op.T, norm, trials, 1.0, opts)
+        assert len(calls) == 1
+        problems, init, batch = calls[0]
+        assert init is None
+        assert [p.lam for p in problems] == [eps for eps, _ in trials]
+        assert [id(r) for r in batch] == [id(r) for r in reports]
+        for (eps, y), report in zip(trials, reports, strict=True):
+            p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=eps)
+            alone = solve_penalized(p, opts)
+            assert report.iterations == alone.iterations
+            assert report.converged == alone.converged
+            assert np.linalg.norm(report.x_star - alone.x_star) <= 1e-10 * (
+                1.0 + np.linalg.norm(alone.x_star)
+            )
+
+    def test_kernel_is_one_warm_started_batch_per_level(self, monkeypatch):
+        cfg = base_config(
+            m=12, n=16, p=16, norm=l1(16), epsilons=(0.0, 0.001, 0.01, 0.1), noise_draws=2
+        )
+        phi, l_op, norm, x0, ys = generate_scenario(cfg)
+        assert kernel_basis(phi).dim == 4
+        calls = self.recorded_batches(monkeypatch)
+        draws = [phi.apply(x0) + noise_in_ball(np.random.default_rng(k), 12, 0.1) for k in (1, 2)]
+        # ascending and interleaved levels, a repeated trial, 1-3 draws a level
+        trials = [(eps, y) for eps, y in zip(cfg.epsilons, ys)] + [
+            (0.1, draws[0]), (0.001, ys[1]), (0.01, draws[1]), (0.1, draws[1])
+        ]
+        opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+        reports = solve_trials(phi, l_op.T, norm, trials, 1.0, opts)
+        assert [[p.lam for p in problems] for problems, _, _ in calls] == [
+            [0.1, 0.1, 0.1], [0.01, 0.01], [0.001]
+        ]
+        assert calls[0][1] is None
+        for (_, _, above), (_, init, _) in zip(calls, calls[1:]):
+            assert init is above[0].x_star
+        assert reports[3] is calls[0][2][0] and reports[7] is calls[0][2][2]
+        assert reports[1] is reports[5] is calls[2][2][0]
+        assert all(r.converged for r in reports)
+
+    @pytest.mark.parametrize("with_kernel", [False, True])
+    @pytest.mark.parametrize("kind", sorted(STAGED_INSTANCES))
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        epsilons=st.sampled_from([(0.01, 0.1), (0.001, 0.01, 0.1), (0.001, 0.1)]),
+    )
+    def test_staged_reports_match_from_zero_solves(self, kind, with_kernel, seed, epsilons):
+        # independent of the dispatch: every report is checked by the
+        # certified residual and against a solve of its own from zero.  A
+        # solve stops on its own residual, whose subgradient candidate comes
+        # from the dual iterate; the certified residual at the same point
+        # read up to 3.2 tol (1 + ||Phi^* y||) on 30 drawn nuclear sweeps
+        # with a kernel, staged and from zero alike, hence the factor 10
+        n, overrides = STAGED_INSTANCES[kind]
+        cfg = base_config(
+            seed=seed, m=n - 2 if with_kernel else n, n=n, epsilons=epsilons, noise_draws=2,
+            **overrides,
+        )
+        phi, l_op, norm, x0, ys = generate_scenario(cfg)
+        assert (kernel_basis(phi).dim > 0) == with_kernel
+        draws = [phi.apply(x0) + noise_in_ball(np.random.default_rng(seed), cfg.m, eps)
+                 for eps in epsilons]
+        trials = list(zip(epsilons, ys)) + list(zip(epsilons, draws))
+        opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+        for report in solve_trials(phi, l_op.T, norm, trials, 1.0, opts):
+            p = report.problem
+            scale = 1.0 + np.linalg.norm(phi.entries.T @ p.y)
+            alone = solve_penalized(p, opts)
+            assert report.converged
+            assert first_order_residual(p, report.x_star) <= 10.0 * cfg.tol * scale
+            assert abs(report.objective - alone.objective) <= cfg.tol * scale
 
     def test_noiseless_solve_starts_at_the_first_smallest_lambda_solution(self, monkeypatch):
         cfg = base_config(m=8, n=10, p=10, norm=l1(10), epsilons=(0.0, 0.01, 0.1))
@@ -627,6 +733,20 @@ class TestFirstOrderResidual:
         assert dual_norm_value(norm, np.linalg.pinv(l_adj.T) @ (y / 0.5)) > 1.0
         assert first_order_residual(p, np.zeros(3)) <= 1e-9
 
+    def test_nearly_zero_point_is_certified_by_the_zero_model(self):
+        # criterion 2's group trial 11: the minimizer is 0 and the solver
+        # stops at a point of about 1e-14, whose models at every relative
+        # threshold are nonzero; without T = {0} the bound read 0.92
+        norm = group([[0, 1], [2, 3], [4, 5]])
+        r = np.random.default_rng([812, 1, 11])
+        phi = LinearOperator(r.standard_normal((5, 6)) / np.sqrt(5))
+        y = r.standard_normal(5)
+        p = Problem(phi=phi, l_adjoint=identity(6), norm=norm, y=y, lam=float(r.uniform(0.05, 0.5)))
+        x = solve_penalized(p, SolverOptions(tol=1e-10)).x_star
+        assert 0.0 < np.linalg.norm(x) <= 1e-12
+        assert decompose_at(norm, x, tol=1e-3).T.dim > 0
+        assert first_order_residual(p, x) <= 1e-10 * (1.0 + np.linalg.norm(phi.entries.T @ y))
+
     @pytest.mark.parametrize("kind", sorted(RESIDUAL_NORMS))
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(
@@ -661,8 +781,11 @@ class TestFirstOrderResidual:
         )
         assert value == pytest.approx(recomputed, rel=1e-12, abs=1e-15)
         # alpha = e + beta on one of the models read off u, beta in its
-        # complement and inside the unit dual ball
+        # complement and inside the unit dual ball; T = {0} counts only when
+        # u is below the documented gate
         models = [decompose_at(norm, u, tol=thr) for thr in (1e-8, 1e-6, 1e-3)]
+        if np.linalg.norm(u) <= 1e-8 * (1.0 + np.linalg.norm(p.phi.entries.T @ p.y)):
+            models.append(decompose_at(norm, np.zeros_like(u)))
         assert any(
             np.linalg.norm(mdl.T.project(alpha) - mdl.e) <= 1e-10
             and dual_norm_value(norm, alpha - mdl.T.project(alpha)) <= 1.0 + 1e-12
