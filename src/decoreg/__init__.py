@@ -49,16 +49,9 @@ from .linops import (
     identity,
     image_basis,
     kernel_basis,
-    operator_norm,
-    projector,
-    pseudoinverse,
-    pseudoinverse_apply,
     read_operator_csv,
     restricted_injectivity_constant,
-    restricted_operator,
-    smallest_nonzero_singular_value,
     write_operator_csv,
-    zero_operator,
 )
 from .norms import (
     DecomposableNorm,
@@ -79,7 +72,6 @@ from .norms import (
     project_primal_ball,
     separable_split,
     subdiff_membership,
-    with_separable_partition,
 )
 from .solver import (
     ICSolution,

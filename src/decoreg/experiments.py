@@ -11,9 +11,10 @@ penalty, by a certified polish of the smallest-lambda solution), checks the
 bounds once per distinct solve, and writes the observed-versus-bound table
 as CSV, a text summary and a plot.
 
-A brute-force oracle for tiny instances (averaged subgradient descent with
-diminishing steps followed by a smooth polish on the detected model
-subspace) provides objective values independent of the primal-dual solver.
+A reference oracle for tiny instances provides certified objective values
+independent of the primal-dual solver: quasi-Newton descent on the objective
+with the norm smoothed at a decreasing parameter, then a polish on the
+models read off that point and on a brute-force enumeration of models.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .linops import (
 )
 from .norms import (
     DecomposableNorm,
+    _block_norms,
     DecompositionModel,
     bregman,
     decompose_at,
@@ -195,8 +197,8 @@ class ScenarioConfig:
                 f"norm lives on R^{self.norm.ambient_dim} but p = {self.p}"
             )
         eps = tuple(float(e) for e in self.epsilons)
-        if any(e < 0 for e in eps):
-            raise ConfigError("epsilons must be nonnegative")
+        if not all(0 <= e < math.inf for e in eps):
+            raise ConfigError("epsilons must be finite and nonnegative")
         if list(eps) != sorted(eps):
             raise ConfigError("epsilons must be ascending")
         self.epsilons = eps
@@ -225,10 +227,19 @@ class ScenarioConfig:
         if self.signal_kind == "explicit":
             if self.signal_x0 is None or len(self.signal_x0) != self.n:
                 raise ConfigError("explicit signal needs an x0 of length n")
+        if self.signal_active < 0:
+            raise ConfigError("signal.active must be nonnegative")
+        if self.signal_rank < 1:
+            raise ConfigError("signal.rank must be at least 1")
         if self.noise_draws < 1:
             raise ConfigError("noise_draws must be at least 1")
         if self.certificate_mode not in ("full", "u_only", "zero"):
             raise ConfigError(f"unknown certificate mode {self.certificate_mode!r}")
+        for flag in ("frame_mode", "plot"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ConfigError(f"{flag} must be true or false")
+        if self.frame_mode and not self.frame_bound > 0:
+            raise ConfigError("frame_bound must be positive")
         if not self.coupling_c > 0:
             raise ConfigError("coupling c must be positive")
         if not self.tol > 0:
@@ -268,9 +279,9 @@ class ScenarioConfig:
                 coupling_c=float(cfg.get("coupling_c", 1.0)),
                 noise_draws=int(cfg.get("noise_draws", 1)),
                 certificate_mode=cfg.get("certificate_mode", "full"),
-                frame_mode=bool(cfg.get("frame_mode", False)),
+                frame_mode=cfg.get("frame_mode", False),
                 frame_bound=float(cfg.get("frame_bound", 1.0)),
-                plot=bool(cfg.get("plot", True)),
+                plot=cfg.get("plot", True),
                 tol=float(solver.get("tol", 1e-9)),
                 max_iter=int(solver.get("max_iter", 200_000)),
             )
@@ -411,7 +422,8 @@ def _polish_on_model(p: Problem, model, x_ref: np.ndarray) -> np.ndarray:
 
     For the l1 norm the restricted objective is quadratic plus linear and is
     solved in closed form; otherwise the restricted problem is smooth near a
-    model-consistent point and a quasi-Newton polish finishes the job.
+    model-consistent point, and a quasi-Newton polish and a root of its
+    gradient finish the job.
     """
     t_perp = model.T.complement()
     constraint = t_perp.projector_matrix() @ p.l_adjoint.entries
@@ -443,7 +455,12 @@ def _polish_on_model(p: Problem, model, x_ref: np.ndarray) -> np.ndarray:
         method="BFGS",
         options={"gtol": 1e-12, "maxiter": 500},
     )
-    return basis @ res.x
+    # the line search stalls where objective differences reach rounding,
+    # about 1e-8 from the minimizer; a root of the gradient goes the rest,
+    # unless its objective is higher beyond rounding
+    root = optimize.root(jac, res.x)
+    ok = fun(root.x) <= res.fun + 1e-15 * (1.0 + abs(res.fun))
+    return basis @ (root.x if ok else res.x)
 
 
 def _certified_residual(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -496,15 +513,23 @@ def _certified(p: Problem, x: np.ndarray, obj: float, iterations: int, tol: floa
     return SolveReport(x, obj, resid, iterations, bool(resid <= tol * scale), p)
 
 
-def _polished(p: Problem, x: np.ndarray, iterations: int, tol: float) -> SolveReport:
-    """The lowest-objective point among x and its polishes on the models read
-    off x at thresholds 1e-1 to 1e-4, certified."""
+def _polished(
+    p: Problem, x: np.ndarray, extra=(), ties: bool = False
+) -> tuple[np.ndarray, float]:
+    """The lowest-objective point, and its objective, among x and its polishes
+    on the models read off x at thresholds 1e-1 to 1e-4 and on ``extra``;
+    with ``ties`` a polish that ties the best replaces it."""
     best_x, best_obj = x, p.objective(x)
-    for thr in (1e-1, 1e-2, 1e-3, 1e-4):
-        cand = _polish_on_model(p, decompose_at(p.norm, p.l_adjoint.apply(x), tol=thr), x)
-        if (obj := p.objective(cand)) < best_obj:
+    u = p.l_adjoint.apply(x)
+    seen = set()
+    for model in [*(decompose_at(p.norm, u, tol=t) for t in (1e-1, 1e-2, 1e-3, 1e-4)), *extra]:
+        if (key := (model.e.tobytes(), model.T.basis.tobytes())) in seen:
+            continue  # the same model polishes to the same point
+        seen.add(key)
+        cand = _polish_on_model(p, model, x)
+        if (obj := p.objective(cand)) < best_obj or (ties and obj == best_obj):
             best_x, best_obj = cand, obj
-    return _certified(p, best_x, best_obj, iterations, tol)
+    return best_x, best_obj
 
 
 def solve_vanishing(
@@ -521,7 +546,9 @@ def solve_vanishing(
     ``iterations`` counts the last stage and ``converged`` is False when the
     polish does not certify.
     """
-    if start is not None and (report := _polished(problem, start, 0, opts.tol)).converged:
+    if start is not None and (
+        report := _certified(problem, *_polished(problem, start), 0, opts.tol)
+    ).converged:
         return report
     scale = 1.0 + float(np.linalg.norm(problem.phi.entries.T @ problem.y))
     lams = []
@@ -535,7 +562,7 @@ def solve_vanishing(
     for lam in lams:
         last = solve_penalized(problem.with_data(problem.y, lam), replace(opts, init=x))
         x = last.x_star
-    return _polished(problem, x, last.iterations, opts.tol)
+    return _certified(problem, *_polished(problem, x), last.iterations, opts.tol)
 
 
 def solve_trials(
@@ -559,6 +586,10 @@ def solve_trials(
     one run per level in descending lambda, each started at the first
     solution of the level above.  Then each eps = 0 problem is solved by
     ``solve_vanishing`` started at the first smallest-lambda solution.
+
+    ``converged`` on an eps > 0 report is the batched solver's own
+    composite-residual test; on an eps = 0 report it is the certified
+    ``first_order_residual`` verdict.
     """
     problems: dict[tuple, Problem] = {}
     keys = []
@@ -591,128 +622,83 @@ def solve_trials(
     return [solved[key] for key in keys]
 
 
-def _enumerated_models(p: Problem, x_ref: np.ndarray, cap: int):
-    """Brute-force candidate models for the polish stage.
+def _enumerated_models(p: Problem, x_ref: np.ndarray) -> list[DecompositionModel]:
+    """Brute-force candidate models for the oracle's polish, independent of
+    any active-set detection.
 
-    Sign patterns for l1, block subsets for the group norm (each when there
-    are at most ``cap`` of them), and the full rank sweep of the reference
-    point for the nuclear norm; feasible at the oracle's tiny scale and
-    independent of any active-set detection.
+    T = {0}, which relative thresholds never read off a nonzero point; every
+    sign pattern for l1 when there are at most 1,000; every block subset for
+    the group norm; the full rank sweep of the reference point for the
+    nuclear norm.
     """
     pdim = p.norm.ambient_dim
-    models = []
-    if p.norm.kind == "l1" and 3**pdim <= cap:
+    models = [decompose_at(p.norm, np.zeros(pdim))]
+    if p.norm.kind == "l1" and 3**pdim <= 1000:
         for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=pdim):
-            e = np.array(pattern)
-            support = [i for i, s in enumerate(pattern) if s != 0.0]
-            models.append(
-                DecompositionModel(
-                    T=Subspace.from_coordinates(pdim, support),
-                    e=e,
-                    active=tuple(support),
-                )
-            )
-    elif p.norm.kind == "group" and 2 ** len(p.norm.blocks) <= cap:
+            support = [i for i, s in enumerate(pattern) if s]
+            T = Subspace.from_coordinates(pdim, support)
+            models.append(DecompositionModel(T=T, e=np.array(pattern), active=tuple(support)))
+    elif p.norm.kind == "group":
         nblocks = len(p.norm.blocks)
-        for mask in range(2**nblocks):
+        for mask in range(1, 2**nblocks):
             chosen = [b for b in range(nblocks) if mask >> b & 1]
-            coords = sorted(i for b in chosen for i in p.norm.blocks[b])
-            models.append(
-                DecompositionModel(
-                    T=Subspace.from_coordinates(pdim, coords),
-                    e=np.zeros(pdim),
-                    active=tuple(chosen),
-                )
-            )
+            T = Subspace.from_coordinates(pdim, [i for b in chosen for i in p.norm.blocks[b]])
+            models.append(DecompositionModel(T=T, e=np.zeros(pdim), active=tuple(chosen)))
     elif p.norm.kind == "nuclear":
         u_ref = p.l_adjoint.apply(x_ref)
-        s = np.linalg.svd(
-            u_ref.reshape(p.norm.shape, order="F"), compute_uv=False
-        )
-        smax = s[0] if s.size else 0.0
-        if smax > 0:
-            s_ext = np.concatenate([s, [0.0]]) / smax
-            models.append(decompose_at(p.norm, u_ref, tol=2.0))  # rank 0
-            for r in range(1, s.size + 1):
-                if s_ext[r - 1] <= s_ext[r]:
-                    continue
-                tol = 0.5 * (s_ext[r - 1] + s_ext[r])
-                models.append(decompose_at(p.norm, u_ref, tol=tol))
+        s = np.linalg.svd(u_ref.reshape(p.norm.shape, order="F"), compute_uv=False)
+        # a threshold between each pair of distinct consecutive singular values
+        models += [
+            decompose_at(p.norm, u_ref, tol=0.5 * (a + b) / s[0])
+            for a, b in zip(s, np.append(s[1:], 0.0))
+            if a > b
+        ]
     return models
 
 
-def oracle_solve(p: Problem) -> SolveReport:
-    """High-precision reference minimizer for tiny instances.
+def _smoothed(p: Problem, mu: float):
+    """The objective with every atom a of the norm (|u_i| for l1, the block
+    norms for group, the singular values for nuclear) replaced by
+    sqrt(a^2 + mu^2), as a function returning its value and gradient."""
 
-    Averaged subgradient descent with diminishing steps explores globally;
-    the objective precision comes from re-solving the smooth problem
-    restricted to candidate model subspaces: those detected at several
-    thresholds from the descent iterates, plus a brute-force enumeration of
-    model patterns.  Only instances with N <= 8 and P <= 8 are accepted;
-    ``converged`` is the certified residual's verdict at the default tol.
+    def fun(x):
+        u = p.l_adjoint.apply(x)
+        r = p.phi.apply(x) - p.y
+        if p.norm.kind == "nuclear":
+            uu, a, vt = np.linalg.svd(u.reshape(p.norm.shape, order="F"), full_matrices=False)
+            h = np.sqrt(a * a + mu * mu)
+            g = ((uu * (a / h)) @ vt).reshape(-1, order="F")
+        elif p.norm.kind == "group":
+            h = np.sqrt(_block_norms(p.norm, u[:, None])[:, 0] ** 2 + mu * mu)
+            g = u / h[p.norm._block_of]
+        else:
+            h = np.sqrt(u * u + mu * mu)
+            g = u / h
+        grad = p.phi.entries.T @ r + p.lam * (p.l_adjoint.entries.T @ g)
+        return 0.5 * float(r @ r) + p.lam * float(h.sum()), grad
+
+    return fun
+
+
+def oracle_solve(p: Problem) -> SolveReport:
+    """High-precision reference minimizer for tiny instances, independent of
+    the primal-dual solver.
+
+    BFGS minimizes the smoothed objective (each atom a of the norm replaced
+    by sqrt(a^2 + mu^2)) at mu = 1e-2, 1e-4, 1e-6 and 1e-8, each run started
+    at the last.  That point is polished on its models and on a brute-force
+    enumeration of model patterns, the best polish is polished again on its
+    own models (a tie replaces it), and the result is certified.  Only
+    instances with N <= 8 and P <= 8 are accepted; ``converged`` is the
+    certified residual's verdict at the default tol.
     """
     if p.phi.cols > 8 or p.norm.ambient_dim > 8:
         raise ValueError("oracle restricted to tiny instances (N <= 8, P <= 8)")
-    iterations = 20_000
-    track_every = 5
-    polish_rounds = 2
-    thresholds = (3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-    enumeration_cap = 10_000
-
-    stacked = np.vstack([p.phi.entries, p.l_adjoint.entries])
-    scale = float(np.linalg.norm(stacked, 2))
-    step0 = 1.0 / (1.0 + scale * scale)
-
     x = np.zeros(p.phi.cols)
-    best_x = x.copy()
-    best_obj = p.objective(x)
-    half = iterations // 2
-    avg = np.zeros_like(x)
-    navg = 0
-    for k in range(iterations):
-        g = p.phi.entries.T @ (p.phi.apply(x) - p.y) + p.lam * (
-            p.l_adjoint.entries.T @ norm_subgradient(p.norm, p.l_adjoint.apply(x))
-        )
-        x = x - (step0 / math.sqrt(k + 1.0)) * g
-        if k >= half:
-            avg += x
-            navg += 1
-        if k % track_every == 0:
-            obj = p.objective(x)
-            if obj < best_obj:
-                best_obj = obj
-                best_x = x.copy()
-    if navg:
-        avg /= navg
-        obj = p.objective(avg)
-        if obj < best_obj:
-            best_obj = obj
-            best_x = avg.copy()
-    else:
-        avg = best_x
-
-    references = [best_x.copy(), avg]
-    for round_idx in range(polish_rounds):
-        improved = False
-        for x_ref in references:
-            u_ref = p.l_adjoint.apply(x_ref)
-            candidates = [
-                decompose_at(p.norm, u_ref, tol=thr) for thr in thresholds
-            ]
-            if round_idx == 0 and x_ref is references[0]:
-                candidates.extend(_enumerated_models(p, x_ref, enumeration_cap))
-            for model in candidates:
-                cand = _polish_on_model(p, model, x_ref)
-                obj = p.objective(cand)
-                if obj < best_obj - 1e-15:
-                    best_obj = obj
-                    best_x = cand
-                    improved = True
-        references = [best_x.copy()]
-        if not improved:
-            break
-
-    return _certified(p, best_x, best_obj, iterations, SolverOptions().tol)
+    for mu in (1e-2, 1e-4, 1e-6, 1e-8):
+        x = optimize.minimize(_smoothed(p, mu), x, jac=True, method="BFGS").x
+    x, _ = _polished(p, x, extra=_enumerated_models(p, x))
+    return _certified(p, *_polished(p, x, ties=True), 0, SolverOptions().tol)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Dense linear-operator algebra: applications, adjoints, subspaces,
-projectors, pseudoinverses and the spectral constants used by the recovery
+"""Dense linear-operator algebra: applications, adjoints, subspaces, kernel
+and image bases and the injectivity constants used by the recovery
 guarantees.
 
 Everything is a plain double-precision matrix.  All rank decisions go through
@@ -20,16 +20,9 @@ __all__ = [
     "LinearOperator",
     "Subspace",
     "identity",
-    "zero_operator",
-    "projector",
-    "restricted_operator",
-    "pseudoinverse",
-    "pseudoinverse_apply",
     "kernel_basis",
     "image_basis",
     "restricted_injectivity_constant",
-    "smallest_nonzero_singular_value",
-    "operator_norm",
     "power_iteration_norm",
     "read_operator_csv",
     "write_operator_csv",
@@ -92,10 +85,6 @@ def identity(n: int) -> LinearOperator:
     return LinearOperator(np.eye(n))
 
 
-def zero_operator(rows: int, cols: int) -> LinearOperator:
-    return LinearOperator(np.zeros((rows, cols)))
-
-
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Subspace of R^ambient_dim carried by an orthonormal basis.
@@ -113,8 +102,9 @@ class Subspace:
             raise ValueError(
                 f"basis must be ({self.ambient_dim}, k), got shape {b.shape}"
             )
-        gram = b.T @ b
-        if gram.size and not np.allclose(gram, np.eye(b.shape[1]), atol=1e-12):
+        # np.allclose(gram, eye, atol=1e-12) without its per-call overhead
+        eye = np.eye(b.shape[1])
+        if not np.all(np.abs(b.T @ b - eye) <= 1e-12 + 1e-5 * eye):
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -128,12 +118,6 @@ class Subspace:
 
     def projector_matrix(self) -> np.ndarray:
         return self.basis @ self.basis.T
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        x = _vector(x, self.ambient_dim, "contains")
-        return float(np.linalg.norm(x - self.project(x))) <= tol * (
-            1.0 + float(np.linalg.norm(x))
-        )
 
     def complement(self) -> "Subspace":
         """Orthogonal complement within the ambient space."""
@@ -150,21 +134,6 @@ class Subspace:
         return cls(n, np.zeros((n, 0)))
 
     @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, np.eye(n))
-
-    @classmethod
-    def from_span(cls, columns, tol: float = RANK_RTOL) -> "Subspace":
-        """Orthonormalize a spanning set, dropping numerically null directions."""
-        a = np.asarray(columns, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("spanning set must be a matrix of columns")
-        if a.shape[1] == 0:
-            return cls.zero(a.shape[0])
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        return cls(a.shape[0], u[:, :numerical_rank(s, tol)])
-
-    @classmethod
     def from_coordinates(cls, n: int, indices) -> "Subspace":
         idx = sorted(set(int(i) for i in indices))
         if idx and (idx[0] < 0 or idx[-1] >= n):
@@ -173,33 +142,6 @@ class Subspace:
         for j, i in enumerate(idx):
             b[i, j] = 1.0
         return cls(n, b)
-
-
-def projector(sub: Subspace) -> LinearOperator:
-    """Orthogonal projector onto the subspace: P = B B^T, P^2 = P = P^T."""
-    return LinearOperator(sub.projector_matrix())
-
-
-def restricted_operator(op: LinearOperator, sub: Subspace) -> LinearOperator:
-    """Compose with the projector on the domain side: op . P_sub.
-
-    The adjoint of the result is P_sub . op^T, which restricts the adjoint on
-    its range side.
-    """
-    if sub.ambient_dim != op.cols:
-        raise ValueError(
-            f"subspace lives in R^{sub.ambient_dim}, operator domain is R^{op.cols}"
-        )
-    return LinearOperator(op.entries @ sub.projector_matrix())
-
-
-def pseudoinverse(op: LinearOperator, tol: float = RANK_RTOL) -> LinearOperator:
-    """Moore-Penrose pseudoinverse through the SVD with relative cutoff."""
-    return LinearOperator(np.linalg.pinv(op.entries, rcond=tol))
-
-
-def pseudoinverse_apply(op: LinearOperator, y, tol: float = RANK_RTOL) -> np.ndarray:
-    return pseudoinverse(op, tol=tol).apply(y)
 
 
 def kernel_basis(op: LinearOperator, tol: float = RANK_RTOL) -> Subspace:
@@ -246,28 +188,6 @@ def restricted_injectivity_constant(phi: LinearOperator, sub: Subspace) -> float
         return 0.0
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[-1])
-
-
-def smallest_nonzero_singular_value(op: LinearOperator, tol: float = RANK_RTOL) -> float:
-    """Smallest singular value above the rank cutoff.
-
-    This is the injectivity constant of the operator on the orthogonal
-    complement of its kernel.  Undefined (raises) for the zero operator.
-    """
-    s = np.linalg.svd(op.entries, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        raise ValueError("zero operator: no nonzero singular values")
-    kept = s[s > tol * smax]
-    return float(kept[-1])
-
-
-def operator_norm(op: LinearOperator) -> float:
-    """Largest singular value (spectral norm)."""
-    if op.entries.size == 0:
-        return 0.0
-    s = np.linalg.svd(op.entries, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
 
 
 def power_iteration_norm(a: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000) -> float:

@@ -16,7 +16,7 @@ norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "bregman",
     "is_separable",
     "separable_split",
-    "with_separable_partition",
 ]
 
 # Relative threshold deciding which coordinates / blocks / singular values
@@ -332,7 +331,6 @@ class DecompositionModel:
 
     T: Subspace
     e: np.ndarray
-    separable_partition: tuple[Subspace, Subspace] | None = None
     active: tuple[int, ...] | None = None
 
 
@@ -491,11 +489,3 @@ def separable_split(
         Subspace.from_coordinates(p, v_coords),
         Subspace.from_coordinates(p, w_coords),
     )
-
-
-def with_separable_partition(
-    norm: DecomposableNorm, model: DecompositionModel, first_part
-) -> DecompositionModel:
-    """Return the model with its inactive-space split populated."""
-    v, w = separable_split(norm, model, first_part)
-    return replace(model, separable_partition=(v, w))

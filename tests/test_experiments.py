@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoreg import experiments
+from decoreg import experiments, solver
 from decoreg.cli import main as cli_main
 from decoreg.experiments import (
     ConfigError,
@@ -257,6 +257,32 @@ class TestGenerateScenario:
             generate_scenario(cfg)
 
 
+def oracle_cross_check_instances():
+    """25 seeded instances per norm with N = 6, M in 3..6 and lambda
+    log-uniform on [1e-3, 1].  L^* cycles through the identity, 1-d
+    differences and a random 8 x 6 matrix; for the nuclear norm it is the
+    identity or a random orthogonal matrix."""
+    for kind_index, kind in enumerate(("l1", "group", "nuclear")):
+        for trial in range(25):
+            r = np.random.default_rng([913, kind_index, trial])
+            m = int(r.integers(3, 7))
+            if kind == "nuclear":
+                l_adj = np.linalg.qr(r.standard_normal((6, 6)))[0] if trial % 2 else np.eye(6)
+                norm = nuclear(2, 3)
+            else:
+                l_adj = (np.eye(6), difference_operator_1d(6).entries, r.standard_normal((8, 6)))[
+                    trial % 3
+                ]
+                p_dim = l_adj.shape[0]
+                norm = l1(p_dim) if kind == "l1" else group(
+                    [range(i, min(i + 2, p_dim)) for i in range(0, p_dim, 2)]
+                )
+            phi = LinearOperator(r.standard_normal((m, 6)) / np.sqrt(m))
+            y = r.standard_normal(m)
+            lam = float(10.0 ** r.uniform(-3.0, 0.0))
+            yield Problem(phi=phi, l_adjoint=LinearOperator(l_adj), norm=norm, y=y, lam=lam)
+
+
 class TestOracle:
     def test_dimension_guard(self):
         p = Problem(
@@ -307,6 +333,23 @@ class TestOracle:
                 oracle = oracle_solve(p)
                 assert oracle.objective <= solver.objective + 1e-7
                 assert solver.objective <= oracle.objective + 1e-7
+
+    def test_cross_check_with_analysis_operators(self, monkeypatch):
+        """Against PDHG with L != I, and without calling it: the oracle is at
+        most the PDHG objective and within 1e-7 of it."""
+        problems = list(oracle_cross_check_instances())
+        pdhg = [solve_penalized(p, SolverOptions(tol=1e-10)).objective for p in problems]
+
+        def pdhg_is_off_limits(*args, **kwargs):
+            raise AssertionError("the oracle called the primal-dual solver")
+
+        for module in (experiments, solver):
+            for name in ("solve_penalized", "solve_penalized_many"):
+                monkeypatch.setattr(module, name, pdhg_is_off_limits)
+        for p, reference in zip(problems, pdhg):
+            oracle = oracle_solve(p).objective
+            assert oracle <= reference + 1e-9 * (1.0 + abs(reference))
+            assert abs(oracle - reference) <= 1e-7 * (1.0 + abs(reference))
 
 
 class TestRunScenario:
@@ -965,6 +1008,29 @@ class TestCli:
         assert not out.exists()
         with pytest.raises(ConfigError):
             base_config(**{key: value})
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"epsilons": [float("nan")]}, "epsilons"),
+            ({"epsilons": [0.01, float("inf")]}, "epsilons"),
+            ({"signal": {"kind": "low_rank", "rank": 0}}, "signal.rank"),
+            ({"signal": {"kind": "analysis_sparse", "active": -1}}, "signal.active"),
+            ({"frame_mode": True, "frame_bound": 0.0}, "frame_bound"),
+            ({"frame_mode": True, "frame_bound": -1.0}, "frame_bound"),
+            ({"plot": "false"}, "plot"),
+            ({"frame_mode": "false"}, "frame_mode"),
+        ],
+    )
+    def test_bad_values_name_their_field_and_write_nothing(
+        self, tmp_path, capsys, overrides, field
+    ):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        code = cli_main(["stability-sweep", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert field in capsys.readouterr().err
 
     def test_solver_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, epsilons=[0.05])

@@ -422,7 +422,9 @@ class TestDecomposeAt:
         for norm in NORM_KINDS.values():
             u = rng.standard_normal(6)
             model = decompose_at(norm, u)
-            assert model.T.contains(u, tol=1e-10)
+            assert np.linalg.norm(u - model.T.project(u)) <= 1e-10 * (
+                1.0 + np.linalg.norm(u)
+            )
 
     def test_nuclear_deterministic_sign(self):
         n = nuclear(2, 3)
@@ -558,17 +560,6 @@ class TestSeparability:
         model = decompose_at(norm, vec([1.0, 0, 0, 0]))
         with pytest.raises(ValueError):
             separable_split(norm, model, [0, 1])
-
-    def test_partition_populated_on_demand(self):
-        from decoreg.norms import with_separable_partition
-
-        norm = l1(4)
-        model = decompose_at(norm, vec([1.0, 0, 0, 0]))
-        assert model.separable_partition is None
-        enriched = with_separable_partition(norm, model, [1, 2])
-        v, w = enriched.separable_partition
-        assert v.dim == 2 and w.dim == 1
-        assert v.dim + w.dim == model.T.complement().dim
 
 
 # block sums of squares add in another order than a per-block np.linalg.norm
