@@ -13,7 +13,7 @@ Uniqueness comes in three forms, checked in decreasing strength:
   together with restricted injectivity.
 * its separable weakening: for norms splitting additively on S = V + W it is
   enough that the dual norm of alpha stays below 1 on V, at the price of
-  restricted injectivity on ker(L_{V^perp}^*).
+  restricted injectivity on ker(L_V^*) = {x : L^* x in T + W}.
 
 Stability: with lambda = c * eps the distance of any minimizer to the
 generating signal is at most C * eps where
@@ -23,8 +23,9 @@ generating signal is at most C * eps where
 with C1 = 1 / C_Phi and C2 = (||Phi|| + C_Phi) / (C_L C_Phi C_A) extracted
 from the proof chain: C_Phi the injectivity constant of phi on ker(L_S0^*),
 C_L the smallest nonzero singular value of L_S0^*, C_A the coercivity
-constant of the norm.  In frame mode (ker(L^*) = {0} with lower frame bound
-a) C_L is replaced by sqrt(a) and the injectivity subspace becomes the image
+constant of the norm.  In frame mode (ker(L^*) = {0}, so L^* is the
+analysis operator of a frame with lower frame bound a = sigma_min(L^*)^2)
+C_L is replaced by sqrt(a) and the injectivity subspace becomes the image
 of the dual frame restricted to the model.
 """
 
@@ -45,10 +46,11 @@ from .linops import (
 )
 from .norms import (
     DecomposableNorm,
+    DecompositionModel,
     _bregman_value,
     coercivity_constant,
     dual_norm_value,
-    is_separable,
+    separable_split,
 )
 from .solver import ICContext, SolveReport, SolverOptions, _min_dual_norm_affine
 
@@ -154,79 +156,30 @@ def uniqueness_from_certificate(cert: DualCertificate, c_phi: float) -> Uniquene
     return UniquenessVerdict(STATUS_UNDECIDED)
 
 
-def _coordinate_set(sub: Subspace, tol: float = 1e-10) -> list[int] | None:
-    """Coordinate indices spanned by the subspace, or None when it is not
-    coordinate-aligned."""
-    p = sub.projector_matrix()
-    diag = np.diag(p)
-    off = p - np.diag(diag)
-    if np.max(np.abs(off), initial=0.0) > tol:
-        return None
-    coords = []
-    for i, d in enumerate(diag):
-        if abs(d - 1.0) <= tol:
-            coords.append(i)
-        elif abs(d) > tol:
-            return None
-    return coords
-
-
 def separable_uniqueness(
     cert: DualCertificate,
-    V: Subspace,
-    W: Subspace,
+    model: DecompositionModel,
+    first_part,
     norm: DecomposableNorm,
     phi: LinearOperator,
     l_op: LinearOperator,
 ) -> UniquenessVerdict:
     """Weakened certificate criterion for separable norms on S = V + W.
 
-    Certifies uniqueness when dual_norm(P_V alpha) < 1 and phi is injective
-    on ker(L_{V^perp}^*).  The split must be coordinate-aligned (whole blocks
-    for the group norm) and must reproduce the certificate's inactive space.
+    ``separable_split(norm, model, first_part)`` gives V, the inactive
+    coordinates (l1) or blocks (group) named by ``first_part``, and W, the
+    rest of the inactive space.  Certifies uniqueness when
+    dual_norm(P_V alpha) < 1 and phi is injective on
+    ker(L_V^*) = {x : L^* x in T + W}.  The certificate must attain e on the
+    model: P_T alpha = e.
     """
-    if not is_separable(norm):
-        raise ValueError(f"{norm.kind} norm is not separable")
-    p = norm.ambient_dim
-    if V.ambient_dim != p or W.ambient_dim != p:
-        raise ValueError("V and W must live in the analysis space")
-    cross = V.basis.T @ W.basis
-    if cross.size and np.max(np.abs(cross)) > 1e-10:
-        raise ValueError("V and W are not orthogonal")
-    v_coords = _coordinate_set(V)
-    w_coords = _coordinate_set(W)
-    if v_coords is None or w_coords is None:
-        raise ValueError("V and W must be coordinate-aligned for a separable norm")
-    if norm.kind == "group":
-        for b in norm.blocks:
-            for part in (v_coords, w_coords):
-                hit = len(set(b) & set(part))
-                if hit not in (0, len(b)):
-                    raise ValueError("split must not cut group blocks")
-
-    s_basis = np.hstack([V.basis, W.basis])
-    S = Subspace(p, s_basis)
-    sat_s = dual_norm_value(norm, S.project(cert.alpha))
-    if abs(sat_s - cert.saturation) > 1e-6 * (1.0 + cert.saturation):
-        raise ValueError("V and W do not partition the certificate's inactive space")
-    # coordinates outside V + W must belong to the model part, where the
-    # certificate attains unit magnitude (per coordinate or per block)
-    outside = sorted(set(range(p)) - set(v_coords) - set(w_coords))
-    if norm.kind == "l1":
-        bad = [i for i in outside if abs(abs(cert.alpha[i]) - 1.0) > 1e-6]
-    else:
-        bad = []
-        for b in norm.blocks:
-            if set(b) <= set(outside):
-                if abs(np.linalg.norm(cert.alpha[list(b)]) - 1.0) > 1e-6:
-                    bad.extend(b)
-    if bad:
-        raise ValueError("V and W do not partition the certificate's inactive space")
-
+    V, _ = separable_split(norm, model, first_part)
+    miss = np.linalg.norm(model.T.project(cert.alpha) - model.e)
+    if miss > 1e-6 * (1.0 + np.linalg.norm(model.e)):
+        raise ValueError("the certificate does not attain e on the model")
     sat_v = dual_norm_value(norm, V.project(cert.alpha))
-    v_perp = V.complement()
-    ls_adj = LinearOperator((l_op.entries @ v_perp.projector_matrix()).T)
-    c_phi_v = restricted_injectivity_constant(phi, kernel_basis(ls_adj))
+    lv_adj = LinearOperator((l_op.entries @ V.projector_matrix()).T)
+    c_phi_v = restricted_injectivity_constant(phi, kernel_basis(lv_adj))
     if sat_v < 1.0 and c_phi_v > 0.0:
         return UniquenessVerdict(STATUS_UNIQUE)
     return UniquenessVerdict(STATUS_UNDECIDED)
@@ -266,35 +219,33 @@ def stability_constants(
     norm: DecomposableNorm,
     cert: DualCertificate,
     c: float,
-    frame_mode: float | None = None,
+    frame: bool = False,
 ) -> StabilityBound:
     """Compute every constant of the error bound for the model ``ctx.T`` and
     a certificate.
 
     C_Phi and C_L are read from ``ctx``; C_L is +inf when L_S0 vanishes,
-    since that error component is then absent.  ``frame_mode``, when given,
-    is the lower frame bound a of the analysis operator; it requires
-    ker(L^*) = {0}, replaces C_L by sqrt(a) and takes the injectivity
-    constant over the image of the dual frame restricted to the model
-    subspace.
+    since that error component is then absent.  With ``frame``, L^* is read
+    as a frame analysis operator: it requires ker(L^*) = {0}, replaces C_L by
+    sqrt(a) = sigma_min(L^*), a the lower frame bound, and takes the
+    injectivity constant over the image of the dual frame restricted to the
+    model subspace.
     """
     if not cert.saturation < 1.0:
         raise ValueError("no stability guarantee: certificate saturates")
 
     phi, l_op = ctx.phi, ctx.l_op
-    if frame_mode is None:
-        c_phi, c_l = ctx.c_phi, ctx.c_l
-    else:
-        a = float(frame_mode)
-        if not a > 0:
-            raise ValueError("frame lower bound must be positive")
-        if kernel_basis(l_op.T).dim != 0:
+    if frame:
+        s = np.linalg.svd(l_op.entries, compute_uv=False)  # those of L^* too
+        if numerical_rank(s) < l_op.rows:
             raise ValueError("frame mode requires ker(L^*) = {0}")
         frame_op = l_op.entries @ l_op.entries.T
         dual_frame = np.linalg.solve(frame_op, l_op.entries)
         sub = image_basis(LinearOperator(dual_frame @ ctx.T.projector_matrix()))
         c_phi = restricted_injectivity_constant(phi, sub)
-        c_l = float(np.sqrt(a))
+        c_l = float(s[-1])
+    else:
+        c_phi, c_l = ctx.c_phi, ctx.c_l
 
     if not c_phi > 0:
         raise ValueError("no stability guarantee: restricted injectivity fails")
@@ -390,29 +341,28 @@ def verify_bounds(
     x0,
     cert: DualCertificate,
     epsilon: float,
-    c: float,
     report: SolveReport,
     bound: StabilityBound,
-    slack: float | None = None,
 ) -> BoundCheckReport:
     """Compare the four observed errors of a solved instance against their
     theoretical bounds.
 
+    The coupling c and ||eta|| are those ``bound`` was built with.
     Preconditions are verified, not assumed: the solve must have used
     lambda = c * epsilon (a vanishing penalty stands in at epsilon = 0) on
     data within epsilon of phi x0.  Violated preconditions mark the report
     invalid rather than raising; failed comparisons are recorded with
-    passed = False.  ``slack`` absorbs solver inexactness on top of the
-    relative tolerance of each comparison.  ``ctx`` is the context of the
-    model T0 at L^* x0; the model error is measured on its complement
-    S0 = ``ctx.S``.  The caller checks once that ``cert.alpha`` is a
-    subgradient at L^* x0, as ``run_scenario`` does with ``bregman``.
+    passed = False.  A slack of 1e-6 (1 + ||x0||) absorbs solver inexactness
+    on top of the relative tolerance of each comparison.  ``ctx`` is the
+    context of the model T0 at L^* x0; the model error is measured on its
+    complement S0 = ``ctx.S``.  The caller checks once that ``cert.alpha``
+    is a subgradient at L^* x0, as ``run_scenario`` does with ``bregman``.
     """
     phi, l_op = ctx.phi, ctx.l_op
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     problem = report.problem
-    if slack is None:
-        slack = 1e-6 * (1.0 + float(np.linalg.norm(x0)))
+    c = bound.c
+    slack = 1e-6 * (1.0 + float(np.linalg.norm(x0)))
 
     pre_ok = True
     reason = None
@@ -431,8 +381,7 @@ def verify_bounds(
         pre_ok = False
         reason = f"noise level {noise} exceeds epsilon = {epsilon}"
 
-    eta_norm = float(np.linalg.norm(cert.eta))
-    breg_bound, pred_bound = prediction_bregman_bounds(max(epsilon, 0.0), c, eta_norm)
+    breg_bound, pred_bound = prediction_bregman_bounds(max(epsilon, 0.0), c, bound.eta_norm)
 
     x_star = report.x_star
     u_star = l_op.T.apply(x_star)
@@ -448,7 +397,7 @@ def verify_bounds(
 
     return BoundCheckReport(
         epsilon=float(epsilon),
-        c=float(c),
+        c=c,
         preconditions_ok=pre_ok,
         reason=reason,
         prediction=_check(observed_pred, pred_bound, slack),

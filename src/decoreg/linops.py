@@ -144,35 +144,35 @@ class Subspace:
         return cls(n, b)
 
 
-def kernel_basis(op: LinearOperator, tol: float = RANK_RTOL) -> Subspace:
+def kernel_basis(op: LinearOperator) -> Subspace:
     """Orthonormal basis of the null space.
 
     Right singular vectors whose singular value is at or below
-    ``tol * sigma_max`` span the kernel; the zero operator has a full kernel.
+    ``RANK_RTOL * sigma_max`` span the kernel; the zero operator has a full
+    kernel.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = op.cols
     if n == 0:
         return Subspace.zero(0)
     _, s, vt = np.linalg.svd(op.entries, full_matrices=True)
-    return Subspace(n, vt[numerical_rank(s, tol):, :].T)
+    return Subspace(n, vt[numerical_rank(s):, :].T)
 
 
-def image_basis(op: LinearOperator, tol: float = RANK_RTOL) -> Subspace:
+def image_basis(op: LinearOperator) -> Subspace:
     """Orthonormal basis of the range."""
     m = op.rows
     if op.cols == 0 or m == 0:
         return Subspace.zero(m)
     u, s, _ = np.linalg.svd(op.entries, full_matrices=False)
-    return Subspace(m, u[:, :numerical_rank(s, tol)])
+    return Subspace(m, u[:, :numerical_rank(s)])
 
 
 def restricted_injectivity_constant(phi: LinearOperator, sub: Subspace) -> float:
     """Smallest singular value of phi restricted to the subspace.
 
     A positive value certifies that phi is injective on the subspace; zero
-    signals the restricted injectivity condition fails.  The trivial subspace
+    signals the restricted injectivity condition fails, also when the
+    restriction is rank deficient under ``RANK_RTOL``.  The trivial subspace
     returns +inf: injectivity is vacuous there and downstream constants stay
     finite through explicit guards.
     """
@@ -183,11 +183,8 @@ def restricted_injectivity_constant(phi: LinearOperator, sub: Subspace) -> float
     k = sub.dim
     if k == 0:
         return float("inf")
-    a = phi.entries @ sub.basis
-    if k > a.shape[0]:
-        return 0.0
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[-1])
+    s = np.linalg.svd(phi.entries @ sub.basis, compute_uv=False)
+    return float(s[-1]) if numerical_rank(s) == k else 0.0
 
 
 def power_iteration_norm(a: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000) -> float:

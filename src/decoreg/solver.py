@@ -41,7 +41,6 @@ import numpy as np
 from scipy import optimize
 
 from .linops import (
-    RANK_RTOL,
     LinearOperator,
     Subspace,
     image_basis,
@@ -377,7 +376,7 @@ def _xi_matrix(phi: LinearOperator, ker: np.ndarray) -> tuple[np.ndarray, float]
             "the measurement space"
         )
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
+    if numerical_rank(s) < a.shape[1]:
         raise ValueError("restricted injectivity fails: Phi is singular on ker(L_S^*)")
     inner = vt.T @ np.diag(1.0 / s**2) @ vt
     return ker @ inner @ ker.T, float(s[-1])

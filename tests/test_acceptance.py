@@ -235,7 +235,6 @@ def _run_bound_suite(config_dict, out_dir, frame=False):
         tol=1e-8,
         plot=False,
         frame_mode=frame,
-        frame_bound=1.0,
         **config_dict,
     )
     return cfg, run_scenario(cfg, out_dir)
@@ -326,7 +325,7 @@ def test_criterion_6_frame_mode(tmp_path):
     cert = build_certificate(ctx, norm, model.e)
     from decoreg.guarantees import stability_constants
 
-    framed = stability_constants(ctx, norm, cert, 1.0, frame_mode=1.0)
+    framed = stability_constants(ctx, norm, cert, 1.0, frame=True)
     plain = stability_constants(ctx, norm, cert, 1.0)
     ok &= framed.c_l == pytest.approx(np.sqrt(1.0))
     ok &= plain.c_l != framed.c_l  # the standard path measures L_{S0}^*
@@ -345,7 +344,7 @@ def test_criterion_7_determinism(tmp_path):
         "frame": dict(
             seed=2, m=18, n=16, p=24, norm=l1(24), phi_kind="gaussian",
             l_kind="tight_frame", signal_kind="analysis_sparse",
-            signal_active=10, frame_mode=True, frame_bound=1.0,
+            signal_active=10, frame_mode=True,
         ),
     }
     ok = True

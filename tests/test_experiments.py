@@ -23,7 +23,7 @@ from decoreg.experiments import (
     solve_vanishing,
     vanishing_penalty,
 )
-from decoreg.linops import identity, kernel_basis, LinearOperator
+from decoreg.linops import identity, kernel_basis, LinearOperator, write_operator_csv
 from decoreg.norms import (
     decompose_at,
     dual_norm_value,
@@ -950,6 +950,13 @@ class TestCli:
                     "norm": {"kind": "group", "blocks": [[1, 2], [3, 4], [5, 6]]},
                     "signal": {"kind": "analysis_sparse", "active": 1},
                 },
+                # no certificate: ker(L_S^*) is wider than the three
+                # measurements, and the sweep still records the NSP verdict
+                {
+                    "seed": 0,
+                    "dims": {"m": 3, "n": 8, "p": 8},
+                    "signal": {"kind": "analysis_sparse", "active": 5},
+                },
             ]
         ):
             cfg = write_config(tmp_path, **overrides)
@@ -962,6 +969,28 @@ class TestCli:
             nsp = text.splitlines()[0]
             assert nsp in ("strong nsp verdict: unique_certified", "strong nsp verdict: violated")
             assert nsp in (tmp_path / f"s{i}" / "summary.txt").read_text().splitlines()
+
+    def test_frame_mode_reads_the_frame_bound_off_l(self, tmp_path):
+        # L^* = F / 2 for a Parseval frame F has lower frame bound a = 1/4,
+        # so C_L = sqrt(a) = 1/2; a frame_bound key in the config is ignored
+        frame = parseval_frame_analysis(12, 8, np.random.default_rng(4))
+        write_operator_csv(LinearOperator(0.5 * frame.entries), tmp_path / "l.csv")
+        cfg = write_config(
+            tmp_path,
+            dims={"m": 10, "n": 8, "p": 12},
+            l={"kind": "from_file", "path": str(tmp_path / "l.csv")},
+            signal={"kind": "analysis_sparse", "active": 6},
+            frame_mode=True,
+            frame_bound=1.0,
+        )
+        out = tmp_path / "out"
+        assert cli_main(["stability-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        line = next(
+            line for line in (out / "summary.txt").read_text().splitlines()
+            if line.startswith("constants: ")
+        )
+        constants = dict(item.split("=") for item in line.split()[1:])
+        assert float(constants["c_l"]) == pytest.approx(0.5, rel=1e-12)
 
     def test_oracle_compare(self, tmp_path):
         cfg = write_config(tmp_path, dims={"m": 5, "n": 6, "p": 6}, epsilons=[0.05])
@@ -1016,8 +1045,6 @@ class TestCli:
             ({"epsilons": [0.01, float("inf")]}, "epsilons"),
             ({"signal": {"kind": "low_rank", "rank": 0}}, "signal.rank"),
             ({"signal": {"kind": "analysis_sparse", "active": -1}}, "signal.active"),
-            ({"frame_mode": True, "frame_bound": 0.0}, "frame_bound"),
-            ({"frame_mode": True, "frame_bound": -1.0}, "frame_bound"),
             ({"plot": "false"}, "plot"),
             ({"frame_mode": "false"}, "frame_mode"),
         ],

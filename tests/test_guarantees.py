@@ -300,6 +300,9 @@ class TestUniquenessFromCertificate:
 
 
 class TestSeparableUniqueness:
+    # u0 supported on the first coordinate: T = span{e_0}, e = e_0
+    model = l1_model([1.0, 0.0, 0.0, 0.0])
+
     def make_cert(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
         return DualCertificate(
@@ -310,54 +313,72 @@ class TestSeparableUniqueness:
         )
 
     def test_degenerate_split_reduces_to_plain_criterion(self):
-        # u0 supported on the first coordinate; V = whole inactive space
-        alpha = [1.0, 0.6, -0.2, 0.1]
-        cert = self.make_cert(alpha)
-        v = Subspace.from_coordinates(4, [1, 2, 3])
-        w = Subspace.zero(4)
+        # V = whole inactive space
+        cert = self.make_cert([1.0, 0.6, -0.2, 0.1])
         phi = LinearOperator(np.eye(4))
-        verdict = separable_uniqueness(cert, v, w, l1(4), phi, identity(4))
+        verdict = separable_uniqueness(cert, self.model, [1, 2, 3], l1(4), phi, identity(4))
         assert verdict.status == STATUS_UNIQUE
 
     def test_weakened_margin(self):
-        # saturation reaches 1 on W but V stays below 1 with injectivity
-        alpha = [1.0, 0.9, 1.0, 0.0]
-        cert = self.make_cert(alpha)
-        v = Subspace.from_coordinates(4, [1, 3])
-        w = Subspace.from_coordinates(4, [2])
+        # saturation reaches 1 on W = {2} but V = {1, 3} stays below 1 with
+        # injectivity
+        cert = self.make_cert([1.0, 0.9, 1.0, 0.0])
         phi = LinearOperator(np.eye(4))
-        verdict = separable_uniqueness(cert, v, w, l1(4), phi, identity(4))
+        verdict = separable_uniqueness(cert, self.model, [1, 3], l1(4), phi, identity(4))
         assert verdict.status == STATUS_UNIQUE
         # the plain criterion is undecided on the same certificate
         plain = uniqueness_from_certificate(cert, 1.0)
         assert plain.status == STATUS_UNDECIDED
 
+    def test_non_unique_instance_undecided(self):
+        # ker(phi) = span{h} and alpha = (1, 1/2, 1, 1) is a valid
+        # certificate, yet every x0 + s h, s in [0, 1], has the norm and the
+        # measurements of x0.  phi is injective on ker(L_{V^perp}^*) =
+        # span{e_1} but not on ker(L_V^*) = {x : x_1 = 0}, which contains h.
+        h = np.array([-1.0, 0.0, 0.5, 0.5])
+        phi = LinearOperator(null_space(h[None, :]).T)
+        x0 = np.array([1.0, 0.0, 0.0, 0.0])
+        for s in np.linspace(0.0, 1.0, 5):
+            assert norm_value(l1(4), x0 + s * h) == pytest.approx(1.0, abs=1e-15)
+            assert np.allclose(phi.apply(x0 + s * h), phi.apply(x0), atol=1e-15)
+        alpha = np.array([1.0, 0.5, 1.0, 1.0])
+        cert = DualCertificate(phi.apply(alpha), alpha, 1.0, 0.0)
+        assert np.allclose(phi.adjoint_apply(cert.eta), alpha)
+        verdict = separable_uniqueness(cert, self.model, [1], l1(4), phi, identity(4))
+        assert verdict.status == STATUS_UNDECIDED
+
+    def test_certificate_must_attain_e(self):
+        cert = self.make_cert([0.5, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="attain"):
+            separable_uniqueness(cert, self.model, [1], l1(4), identity(4), identity(4))
+
     def test_nuclear_rejected(self):
+        norm = nuclear(2, 2)
+        model = decompose_at(norm, np.array([1.0, 0.0, 0.0, 0.0]))
         cert = self.make_cert([1.0, 0.0, 0.0, 0.0])
-        v = Subspace.from_coordinates(4, [1])
-        w = Subspace.from_coordinates(4, [2, 3])
         with pytest.raises(ValueError):
-            separable_uniqueness(cert, v, w, nuclear(2, 2), identity(4), identity(4))
+            separable_uniqueness(cert, model, [1], norm, identity(4), identity(4))
 
-    def test_partition_mismatch_rejected(self):
-        cert = self.make_cert([1.0, 0.5, 0.5, 0.5])
-        v = Subspace.from_coordinates(4, [1])
-        w = Subspace.from_coordinates(4, [2])  # misses coordinate 3
-        with pytest.raises(ValueError):
-            separable_uniqueness(cert, v, w, l1(4), identity(4), identity(4))
-
-    def test_group_split_may_not_cut_blocks(self):
-        norm = group([[0, 1], [2, 3]])
-        cert = DualCertificate(
-            eta=np.zeros(4),
-            alpha=np.array([0.6, 0.0, 0.5, 0.0]),
-            saturation=0.78,
-            source_residual=0.0,
-        )
-        v = Subspace.from_coordinates(4, [0])
-        w = Subspace.from_coordinates(4, [1, 2, 3])
-        with pytest.raises(ValueError):
-            separable_uniqueness(cert, v, w, norm, identity(4), identity(4))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "tv1d", "group"]),
+        kernel_dim=st.integers(0, 2),
+    )
+    def test_whole_inactive_space_matches_plain_criterion(self, seed, kind, kernel_dim):
+        phi, l_op, norm, model = nsp_instance(seed, kind, kernel_dim)
+        try:
+            ctx = ic_context(phi, l_op, model.T)
+        except ValueError:
+            assume(False)
+        cert = build_certificate(ctx, norm, model.e)
+        if norm.kind == "l1":
+            parts = range(norm.ambient_dim)
+        else:
+            parts = range(len(norm.blocks))
+        inactive = sorted(set(parts) - set(model.active))
+        verdict = separable_uniqueness(cert, model, inactive, norm, phi, l_op)
+        assert verdict.status == uniqueness_from_certificate(cert, ctx.c_phi).status
 
 
 class TestStabilityConstants:
@@ -397,7 +418,7 @@ class TestStabilityConstants:
         ctx = ic_context(phi, l_op, model.T)
         cert = build_certificate(ctx, norm, model.e)
         plain = stability_constants(ctx, norm, cert, 1.0)
-        framed = stability_constants(ctx, norm, cert, 1.0, frame_mode=1.0)
+        framed = stability_constants(ctx, norm, cert, 1.0, frame=True)
         assert plain.c_l == pytest.approx(1.0, abs=1e-10)
         assert framed.c_l == pytest.approx(plain.c_l, abs=1e-10)
 
@@ -409,7 +430,7 @@ class TestStabilityConstants:
         with pytest.raises(ValueError, match="frame"):
             stability_constants(
                 ic_context(LinearOperator(np.eye(4)), l_op, model.T), l1(3), cert, 1.0,
-                frame_mode=1.0,
+                frame=True,
             )
 
 
@@ -468,7 +489,7 @@ class TestVerifyBounds:
                 y = phi.apply(x0) + w
                 p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=c * eps)
                 report = solve_penalized(p, SolverOptions(tol=1e-9))
-                chk = verify_bounds(ctx, norm, x0, cert, eps, c, report, bound)
+                chk = verify_bounds(ctx, norm, x0, cert, eps, report, bound)
                 assert chk.preconditions_ok
                 assert chk.pass_all
 
@@ -485,7 +506,7 @@ class TestVerifyBounds:
         y = phi.apply(x0) + noise_in_ball(np.random.default_rng(1), 6, eps)
         p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=eps)
         report = solve_penalized(p, SolverOptions(tol=1e-9))
-        chk = verify_bounds(ctx, norm, x0, cert, eps, 1.0, report, tiny, slack=0.0)
+        chk = verify_bounds(ctx, norm, x0, cert, eps, report, tiny)
         assert chk.preconditions_ok
         assert not chk.l2.passed
         assert not chk.pass_all
@@ -497,7 +518,7 @@ class TestVerifyBounds:
         y = phi.apply(x0) + noise_in_ball(np.random.default_rng(0), 6, eps)
         p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=0.5)
         report = solve_penalized(p, SolverOptions(tol=1e-9))
-        chk = verify_bounds(ctx, norm, x0, cert, eps, 1.0, report, bound)
+        chk = verify_bounds(ctx, norm, x0, cert, eps, report, bound)
         assert not chk.preconditions_ok
         assert "lambda" in chk.reason
         assert not chk.pass_all
@@ -509,7 +530,7 @@ class TestVerifyBounds:
         y = phi.apply(x0) + 10 * eps * np.ones(6) / np.sqrt(6)
         p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=eps)
         report = solve_penalized(p, SolverOptions(tol=1e-9))
-        chk = verify_bounds(ctx, norm, x0, cert, eps, 1.0, report, bound)
+        chk = verify_bounds(ctx, norm, x0, cert, eps, report, bound)
         assert not chk.preconditions_ok
         assert "noise" in chk.reason
 
@@ -529,9 +550,9 @@ class TestVerifyBounds:
 
         sat_v = dual_norm_value(norm, v.project(cert.alpha))
         assert sat_v == pytest.approx(cert.saturation, abs=1e-12)
-        v_perp = v.complement()
-        ls_adj = LinearOperator((l_op.entries @ v_perp.projector_matrix()).T)
-        c_phi_v = restricted_injectivity_constant(phi, kernel_basis(ls_adj))
+        # injectivity on ker(L_V^*) = {x : L^* x in T + W}
+        lv_adj = LinearOperator((l_op.entries @ v.projector_matrix()).T)
+        c_phi_v = restricted_injectivity_constant(phi, kernel_basis(lv_adj))
         assert c_phi_v > 0
         sub_cert = DualCertificate(cert.eta, cert.alpha, sat_v, cert.source_residual)
         sub_bound = stability_constants(ctx, norm, sub_cert, 1.0)
@@ -558,5 +579,5 @@ class TestVerifyBounds:
             y = phi.apply(x0) + noise_in_ball(np.random.default_rng(5), 6, eps)
             p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=y, lam=eps)
             report = solve_penalized(p, SolverOptions(tol=1e-9))
-            chk = verify_bounds(ctx, norm, x0, sub_cert, eps, 1.0, report, patched)
+            chk = verify_bounds(ctx, norm, x0, sub_cert, eps, report, patched)
             assert chk.pass_all

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from decoreg.linops import (
     LinearOperator,
@@ -207,6 +208,17 @@ class TestInjectivityConstant:
         phi = LinearOperator(np.diag([1.0, 0.0]))
         sub = Subspace.from_coordinates(2, [1])
         assert restricted_injectivity_constant(phi, sub) == pytest.approx(0.0)
+
+    def test_numerically_singular_restriction_fails(self):
+        # the raw smallest singular value is positive but under the rank cutoff
+        phi = LinearOperator(np.diag([1.0, 1e-12]))
+        assert restricted_injectivity_constant(phi, Subspace(2, np.eye(2))) == 0.0
+        # a kernel direction inside the subspace: rounding leaves ~1e-17
+        h = np.array([-1.0, 0.0, 0.5, 0.5])
+        phi = LinearOperator(null_space(h[None, :]).T)
+        sub = Subspace.from_coordinates(4, [0, 2, 3])
+        assert restricted_injectivity_constant(phi, sub) == 0.0
+        assert restricted_injectivity_constant(phi, Subspace.from_coordinates(4, [0, 2])) > 0
 
     def test_zero_subspace_sentinel(self):
         phi = random_operator(3, 4)
