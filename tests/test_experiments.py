@@ -1045,6 +1045,8 @@ class TestCli:
             ({"epsilons": [0.01, float("inf")]}, "epsilons"),
             ({"signal": {"kind": "low_rank", "rank": 0}}, "signal.rank"),
             ({"signal": {"kind": "analysis_sparse", "active": -1}}, "signal.active"),
+            ({"frame_mode": 1}, "frame_mode"),
+            ({"frame_mode": None}, "frame_mode"),
             ({"plot": "false"}, "plot"),
             ({"frame_mode": "false"}, "frame_mode"),
         ],
