@@ -99,11 +99,7 @@ def difference_operator_1d(n: int) -> LinearOperator:
     """Forward differences: (n-1) x n matrix with rows (-1, 1, 0, ...)."""
     if n < 2:
         raise ConfigError("1-d differences need n >= 2")
-    d = np.zeros((n - 1, n))
-    for i in range(n - 1):
-        d[i, i] = -1.0
-        d[i, i + 1] = 1.0
-    return LinearOperator(d)
+    return LinearOperator(np.eye(n - 1, n, 1) - np.eye(n - 1, n))
 
 
 def difference_operator_2d(height: int, width: int) -> LinearOperator:
@@ -114,21 +110,11 @@ def difference_operator_2d(height: int, width: int) -> LinearOperator:
     """
     if height < 1 or width < 1 or height * width < 2:
         raise ConfigError("2-d differences need a grid with at least two pixels")
-    n = height * width
-    rows = []
-    for i in range(height):
-        for j in range(width - 1):
-            r = np.zeros(n)
-            r[i * width + j] = -1.0
-            r[i * width + j + 1] = 1.0
-            rows.append(r)
-    for i in range(height - 1):
-        for j in range(width):
-            r = np.zeros(n)
-            r[i * width + j] = -1.0
-            r[(i + 1) * width + j] = 1.0
-            rows.append(r)
-    return LinearOperator(np.array(rows))
+    d_h = np.eye(height - 1, height, 1) - np.eye(height - 1, height)
+    d_w = np.eye(width - 1, width, 1) - np.eye(width - 1, width)
+    # + 0.0 turns the Kronecker products' negative zeros into zeros
+    rows = np.vstack([np.kron(np.eye(height), d_w), np.kron(d_h, np.eye(width))])
+    return LinearOperator(rows + 0.0)
 
 
 def parseval_frame_analysis(p: int, n: int, rng: np.random.Generator) -> LinearOperator:
@@ -335,17 +321,13 @@ def _build_l_adjoint(cfg: ScenarioConfig, rng: np.random.Generator) -> LinearOpe
 
 
 def _zero_rows_for(cfg: ScenarioConfig, rng: np.random.Generator) -> list[int]:
-    """Analysis rows forced to zero so the active set has the requested size."""
-    if cfg.norm.kind == "group":
-        nblocks = len(cfg.norm.blocks)
-        if cfg.signal_active > nblocks:
-            raise ConfigError("requested active blocks exceed the partition size")
-        inactive = rng.choice(nblocks, size=nblocks - cfg.signal_active, replace=False)
-        return sorted(i for b in inactive for i in cfg.norm.blocks[int(b)])
-    if cfg.signal_active > cfg.p:
-        raise ConfigError("requested support exceeds the analysis dimension")
-    inactive = rng.choice(cfg.p, size=cfg.p - cfg.signal_active, replace=False)
-    return sorted(int(i) for i in inactive)
+    """Analysis rows forced to zero so the active set has the requested size:
+    whole blocks of an l1 or group norm, single rows for the nuclear norm."""
+    blocks = cfg.norm.blocks or [(i,) for i in range(cfg.p)]
+    if cfg.signal_active > len(blocks):
+        raise ConfigError("requested active set exceeds the number of analysis blocks")
+    inactive = rng.choice(len(blocks), size=len(blocks) - cfg.signal_active, replace=False)
+    return sorted(i for b in inactive for i in blocks[int(b)])
 
 
 def _active_count(norm: DecomposableNorm, model) -> int:
@@ -656,8 +638,8 @@ def _enumerated_models(p: Problem, x_ref: np.ndarray) -> list[DecompositionModel
 
 
 def _smoothed(p: Problem, mu: float):
-    """The objective with every atom a of the norm (|u_i| for l1, the block
-    norms for group, the singular values for nuclear) replaced by
+    """The objective with every atom a of the norm (the block norms for l1
+    and group, the singular values for nuclear) replaced by
     sqrt(a^2 + mu^2), as a function returning its value and gradient."""
 
     def fun(x):
@@ -667,12 +649,9 @@ def _smoothed(p: Problem, mu: float):
             uu, a, vt = np.linalg.svd(u.reshape(p.norm.shape, order="F"), full_matrices=False)
             h = np.sqrt(a * a + mu * mu)
             g = ((uu * (a / h)) @ vt).reshape(-1, order="F")
-        elif p.norm.kind == "group":
+        else:
             h = np.sqrt(_block_norms(p.norm, u[:, None])[:, 0] ** 2 + mu * mu)
             g = u / h[p.norm._block_of]
-        else:
-            h = np.sqrt(u * u + mu * mu)
-            g = u / h
         grad = p.phi.entries.T @ r + p.lam * (p.l_adjoint.entries.T @ g)
         return 0.5 * float(r @ r) + p.lam * float(h.sum()), grad
 
@@ -710,18 +689,8 @@ class ScenarioResult:
     plot_path: Path | None
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_results_csv(path: Path, rows: list[tuple]) -> None:
-    lines = [RESULTS_HEADER]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [RESULTS_HEADER] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -138,10 +138,7 @@ class Subspace:
         idx = sorted(set(int(i) for i in indices))
         if idx and (idx[0] < 0 or idx[-1] >= n):
             raise ValueError(f"coordinate indices out of range for dimension {n}")
-        b = np.zeros((n, len(idx)))
-        for j, i in enumerate(idx):
-            b[i, j] = 1.0
-        return cls(n, b)
+        return cls(n, np.eye(n)[:, idx])
 
 
 def kernel_basis(op: LinearOperator) -> Subspace:

@@ -2,16 +2,18 @@
 
 Three instances are implemented: the l1 norm, the group l1-l2 norm over a
 fixed partition, and the nuclear norm of a column-major vectorized matrix.
-Each norm comes with its dual norm, proximity operator, ball projections, a
-canonical model decomposition (the pair (T, e) describing its subdifferential)
-and the Bregman distance.
+The l1 norm is the group norm whose blocks are the single coordinates and
+runs the group code; only the solver's dual-ball projection kernel keeps an
+l1 clip.  Each norm comes with its dual norm, proximity operator, ball
+projections, a canonical model decomposition (the pair (T, e) describing its
+subdifferential) and the Bregman distance.
 
 The subdifferential at u is { alpha : P_T alpha = e, dual_norm(P_{T^perp}
 alpha) <= 1 } where T is the model subspace and e in T the attained
 subgradient direction.  For the three norms here that pair is canonical:
-support and sign pattern for l1, active blocks and normalized block
-directions for the group norm, singular spaces and U V^T for the nuclear
-norm.
+active blocks and normalized block directions for the group norm (for l1
+the blocks are the coordinates, so support and sign pattern), singular
+spaces and U V^T for the nuclear norm.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ class DecomposableNorm:
     kind is "l1", "group" or "nuclear".  Group norms carry a partition of
     0..ambient_dim-1 into disjoint blocks; nuclear norms carry the matrix
     shape (nrows, ncols) with nrows * ncols = ambient_dim and column-major
-    vectorization.
+    vectorization.  An l1 norm is the group norm whose blocks are the single
+    coordinates, and takes no other partition; its block norm sqrt(u_i^2)
+    is exactly |u_i| for every u_i = 0 or 1e-150 <= |u_i| <= 1e150.
     """
 
     kind: str
@@ -70,7 +74,12 @@ class DecomposableNorm:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.ambient_dim <= 0:
             raise ValueError("ambient_dim must be positive")
-        if self.kind == "group":
+        if self.kind == "l1":
+            singletons = tuple((i,) for i in range(self.ambient_dim))
+            if self.blocks not in (None, singletons):
+                raise ValueError("l1 norm blocks are the single coordinates")
+            object.__setattr__(self, "blocks", singletons)
+        if self.kind in ("l1", "group"):
             if not self.blocks:
                 raise ValueError("group norm needs a block partition")
             seen: set[int] = set()
@@ -180,9 +189,7 @@ def _transposed_matrices(norm: DecomposableNorm, cols: np.ndarray) -> np.ndarray
 def norm_value(norm: DecomposableNorm, u):
     """The norm of u, or of every column of a (P, B) array as a (B,) array."""
     cols, single = _as_columns(norm, u)
-    if norm.kind == "l1":
-        out = np.sum(np.abs(cols), axis=0)
-    elif norm.kind == "group":
+    if norm.kind != "nuclear":
         out = np.sum(_block_norms(norm, cols), axis=0)
     else:
         out = np.sum(
@@ -194,9 +201,7 @@ def norm_value(norm: DecomposableNorm, u):
 def dual_norm_value(norm: DecomposableNorm, u) -> float:
     """l-infinity for l1, max block norm for group, spectral for nuclear."""
     u = _check_dim(norm, u)
-    if norm.kind == "l1":
-        return float(np.max(np.abs(u))) if u.size else 0.0
-    if norm.kind == "group":
+    if norm.kind != "nuclear":
         return float(_block_norms(norm, u[:, None]).max())
     s = np.linalg.svd(_to_matrix(norm, u), compute_uv=False)
     return float(s[0]) if s.size else 0.0
@@ -210,9 +215,7 @@ def prox(norm: DecomposableNorm, u, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ValueError("tau must be positive")
     u = _check_dim(norm, u)
-    if norm.kind == "l1":
-        return np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
-    if norm.kind == "group":
+    if norm.kind != "nuclear":
         nb = _block_norms(norm, u[:, None])[:, 0]
         kept = nb > tau
         shrink = np.zeros_like(nb)
@@ -251,6 +254,7 @@ def _project_dual_ball_inplace(
     more than the projection itself.  Returns ``cols``.
     """
     if norm.kind == "l1":
+        # a clip costs less than the block norms of single coordinates
         np.minimum(cols, radius, out=cols)
         np.maximum(cols, neg_radius, out=cols)
     elif norm.kind == "group":
@@ -284,12 +288,7 @@ def project_primal_ball(norm: DecomposableNorm, v, radius: float = 1.0) -> np.nd
     v = _check_dim(norm, v)
     if radius == 0:
         return np.zeros_like(v)
-    if norm.kind == "l1":
-        if np.sum(np.abs(v)) <= radius:
-            return v.copy()
-        theta = _project_simplex_like(np.abs(v), radius)
-        return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
-    if norm.kind == "group":
+    if norm.kind != "nuclear":
         norms = _block_norms(norm, v[:, None])[:, 0]
         if norms.sum() <= radius:
             return v.copy()
@@ -309,9 +308,7 @@ def project_primal_ball(norm: DecomposableNorm, v, radius: float = 1.0) -> np.nd
 def norm_subgradient(norm: DecomposableNorm, u) -> np.ndarray:
     """One subgradient of the norm at u (the zero choice on the inactive part)."""
     u = _check_dim(norm, u)
-    if norm.kind == "l1":
-        return np.sign(u)
-    if norm.kind == "group":
+    if norm.kind != "nuclear":
         nb = _block_norms(norm, u[:, None])[:, 0][norm._block_of]
         return np.divide(u, nb, out=np.zeros_like(u), where=nb > 0)
     x = _to_matrix(norm, u)
@@ -324,8 +321,8 @@ def norm_subgradient(norm: DecomposableNorm, u) -> np.ndarray:
 class DecompositionModel:
     """Model pair (T, e) of a decomposable norm at a point.
 
-    ``active`` records the active coordinates (l1) or active block indices
-    (group); it is None for the nuclear norm, whose model is the set of
+    ``active`` records the active block indices of the group norm (for l1
+    the blocks are the coordinates, so these are coordinates); it is None for the nuclear norm, whose model is the set of
     matrices sharing row or column space with the point.
     """
 
@@ -353,16 +350,7 @@ def decompose_at(norm: DecomposableNorm, u, tol: float = ACTIVE_RTOL) -> Decompo
     u = _check_dim(norm, u)
     p = norm.ambient_dim
 
-    if norm.kind == "l1":
-        mx = float(np.max(np.abs(u))) if u.size else 0.0
-        active = [] if mx == 0.0 else [int(i) for i in np.nonzero(np.abs(u) > tol * mx)[0]]
-        e = np.zeros(p)
-        e[active] = np.sign(u[active])
-        return DecompositionModel(
-            T=Subspace.from_coordinates(p, active), e=e, active=tuple(active)
-        )
-
-    if norm.kind == "group":
+    if norm.kind != "nuclear":
         norms = _block_norms(norm, u[:, None])[:, 0]
         mx = float(norms.max())
         on = norms > tol * mx if mx > 0.0 else np.zeros(norms.size, dtype=bool)
@@ -375,7 +363,7 @@ def decompose_at(norm: DecomposableNorm, u, tol: float = ACTIVE_RTOL) -> Decompo
         )
 
     # nuclear: model space is { U A^T + B V^T } for the thin singular spaces
-    m, n = norm.shape
+    m = norm.shape[0]
     x = _to_matrix(norm, u)
     uu, s, vt = np.linalg.svd(x, full_matrices=True)
     r = numerical_rank(s, tol)
@@ -388,12 +376,9 @@ def decompose_at(norm: DecomposableNorm, u, tol: float = ACTIVE_RTOL) -> Decompo
         if col[j] < 0:
             uu[:, i] = -uu[:, i]
             vt[i, :] = -vt[i, :]
-    cols = []
-    for j in range(n):
-        for i in range(m):
-            if i < r or j < r:
-                cols.append(_to_vector(np.outer(uu[:, i], vt[j, :])))
-    basis = np.column_stack(cols) if cols else np.zeros((p, 0))
+    # column j m + i of kron(V, U) is the vectorized u_i v_j^T
+    i, j = np.arange(p) % m, np.arange(p) // m
+    basis = np.kron(vt.T, uu)[:, (i < r) | (j < r)]
     e = _to_vector(uu[:, :r] @ vt[:r, :]) if r else np.zeros(p)
     return DecompositionModel(T=Subspace(p, basis), e=e, active=None)
 
@@ -453,7 +438,7 @@ def _bregman_value(norm: DecomposableNorm, u, u0, alpha) -> float:
 def is_separable(norm: DecomposableNorm) -> bool:
     """Whether the norm splits additively across coordinate-aligned parts of
     the inactive space (true for l1 and group, false for nuclear)."""
-    return norm.kind in ("l1", "group")
+    return norm.kind != "nuclear"
 
 
 def separable_split(
@@ -461,8 +446,8 @@ def separable_split(
 ) -> tuple[Subspace, Subspace]:
     """Split the inactive space T^perp into V + W.
 
-    ``first_part`` selects inactive coordinates (l1) or inactive block
-    indices (group) going into V; the remaining inactive ones form W.  The
+    ``first_part`` selects inactive block indices (for l1 the blocks are
+    the coordinates) going into V; the remaining inactive ones form W.  The
     nuclear norm offers no such partition.
     """
     if not is_separable(norm):
@@ -471,20 +456,11 @@ def separable_split(
         raise ValueError("model does not carry an active set")
     p = norm.ambient_dim
     chosen = sorted(set(int(i) for i in first_part))
-    if norm.kind == "l1":
-        inactive = sorted(set(range(p)) - set(model.active))
-        if not set(chosen) <= set(inactive):
-            raise ValueError("first_part must consist of inactive coordinates")
-        v_coords = chosen
-        w_coords = sorted(set(inactive) - set(chosen))
-    else:
-        inactive_blocks = sorted(set(range(len(norm.blocks))) - set(model.active))
-        if not set(chosen) <= set(inactive_blocks):
-            raise ValueError("first_part must consist of inactive block indices")
-        v_coords = sorted(i for b in chosen for i in norm.blocks[b])
-        w_coords = sorted(
-            i for b in set(inactive_blocks) - set(chosen) for i in norm.blocks[b]
-        )
+    inactive_blocks = sorted(set(range(len(norm.blocks))) - set(model.active))
+    if not set(chosen) <= set(inactive_blocks):
+        raise ValueError("first_part must consist of inactive block indices")
+    v_coords = sorted(i for b in chosen for i in norm.blocks[b])
+    w_coords = sorted(i for b in set(inactive_blocks) - set(chosen) for i in norm.blocks[b])
     return (
         Subspace.from_coordinates(p, v_coords),
         Subspace.from_coordinates(p, w_coords),

@@ -1050,6 +1050,16 @@ class TestCli:
             ({"plot": "false"}, "plot"),
             ({"frame_mode": "false"}, "frame_mode"),
         ],
+        ids=[
+            "epsilons-nan",
+            "epsilons-inf",
+            "signal.rank-0",
+            "signal.active--1",
+            "frame_mode-int",
+            "frame_mode-null",
+            "plot-str",
+            "frame_mode-str",
+        ],
     )
     def test_bad_values_name_their_field_and_write_nothing(
         self, tmp_path, capsys, overrides, field

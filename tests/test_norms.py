@@ -23,7 +23,7 @@ from decoreg.norms import (
     separable_split,
     subdiff_membership,
 )
-from decoreg.norms import _project_dual_ball_inplace
+from decoreg.norms import DecomposableNorm, _project_dual_ball_inplace, _project_simplex_like
 
 rng = np.random.default_rng(77)
 
@@ -50,6 +50,12 @@ class TestConstruction:
     def test_group_blocks_must_be_disjoint(self):
         with pytest.raises(ValueError):
             group([[0, 1], [1, 2]], dim=3)
+
+    def test_l1_blocks_are_the_coordinates(self):
+        assert l1(3).blocks == ((0,), (1,), (2,))
+        assert DecomposableNorm("l1", 3, blocks=((0,), (1,), (2,))) == l1(3)
+        with pytest.raises(ValueError):
+            DecomposableNorm("l1", 3, blocks=((0, 1), (2,)))
 
     def test_nuclear_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -643,6 +649,63 @@ class TestGroupBlockLayout:
         assert got.shape == v.shape
         expected = reference_group_primal_projection(norm, v, radius)
         assert np.linalg.norm(got - expected) <= ROUNDING * (1.0 + np.linalg.norm(v))
+
+
+# l1 entries whose squares neither underflow nor overflow, where
+# sqrt(u_i^2) == |u_i| holds exactly, and zeros
+L1_ENTRIES = st.one_of(
+    st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150)
+)
+
+
+def reference_l1_model(u, tol):
+    """The l1 model read off coordinates: the basis of the support, the sign
+    pattern and the support."""
+    mx = float(np.max(np.abs(u)))
+    active = [] if mx == 0.0 else [int(i) for i in np.nonzero(np.abs(u) > tol * mx)[0]]
+    basis = np.zeros((u.size, len(active)))
+    basis[active, range(len(active))] = 1.0
+    e = np.zeros(u.size)
+    e[active] = np.sign(u[active])
+    return basis, e, tuple(active)
+
+
+def reference_l1_primal_projection(v, radius):
+    """Soft thresholding at the threshold of the l1-ball projection."""
+    if np.sum(np.abs(v)) <= radius:
+        return v.copy()
+    theta = _project_simplex_like(np.abs(v), radius)
+    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+
+
+class TestL1IsSingletonGroup:
+    """l1 runs the group code with one block per coordinate; on entries in
+    [1e-150, 1e150] in magnitude (or zero) it equals the coordinate
+    formulas."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_coordinate_formulas(self, data):
+        dim = data.draw(st.integers(1, 8))
+        norm = l1(dim)
+        u = np.array(data.draw(st.lists(L1_ENTRIES, min_size=dim, max_size=dim)))
+        cols = np.column_stack([u, u[::-1]])
+        assert norm_value(norm, u) == np.sum(np.abs(u))
+        assert np.array_equal(norm_value(norm, cols), np.sum(np.abs(cols), axis=0))
+        assert dual_norm_value(norm, u) == np.max(np.abs(u))
+        assert np.array_equal(norm_subgradient(norm, u), np.sign(u))
+        for tol in (ACTIVE_RTOL, 1e-3, 0.5):
+            model = decompose_at(norm, u, tol)
+            basis, e_ref, active_ref = reference_l1_model(u, tol)
+            assert np.array_equal(model.T.basis, basis)
+            assert np.array_equal(model.e, e_ref)
+            assert model.active == active_ref
+        tau = data.draw(st.floats(1e-150, 1e150))
+        soft = np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
+        assert np.all(np.abs(prox(norm, u, tau) - soft) <= 1e-12 * np.abs(u))
+        radius = data.draw(st.floats(1e-150, 1e150))
+        expected = reference_l1_primal_projection(u, radius)
+        assert np.all(np.abs(project_primal_ball(norm, u, radius) - expected) <= 1e-12 * np.abs(u))
 
 
 @st.composite
