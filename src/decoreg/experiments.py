@@ -289,10 +289,9 @@ def _build_phi(cfg: ScenarioConfig, rng: np.random.Generator) -> LinearOperator:
     if cfg.phi_kind == "convolution":
         taps = rng.standard_normal(max(3, cfg.n // 4))
         taps /= np.linalg.norm(taps)
+        i, k = np.divmod(np.arange(cfg.n * taps.size), taps.size)
         mat = np.zeros((cfg.n, cfg.n))
-        for i in range(cfg.n):
-            for k, t in enumerate(taps):
-                mat[i, (i + k) % cfg.n] += t
+        np.add.at(mat, (i, (i + k) % cfg.n), taps[k])
         return LinearOperator(mat)
     op = read_operator_csv(cfg.phi_path)
     if op.rows != cfg.m or op.cols != cfg.n:

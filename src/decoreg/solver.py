@@ -26,10 +26,12 @@ unconstrained one, min_c dual_norm(g0 + C c).  The minimum-norm
 least-squares point settles it when it cancels g0.  Otherwise the l1 case
 (an l-infinity objective) is a linear program solved by HiGHS, and the group
 and nuclear cases run the same primal-dual scheme, with the same
-primal-weight rule.  Both report the value at
-their point with a duality gap from a dual candidate, the LP's marginals or
-the splitting's dual iterate, which certifies it.  The strong null-space
-check solves the same program.
+primal-weight rule, in orthonormal coordinates of Im C: with C = U S V^T and
+Q = U_r it minimizes dual_norm(g0 + Q d) with eta = 0.99, since ||Q|| = 1,
+and maps its d back to c = V_r S_r^{-1} d.  Both report the value at their
+point with a duality gap from a dual candidate, the LP's marginals or the
+splitting's dual iterate, which certifies it.  The strong null-space check
+solves the same program.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from scipy import optimize
 from .linops import (
     LinearOperator,
     Subspace,
-    image_basis,
     kernel_basis,
     numerical_rank,
 )
@@ -501,14 +502,16 @@ def _min_dual_norm_affine(
     columns, or a least-squares point that cancels g0).  Null columns are
     dropped and the minimum-norm least-squares point is tried first; only
     when it does not cancel g0 is the program solved, as a linear program for
-    l1 and by primal-dual splitting for the other norms.
+    l1 and by primal-dual splitting for the other norms.  The splitting runs
+    on min_d dual_norm(g0 + Q d), Q = U_r from columns = U S V^T, and its d
+    maps back to c = V_r S_r^{-1} d, where the value is recomputed.
     """
     k = columns.shape[1]
     base = dual_norm_value(norm, g0)
     if k == 0:
         return np.zeros(0), base, 0.0, True, np.zeros_like(g0)
     # numerically null columns come out of projector and pseudoinverse
-    # compositions; they contribute nothing and wreck the step size
+    # compositions; they contribute nothing and would get arbitrary coefficients
     col_norms = np.linalg.norm(columns, axis=0)
     keep = np.nonzero(col_norms > 1e-12 * (1.0 + float(np.linalg.norm(g0))))[0]
     if keep.size < k:
@@ -527,10 +530,15 @@ def _min_dual_norm_affine(
     if val_ls <= opts.tol * (1.0 + base):
         return c_ls, val_ls, val_ls, True, np.zeros_like(g0)
 
-    q_im = image_basis(LinearOperator(columns)).basis
+    u, s, vt = np.linalg.svd(columns, full_matrices=False)
+    r = numerical_rank(s)
+    q, s, vt = u[:, :r], s[:r], vt[:r]
     if norm.kind == "l1":
-        return _min_linf_affine_lp(norm, g0, columns, q_im, c_ls, opts)
-    return _min_dual_norm_pdhg(norm, g0, columns, q_im, c_ls, opts)
+        return _min_linf_affine_lp(norm, g0, columns, q, c_ls, opts)
+    d, d_value, gap, converged, w = _min_dual_norm_pdhg(norm, g0, q, s * (vt @ c_ls), opts)
+    c = vt.T @ (d / s)
+    value = dual_norm_value(norm, g0 + columns @ c)
+    return c, value, max(gap + value - d_value, 0.0), converged, w
 
 
 def _certified_gap(
@@ -587,62 +595,55 @@ def _min_linf_affine_lp(
 def _min_dual_norm_pdhg(
     norm: DecomposableNorm,
     g0: np.ndarray,
-    columns: np.ndarray,
-    q_im: np.ndarray,
-    c_start: np.ndarray,
+    q: np.ndarray,
+    d_start: np.ndarray,
     opts: SolverOptions,
 ) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
-    """Primal-dual splitting for the affine dual-norm program, any norm.
+    """Primal-dual splitting for min_d dual_norm(g0 + q @ d), any norm, where
+    q has orthonormal columns.
 
-    Starts at ``c_start`` when it beats c = 0 and stops once the certified
+    Starts at ``d_start`` when it beats d = 0 and stops once the certified
     gap meets the tolerance; the best iterate seen at a check is returned
     with the dual candidate of the last check.  The steps follow
-    ``solve_penalized_many``'s primal-weight rule, with c as the primal and
-    w as the dual block and eta = 0.99 / ||columns|| from the exact spectral
-    norm.
+    ``solve_penalized_many``'s primal-weight rule, with d as the primal and
+    w as the dual block and eta = 0.99, since ||q|| = 1.
     """
-    k = columns.shape[1]
-    step = 0.99 / np.linalg.norm(columns, 2)
-    tau = sigma = step
+    step = tau = sigma = 0.99
     omega = 1.0
     adapt_from = _WEIGHT_WARMUP_WINDOWS * CHECK_EVERY
-    base = dual_norm_value(norm, g0)
-    val_start = dual_norm_value(norm, g0 + columns @ c_start)
-    w = np.zeros_like(g0)
-    best_val, best_c = base, np.zeros(k)
+    best_val, best_d = dual_norm_value(norm, g0), np.zeros(q.shape[1])
+    val_start = dual_norm_value(norm, g0 + q @ d_start)
     if val_start < best_val:
-        best_val, best_c = val_start, c_start.copy()
-    c = best_c.copy()
-    cbar = c.copy()
-    gap = np.inf
-    w_feas = np.zeros_like(g0)
-    converged = False
-    c_prev, w_prev = c, w
+        best_val, best_d = val_start, d_start.copy()
+    d, dbar = best_d.copy(), best_d.copy()
+    w = w_feas = np.zeros_like(g0)
+    gap, converged = np.inf, False
+    d_prev, w_prev = d, w
 
     for it in range(1, opts.max_iter + 1):
-        w = project_primal_ball(norm, w + sigma * (columns @ cbar + g0), 1.0)
-        c_new = c - tau * (columns.T @ w)
-        cbar = 2.0 * c_new - c
-        c = c_new
+        w = project_primal_ball(norm, w + sigma * (q @ dbar + g0), 1.0)
+        d_new = d - tau * (q.T @ w)
+        dbar = 2.0 * d_new - d
+        d = d_new
         if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            val = dual_norm_value(norm, g0 + columns @ c)
+            val = dual_norm_value(norm, g0 + q @ d)
             if val < best_val:
                 best_val = val
-                best_c = c.copy()
-            gap, w_feas = _certified_gap(norm, g0, q_im, best_val, w)
+                best_d = d.copy()
+            gap, w_feas = _certified_gap(norm, g0, q, best_val, w)
             if gap <= opts.tol * (1.0 + abs(best_val)):
                 converged = True
                 break
             if it >= adapt_from:
-                dc = np.linalg.norm(c - c_prev)
+                dd = np.linalg.norm(d - d_prev)
                 dw = np.linalg.norm(w - w_prev)
-                if dc > 0 and dw > 0:
-                    omega = float(_next_weight(omega, dw, dc))
-                    cbar = c
+                if dd > 0 and dw > 0:
+                    omega = float(_next_weight(omega, dw, dd))
+                    dbar = d
                     tau, sigma = step / omega, step * omega
-            c_prev, w_prev = c, w
+            d_prev, w_prev = d, w
 
-    return best_c, best_val, max(float(gap), 0.0), converged, w_feas
+    return best_d, best_val, max(float(gap), 0.0), converged, w_feas
 
 
 def _minimize_ic(

@@ -168,6 +168,19 @@ class TestGenerateScenario:
         for ya, yb in zip(a[4], b[4]):
             assert np.array_equal(ya, yb)
 
+    def test_convolution_matches_the_loop(self):
+        # the circulant built entry by entry, wrap-around sums (n < 3) included
+        for n in range(1, 40):
+            cfg = base_config(phi_kind="convolution", m=n, n=n, p=n, norm=l1(n), signal_active=1)
+            phi = experiments._build_phi(cfg, np.random.default_rng(n))
+            taps = np.random.default_rng(n).standard_normal(max(3, n // 4))
+            taps /= np.linalg.norm(taps)
+            ref = np.zeros((n, n))
+            for i in range(n):
+                for k, t in enumerate(taps):
+                    ref[i, (i + k) % n] += t
+            assert np.array_equal(phi.entries, ref), n
+
     def test_zero_epsilon_is_clean(self):
         cfg = base_config(epsilons=(0.0, 0.01))
         phi, l_op, norm, x0, ys = generate_scenario(cfg)

@@ -35,7 +35,12 @@ from decoreg.solver import (
     solve_penalized,
     solve_penalized_many,
 )
-from decoreg.solver import _composite_residual, _min_dual_norm_pdhg, _xi_matrix
+from decoreg.solver import (
+    _composite_residual,
+    _min_dual_norm_affine,
+    _min_dual_norm_pdhg,
+    _xi_matrix,
+)
 
 rng = np.random.default_rng(2024)
 
@@ -862,7 +867,7 @@ class TestL1ProgramLp:
         q_im = image_basis(LinearOperator(cols)).basis
         pdhg_opts = SolverOptions(tol=1e-9, max_iter=20_000)
         _, pdhg_value, pdhg_gap, _, _ = _min_dual_norm_pdhg(
-            norm, g0, cols, q_im, np.zeros(cols.shape[1]), pdhg_opts
+            norm, g0, q_im, np.zeros(q_im.shape[1]), pdhg_opts
         )
         assert lp.value <= pdhg_value + 1e-12
         assert pdhg_value - lp.value <= pdhg_gap + lp.gap + 1e-15
@@ -898,3 +903,36 @@ class TestL1ProgramLp:
         ls_value = dual_norm_value(norm, g0 + cols @ c_ls)
         assert failed.value == pytest.approx(ls_value, rel=1e-12)
         assert failed.value >= solved.value
+
+
+class TestAffineDualNormProgram:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["group", "nuclear"]),
+        k=st.integers(1, 10),
+        log_cond=st.floats(0.0, 3.0),
+        duplicate=st.booleans(),
+    )
+    def test_converges_with_a_sound_gap(self, seed, kind, k, log_cond, duplicate):
+        if kind == "group":
+            norm = group([list(range(b, b + 4)) for b in range(0, 16, 4)])
+        else:
+            norm = nuclear(4, 4)
+        r = np.random.default_rng(seed)
+        g0 = r.standard_normal(16)
+        u, _ = np.linalg.qr(r.standard_normal((16, k)))
+        v, _ = np.linalg.qr(r.standard_normal((k, k)))
+        cols = u @ np.diag(np.logspace(0.0, -log_cond, k)) @ v.T
+        if duplicate:  # a repeated column makes the program rank deficient
+            cols = np.hstack([cols, cols[:, r.integers(k)][:, None]])
+        c, value, gap, converged, _ = _min_dual_norm_affine(
+            norm, g0, cols, SolverOptions(tol=1e-9, max_iter=2_000)
+        )
+        assert converged
+        assert value == dual_norm_value(norm, g0 + cols @ c)
+        # value - gap bounds the minimum from below: no probe, near the
+        # minimizer or far from it, beats it
+        for scale in np.logspace(-8.0, 1.0, 50):
+            probe = c + scale * r.standard_normal(c.shape[0])
+            assert value - gap <= dual_norm_value(norm, g0 + cols @ probe) + 1e-12
