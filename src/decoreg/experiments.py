@@ -519,9 +519,13 @@ def solve_vanishing(
     that certifies.  Otherwise, since splitting from zero crawls along
     ker(phi) at tiny lambda, a continuation of ``solve_penalized`` stages
     runs, lambda falling by factors of ten from 0.01 (1 + ||Phi^* y||), each
-    warm-started at the last, and its end point is polished the same way;
-    ``iterations`` counts the last stage and ``converged`` is False when the
-    polish does not certify.
+    warm-started at the last.  Its end point is polished the same way, then,
+    while no polish certifies, the earlier stages' points from the last one
+    backwards: where the minimal-norm pre-certificate fails, the small-lambda
+    points carry O(lambda) entries off the support that no threshold reads
+    as zero.  The first certified report is returned, ``iterations``
+    counting its stage; when none certifies, the last stage's report with
+    ``converged`` False.
     """
     if start is not None and (
         report := _certified(problem, *_polished(problem, start), 0, opts.tol)
@@ -535,11 +539,16 @@ def solve_vanishing(
         lam *= 0.1
     lams.append(problem.lam)
 
-    x = None
+    stages = []
     for lam in lams:
-        last = solve_penalized(problem.with_data(problem.y, lam), replace(opts, init=x))
-        x = last.x_star
-    return _certified(problem, *_polished(problem, x), last.iterations, opts.tol)
+        init = stages[-1].x_star if stages else None
+        stages.append(solve_penalized(problem.with_data(problem.y, lam), replace(opts, init=init)))
+    reports = (
+        _certified(problem, *_polished(problem, s.x_star), s.iterations, opts.tol)
+        for s in reversed(stages)
+    )
+    last = next(reports)
+    return last if last.converged else next((r for r in reports if r.converged), last)
 
 
 def solve_trials(
@@ -802,6 +811,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
 
     nsp = strong_nsp_check(phi, l_op, T0, e0, norm, solver_opts, joint=joint)
     summary.append(f"strong nsp verdict: {nsp.status}")
+    cor1 = uniqueness_from_certificate(cert, ctx.c_phi)
+    summary.append(f"certificate uniqueness verdict: {cor1.status}")
 
     try:
         bound = stability_constants(ctx, norm, cert, cfg.coupling_c, frame=cfg.frame_mode)
@@ -810,8 +821,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
         (out / "summary.txt").write_text("\n".join(summary) + "\n")
         return ScenarioResult(0, rows, reports, None, out / "summary.txt", None)
 
-    cor1 = uniqueness_from_certificate(cert, bound.c_phi)
-    summary.append(f"certificate uniqueness verdict: {cor1.status}")
     summary.append(
         "constants: "
         f"c_phi={bound.c_phi!r} c_l={bound.c_l!r} c_a={bound.c_a!r} "

@@ -22,16 +22,16 @@ together, one column per problem, and each iteration updates the stacked
 dual in place in the array K xbar.
 The IC programs are solved in reduced coordinates: orthonormal bases of the
 feasible subspaces turn the affine-constrained dual-norm minimization into an
-unconstrained one, min_c dual_norm(g0 + C c).  The minimum-norm
-least-squares point settles it when it cancels g0.  Otherwise the l1 case
-(an l-infinity objective) is a linear program solved by HiGHS, and the group
-and nuclear cases run the same primal-dual scheme, with the same
-primal-weight rule, in orthonormal coordinates of Im C: with C = U S V^T and
-Q = U_r it minimizes dual_norm(g0 + Q d) with eta = 0.99, since ||Q|| = 1,
-and maps its d back to c = V_r S_r^{-1} d.  Both report the value at their
-point with a duality gap from a dual candidate, the LP's marginals or the
-splitting's dual iterate, which certifies it.  The strong null-space check
-solves the same program.
+unconstrained one, min_c dual_norm(g0 + C c).  One SVD C = U S V^T with
+Q = U_r turns that into min_d dual_norm(g0 + Q d).  The minimum-norm
+least-squares point d = -Q^T g0 settles it when it cancels g0.  Otherwise
+the l1 case (an l-infinity objective) is a linear program solved by HiGHS,
+and the group and nuclear cases run the same primal-dual scheme, with the
+same primal-weight rule and eta = 0.99, since ||Q|| = 1.  Either d maps back
+to c = V_r S_r^{-1} d.  Both report the value at their point with a duality
+gap from a dual candidate, the LP's marginals or the splitting's dual
+iterate, which certifies it.  The strong null-space check solves the same
+program.
 """
 
 from __future__ import annotations
@@ -498,44 +498,31 @@ def _min_dual_norm_affine(
     w with columns^T w = 0, which yields a computable optimality gap: every
     reported value comes with a certificate ``gap`` bounding its distance to
     the true minimum.  Returns (c, value, gap, converged, w), w that dual
-    candidate with <g0, w> >= value - gap, or zero where no program runs (no
-    columns, or a least-squares point that cancels g0).  Null columns are
-    dropped and the minimum-norm least-squares point is tried first; only
-    when it does not cancel g0 is the program solved, as a linear program for
-    l1 and by primal-dual splitting for the other norms.  The splitting runs
-    on min_d dual_norm(g0 + Q d), Q = U_r from columns = U S V^T, and its d
-    maps back to c = V_r S_r^{-1} d, where the value is recomputed.
+    candidate with <g0, w> >= value - gap, or zero where no program runs.
+
+    One SVD columns = U S V^T gives everything: the rank r counts the
+    singular values above both ``numerical_rank``'s relative cut and the
+    absolute floor 1e-12 (1 + ||g0||), below which columns contribute
+    nothing; Q = U_r; and the minimum-norm least-squares point d = -Q^T g0.
+    That point settles the program when it cancels g0 (or r = 0) and starts
+    it otherwise.  It comes before any solver because the minimizer need not
+    be unique: where g0 cancels, the minimum-norm point is the one downstream
+    quantities (the certificate's eta, hence C) are defined by.  The program
+    min_d dual_norm(g0 + Q d) runs as a linear program for l1 and by
+    primal-dual splitting for the other norms; either d maps back to
+    c = V_r S_r^{-1} d, where the value is recomputed and the gap shifted by
+    the difference.
     """
-    k = columns.shape[1]
     base = dual_norm_value(norm, g0)
-    if k == 0:
-        return np.zeros(0), base, 0.0, True, np.zeros_like(g0)
-    # numerically null columns come out of projector and pseudoinverse
-    # compositions; they contribute nothing and would get arbitrary coefficients
-    col_norms = np.linalg.norm(columns, axis=0)
-    keep = np.nonzero(col_norms > 1e-12 * (1.0 + float(np.linalg.norm(g0))))[0]
-    if keep.size < k:
-        sub_c, *rest = _min_dual_norm_affine(norm, g0, columns[:, keep], opts)
-        c = np.zeros(k)
-        c[keep] = sub_c
-        return (c, *rest)
-
-    # least-squares preprocessing: settles the full-cancellation case (value
-    # zero) exactly and provides a start otherwise.  It comes before any
-    # solver because the minimizer need not be unique: where g0 cancels, the
-    # minimum-norm point is the one downstream quantities (the certificate's
-    # eta, hence C) are defined by
-    c_ls, *_ = np.linalg.lstsq(columns, -g0, rcond=None)
-    val_ls = dual_norm_value(norm, g0 + columns @ c_ls)
-    if val_ls <= opts.tol * (1.0 + base):
-        return c_ls, val_ls, val_ls, True, np.zeros_like(g0)
-
     u, s, vt = np.linalg.svd(columns, full_matrices=False)
-    r = numerical_rank(s)
+    r = min(numerical_rank(s), int(np.sum(s > 1e-12 * (1.0 + float(np.linalg.norm(g0))))))
     q, s, vt = u[:, :r], s[:r], vt[:r]
-    if norm.kind == "l1":
-        return _min_linf_affine_lp(norm, g0, columns, q, c_ls, opts)
-    d, d_value, gap, converged, w = _min_dual_norm_pdhg(norm, g0, q, s * (vt @ c_ls), opts)
+    d = -(q.T @ g0)
+    d_value = dual_norm_value(norm, g0 + q @ d)
+    gap, converged, w = (d_value if r else 0.0), True, np.zeros_like(g0)
+    if r and d_value > opts.tol * (1.0 + base):
+        solve = _min_linf_affine_lp if norm.kind == "l1" else _min_dual_norm_pdhg
+        d, d_value, gap, converged, w = solve(norm, g0, q, d, opts)
     c = vt.T @ (d / s)
     value = dual_norm_value(norm, g0 + columns @ c)
     return c, value, max(gap + value - d_value, 0.0), converged, w
@@ -560,36 +547,35 @@ def _certified_gap(
 def _min_linf_affine_lp(
     norm: DecomposableNorm,
     g0: np.ndarray,
-    columns: np.ndarray,
-    q_im: np.ndarray,
-    c_start: np.ndarray,
+    q: np.ndarray,
+    d_start: np.ndarray,
     opts: SolverOptions,
 ) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
-    """The l1 case, min_c ||g0 + columns @ c||_inf, as a linear program.
+    """The l1 case, min_d ||g0 + q @ d||_inf with q orthonormal, as a linear
+    program.
 
-    Variables (c, t), minimize t subject to +-(g0 + columns @ c) - t <= 0,
-    solved by HiGHS.  The value is recomputed at the returned c and its gap
-    comes from the inequality marginals mu+ and mu-: w = mu+ - mu- is the
-    dual candidate of ``_certified_gap``.  A solver failure returns
-    ``c_start`` unconverged with an infinite gap and a zero candidate.
+    Variables (d, t), minimize t subject to +-(g0 + q @ d) - t <= 0, solved
+    by HiGHS.  The value at the returned d gets its gap from the inequality
+    marginals mu+ and mu-: w = mu+ - mu- is the dual candidate of
+    ``_certified_gap``.  A solver failure returns ``d_start`` unconverged
+    with an infinite gap and a zero candidate.
     """
-    p_dim, k = columns.shape
+    p_dim, r = q.shape
     ones = np.ones((p_dim, 1))
     res = optimize.linprog(
-        np.r_[np.zeros(k), 1.0],
-        A_ub=np.block([[columns, -ones], [-columns, -ones]]),
+        np.r_[np.zeros(r), 1.0],
+        A_ub=np.block([[q, -ones], [-q, -ones]]),
         b_ub=np.r_[-g0, g0],
         bounds=(None, None),
         method="highs",
     )
     if res.status != 0:
-        value = dual_norm_value(norm, g0 + columns @ c_start)
-        return c_start, value, np.inf, False, np.zeros_like(g0)
-    c = res.x[:k]
-    value = dual_norm_value(norm, g0 + columns @ c)
+        return d_start, dual_norm_value(norm, g0 + q @ d_start), np.inf, False, np.zeros_like(g0)
+    d = res.x[:r]
+    value = dual_norm_value(norm, g0 + q @ d)
     marginals = res.ineqlin.marginals  # nonpositive for <= rows
-    gap, w = _certified_gap(norm, g0, q_im, value, marginals[p_dim:] - marginals[:p_dim])
-    return c, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value)), w
+    gap, w = _certified_gap(norm, g0, q, value, marginals[p_dim:] - marginals[:p_dim])
+    return d, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value)), w
 
 
 def _min_dual_norm_pdhg(

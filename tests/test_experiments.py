@@ -890,6 +890,16 @@ class TestSolveVanishingMany:
         assert (started.iterations, started.converged) == (alone.iterations, alone.converged)
         assert alone.iterations > 0
 
+    def test_readme_instance_alone_at_eps0(self, tmp_path):
+        # the README instance with eps = 0 alone, so no start: its IC chain
+        # reads joint 0.374 but u-only = zero = 1.116, so the minimal-norm
+        # pre-certificate fails and the small-lambda stages carry O(lambda)
+        # entries off x0's support that no polish threshold reads; the last
+        # stage's polish does not certify, an earlier stage's does
+        cfg = base_config(epsilons=(0.0,), noise_draws=10, plot=False)
+        summary = run_scenario(cfg, tmp_path).summary_path.read_text().splitlines()
+        assert "unconverged trials 0" in summary
+
     def test_tv1d_stage_at_tiny_penalty(self):
         # the last continuation stage, warm-started at lambda = 1e-6 (1 +
         # ||Phi^* y||), took 18,550 iterations with the fixed step; the dual
@@ -981,7 +991,17 @@ class TestCli:
             assert "unique_up_to_sampling" not in text
             nsp = text.splitlines()[0]
             assert nsp in ("strong nsp verdict: unique_certified", "strong nsp verdict: violated")
-            assert nsp in (tmp_path / f"s{i}" / "summary.txt").read_text().splitlines()
+            summary = (tmp_path / f"s{i}" / "summary.txt").read_text().splitlines()
+            assert nsp in summary
+            # the certificate verdict too, also on a saturated certificate;
+            # neither has one where no certificate exists
+            assert [
+                line.split(": ")[1] for line in text.splitlines()
+                if line.startswith("certificate verdict: ")
+            ] == [
+                line.split(": ")[1] for line in summary
+                if line.startswith("certificate uniqueness verdict: ")
+            ]
 
     def test_frame_mode_reads_the_frame_bound_off_l(self, tmp_path):
         # L^* = F / 2 for a Parseval frame F has lower frame bound a = 1/4,

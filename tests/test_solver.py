@@ -13,6 +13,7 @@ from decoreg.linops import (
     identity,
     image_basis,
     kernel_basis,
+    numerical_rank,
     restricted_injectivity_constant,
 )
 from decoreg.norms import (
@@ -36,6 +37,7 @@ from decoreg.solver import (
     solve_penalized_many,
 )
 from decoreg.solver import (
+    _certified_gap,
     _composite_residual,
     _min_dual_norm_affine,
     _min_dual_norm_pdhg,
@@ -905,7 +907,99 @@ class TestL1ProgramLp:
         assert failed.value >= solved.value
 
 
+def two_factorization_reference(norm, g0, columns, opts):
+    """The affine dual-norm program as solved before one SVD served it, for
+    (c, value, gap, converged): numerically null columns trimmed by a
+    recursive call, an ``lstsq`` start (cut eps * max(M, N)), then the LP in
+    column coordinates for l1, with its own value recomputation, or the
+    splitting in orthonormal coordinates from Q^T C c_ls."""
+    k = columns.shape[1]
+    base = dual_norm_value(norm, g0)
+    if k == 0:
+        return np.zeros(0), base, 0.0, True
+    keep = np.nonzero(np.linalg.norm(columns, axis=0) > 1e-12 * (1.0 + np.linalg.norm(g0)))[0]
+    if keep.size < k:
+        sub_c, *rest = two_factorization_reference(norm, g0, columns[:, keep], opts)
+        c = np.zeros(k)
+        c[keep] = sub_c
+        return (c, *rest)
+    c_ls, *_ = np.linalg.lstsq(columns, -g0, rcond=None)
+    val_ls = dual_norm_value(norm, g0 + columns @ c_ls)
+    if val_ls <= opts.tol * (1.0 + base):
+        return c_ls, val_ls, val_ls, True
+    u, s, vt = np.linalg.svd(columns, full_matrices=False)
+    r = numerical_rank(s)
+    q, s, vt = u[:, :r], s[:r], vt[:r]
+    if norm.kind == "l1":
+        p_dim = columns.shape[0]
+        ones = np.ones((p_dim, 1))
+        res = optimize.linprog(
+            np.r_[np.zeros(k), 1.0],
+            A_ub=np.block([[columns, -ones], [-columns, -ones]]),
+            b_ub=np.r_[-g0, g0],
+            bounds=(None, None),
+            method="highs",
+        )
+        c = res.x[:k]
+        value = dual_norm_value(norm, g0 + columns @ c)
+        marginals = res.ineqlin.marginals
+        gap, _ = _certified_gap(norm, g0, q, value, marginals[p_dim:] - marginals[:p_dim])
+        return c, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value))
+    d, d_value, gap, converged, _ = _min_dual_norm_pdhg(norm, g0, q, s * (vt @ c_ls), opts)
+    c = vt.T @ (d / s)
+    value = dual_norm_value(norm, g0 + columns @ c)
+    return c, value, max(gap + value - d_value, 0.0), converged
+
+
 class TestAffineDualNormProgram:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear"]),
+        k=st.integers(0, 6),
+        log_cond=st.floats(0.0, 3.0),
+        extra=st.lists(st.sampled_from(["null", "tiny", "duplicate"]), max_size=3),
+        all_null=st.booleans(),
+        cancel=st.booleans(),
+    )
+    def test_one_factorization_matches_the_reference(
+        self, seed, kind, k, log_cond, extra, all_null, cancel
+    ):
+        norm = {
+            "l1": l1(16),
+            "group": group([list(range(b, b + 4)) for b in range(0, 16, 4)]),
+            "nuclear": nuclear(4, 4),
+        }[kind]
+        r = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(r.standard_normal((16, k)))
+        v, _ = np.linalg.qr(r.standard_normal((k, k)))
+        cols = u @ np.diag(np.logspace(0.0, -log_cond, k)) @ v.T
+        for what in extra:
+            if what == "null":
+                new = np.zeros(16)
+            elif what == "tiny":
+                new = 1e-13 * r.standard_normal(16) / 4.0
+            else:
+                new = cols[:, r.integers(k)] if k else np.zeros(16)
+            cols = np.hstack([cols, new[:, None]])
+        if all_null:
+            cols = np.zeros_like(cols)
+        # g0 in the columns' image: the least-squares point cancels it
+        g0 = cols @ r.standard_normal(cols.shape[1]) if cancel else r.standard_normal(16)
+        opts = SolverOptions(tol=1e-9, max_iter=5_000)
+        c, value, gap, _, _ = _min_dual_norm_affine(norm, g0, cols, opts)
+        ref_c, ref_value, ref_gap, _ = two_factorization_reference(norm, g0, cols, opts)
+        assert c.shape == ref_c.shape == (cols.shape[1],)
+        assert value == dual_norm_value(norm, g0 + cols @ c)
+        assert abs(value - ref_value) <= gap + ref_gap + 1e-12
+        for scale in np.logspace(-8.0, 1.0, 30):
+            probe = c + scale * r.standard_normal(c.shape[0])
+            assert value - gap <= dual_norm_value(norm, g0 + cols @ probe) + 1e-12
+        if ref_value <= opts.tol * (1.0 + dual_norm_value(norm, g0)):
+            # the minimum-norm point, which defines eta and hence C
+            assert value <= opts.tol * (1.0 + dual_norm_value(norm, g0))
+            assert np.allclose(c, ref_c, rtol=0.0, atol=1e-9 * (1.0 + np.linalg.norm(ref_c)))
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 10_000),
