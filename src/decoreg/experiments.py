@@ -223,10 +223,10 @@ class ScenarioConfig:
         for flag in ("frame_mode", "plot"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigError(f"{flag} must be true or false")
-        if not self.coupling_c > 0:
-            raise ConfigError("coupling c must be positive")
-        if not self.tol > 0:
-            raise ConfigError("solver tol must be positive")
+        if not 0 < self.coupling_c < math.inf:
+            raise ConfigError("coupling_c must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("solver.tol must be positive and finite")
         if self.max_iter < 1:
             raise ConfigError("solver max_iter must be at least 1")
 

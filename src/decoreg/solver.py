@@ -10,16 +10,12 @@ minimizing the irrepresentability coefficient
 
 over u in ker(L_S) and z with Phi^* z in Im(L_S).
 
-The splitting scheme is the standard primal-dual hybrid gradient iteration on
-the stacked operator K = (Phi; L^*) with steps tau = eta / omega and
-sigma = eta * omega, where eta = 0.99 / ||K|| uses the exact norm from the
-singular values ``Problem`` computes for its rank check, so tau sigma ||K||^2
-< 1 for every primal weight omega.  omega starts at 1 and, for long solves
-only, adapts per problem to the ratio of dual to primal movement
-(``solve_penalized_many`` gives the rule).  Full relaxation, deterministic
-initialization at zero.  Problems sharing Phi, L^* and the norm are solved
-together, one column per problem, and each iteration updates the stacked
-dual in place in the array K xbar.
+The splitting scheme is Chambolle and Pock's primal-dual iteration on L^*
+alone: the dual is the penalty block, and the fit term enters through its
+proximal map, a solve that is elementwise in the eigenbasis of Phi^T Phi
+which ``Problem`` caches.  Steps and the per-problem primal weight are in
+``solve_penalized_many``.  Problems sharing Phi, L^* and the norm are solved
+together, one column per problem.
 The IC programs are solved in reduced coordinates: orthonormal bases of the
 feasible subspaces turn the affine-constrained dual-norm minimization into an
 unconstrained one, min_c dual_norm(g0 + C c).  One SVD C = U S V^T with
@@ -94,9 +90,10 @@ class Problem:
     ``phi`` maps R^N to R^M, ``l_adjoint`` is the analysis operator L^* from
     R^N to R^P, and lam > 0.  Construction verifies the problem has a
     nonempty compact solution set, which holds exactly when the kernels of
-    phi and L^* intersect trivially; the singular values of that check also
-    give ``k_norm``, the spectral norm of K = (Phi; L^*).  ``with_data``
-    makes a sibling on the same operators and norm without repeating the
+    phi and L^* intersect trivially, and caches what the solver's loop
+    needs: ``gram_eig``, the eigendecomposition (mu, V) of Phi^T Phi, and
+    ``l_norm``, the spectral norm of L^*.  ``with_data`` makes a sibling on
+    the same operators and norm that shares both without repeating the
     check.
     """
 
@@ -105,7 +102,8 @@ class Problem:
     norm: DecomposableNorm
     y: np.ndarray
     lam: float
-    k_norm: float = field(init=False, repr=False)
+    gram_eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    l_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.phi.cols
@@ -126,7 +124,9 @@ class Problem:
                 "ker(phi) and ker(l_adjoint) intersect nontrivially: "
                 "the solution set is unbounded"
             )
-        object.__setattr__(self, "k_norm", float(s[0]) if s.size else 0.0)
+        phi = self.phi.entries
+        object.__setattr__(self, "gram_eig", tuple(np.linalg.eigh(phi.T @ phi)))
+        object.__setattr__(self, "l_norm", float(np.linalg.norm(self.l_adjoint.entries, 2)))
 
     def _check_data(self) -> None:
         y = np.asarray(self.y, dtype=float).reshape(-1)
@@ -138,8 +138,8 @@ class Problem:
 
     def with_data(self, y, lam: float) -> "Problem":
         """The problem with the same phi, l_adjoint and norm objects and new
-        y and lam; y and lam are checked, the operators' rank check and
-        ``k_norm`` are this problem's."""
+        y and lam; y and lam are checked, the operators' rank check,
+        ``gram_eig`` and ``l_norm`` are this problem's."""
         sibling = copy.copy(self)
         object.__setattr__(sibling, "y", y)
         object.__setattr__(sibling, "lam", lam)
@@ -186,7 +186,7 @@ def _composite_residual(
 # primal-weight adaptation in ``solve_penalized_many`` and the IC programs'
 # splitting: the number of check windows run at omega = 1 before the first
 # update, and the clamp on omega
-_WEIGHT_WARMUP_WINDOWS = 5
+_WEIGHT_WARMUP_WINDOWS = 2
 _WEIGHT_BOUNDS = (0.1, 10.0)
 
 
@@ -213,42 +213,43 @@ def solve_penalized_many(
 ) -> list[SolveReport]:
     """Solve problems that share phi, l_adjoint and norm in one batched loop.
 
-    The iterates are (N, B), (M, B) and (P, B) arrays with one column per
-    problem and that problem's y and lam.  Every column has its own
-    convergence test, best-residual iterate and stopping point: a column
-    that converges leaves the working arrays, so each problem runs exactly
-    the iterations a solve on its own would, and its report is the one
-    ``solve_penalized`` gives up to rounding.  A check point becomes the
-    best iterate only when its residual is lower by more than rounding, so
-    that holds on a residual plateau too.  ``opts.init`` is None (start
-    at zero) or an (N,) vector that starts every column; any other shape
-    raises ``ValueError``.
+    The iterates are (N, B) and (P, B) arrays with one column per problem
+    and that problem's y and lam.  Every column has its own convergence
+    test, best-residual iterate and stopping point: a column that converges
+    leaves the working arrays, so each problem runs exactly the iterations
+    a solve on its own would, and its report is the one ``solve_penalized``
+    gives up to rounding.  A check point becomes the best iterate only when
+    its residual is lower by more than rounding, so that holds on a
+    residual plateau too.  ``opts.init`` is None (start at zero) or an (N,)
+    vector that starts every column; any other shape raises ``ValueError``.
 
+    The loop is Chambolle and Pock's Algorithm 1 (J. Math. Imaging Vision
+    40, 2011) with the fit term taken by its proximal map:
+
+        alpha <- proj_lam(alpha + sigma L^* xbar)  (unchecked kernel)
+        x     <- (I + tau Phi^T Phi)^{-1} (x - tau (L alpha - Phi^T y))
+        xbar  <- 2 x_new - x
+
+    x lives in the eigenbasis V of Phi^T Phi = V diag(mu) V^T, where the
+    solve multiplies by 1 / (1 + tau mu), and maps back only at checks.
     Each column has its own primal weight omega and steps tau = eta / omega,
-    sigma = eta * omega with eta = 0.99 / ||K||.  omega is 1 for the first
-    five check windows (250 iterations, one check per ``CHECK_EVERY``), so a
-    solve that converges by then runs the plain fixed-step iteration.  From then on,
-    at every check point, each column moves omega halfway, in log scale,
-    towards ||dual change|| / ||x change|| over the window just ended
-    (Applegate et al., "Practical large-scale linear programming using
-    primal-dual hybrid gradient", NeurIPS 2021), clamps it to [0.1, 10] and
-    restarts the extrapolation (xbar = x); a window in which either block did
-    not move leaves the column as it is.  The clamp matters at tiny lambda,
-    where the dual is confined to a ball of radius lambda and an unclamped
-    omega collapses and stalls the primal.  tau and sigma stay scalars until
-    the first update, which keeps short solves as cheap as before.
-
-    An iteration forms q = K xbar once and turns it into the new stacked
-    dual in place: the fit rows become (fit + sigma (q - y)) / (1 + sigma),
-    the regularizer rows reg + sigma q projected onto the lam-ball by the
-    unchecked kernel behind ``project_dual_ball``; then x moves by
-    tau K^T q.  1 + sigma and -lam change only at check points.
+    sigma = eta * omega with eta = 0.99 / ||L^*||, so tau sigma ||L^*||^2 < 1.
+    omega is 1 for the first two check windows (100 iterations), so a solve
+    that converges by then runs the plain fixed-step iteration.  From then
+    on, at every check point, each column moves omega halfway, in log
+    scale, towards ||alpha change|| / ||x change|| over the window just
+    ended (Applegate et al., "Practical large-scale linear programming
+    using primal-dual hybrid gradient", NeurIPS 2021), clamps it to
+    [0.1, 10] and restarts the extrapolation (xbar = x); a window in which
+    either block did not move leaves the column as it is.  The clamp
+    matters at tiny lambda, where the dual is confined to a ball of radius
+    lambda and an unclamped omega collapses and stalls the primal.
     """
     opts = opts or SolverOptions()
     if opts.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not opts.tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < opts.tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     problems = list(problems)
     if not problems:
         return []
@@ -259,60 +260,62 @@ def solve_penalized_many(
     ):
         raise ValueError("batched problems must share the phi, l_adjoint and norm objects")
 
-    m, n = first.phi.rows, first.phi.cols
-    big = np.vstack([first.phi.entries, first.l_adjoint.entries])
-    step = 0.99 / first.k_norm if first.k_norm > 0 else 1.0
+    n = first.phi.cols
+    mu, v = first.gram_eig
+    l_rot = first.l_adjoint.entries @ v  # L^* in the eigenbasis
+    step = 0.99 / first.l_norm if first.l_norm > 0 else 1.0
     tau = sigma = step
+    shrink = (1.0 / (1.0 + tau * mu))[:, None]
     adapt_from = _WEIGHT_WARMUP_WINDOWS * CHECK_EVERY
 
     b = len(problems)
     init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
     if init.shape != (n,):
         raise ValueError(f"init has shape {init.shape}, expected ({n},)")
-    x = np.repeat(init[:, None], b, axis=1)
+    x = np.repeat((v.T @ init)[:, None], b, axis=1)
     xbar = x.copy()
     y = np.column_stack([q.y for q in problems])
     lam = np.array([q.lam for q in problems], dtype=float)
-    dual_fit = np.zeros((m, b))
-    dual_reg = np.zeros((first.norm.ambient_dim, b))
+    phi_t_y = first.phi.entries.T @ y
+    rhs = v.T @ phi_t_y
+    alpha = np.zeros((first.norm.ambient_dim, b))
     omega = np.ones(b)
     # the iterates at the previous check point, for the primal-weight update
-    x_prev, fit_prev, reg_prev = x, dual_fit, dual_reg
+    x_prev, alpha_prev = x, alpha
 
-    scale = 1.0 + np.linalg.norm(first.phi.entries.T @ y, axis=0)
+    scale = 1.0 + np.linalg.norm(phi_t_y, axis=0)
     threshold = opts.tol * scale
     # a check point replaces the best iterate only when its residual is lower
     # by more than rounding: on a residual plateau the choice must not hang on
     # the last bits, which differ between a batched and a single solve
     margin = 64.0 * np.finfo(float).eps * scale
     best_res = np.full(b, np.inf)
-    best_x = x.copy()
+    best_x = v @ x
     live = np.arange(b)  # problem index of each working column
     done: dict[int, tuple[np.ndarray, float, int, bool]] = {}
 
-    one_plus_sigma, neg_lam = 1.0 + sigma, -lam
+    neg_lam = -lam
     for it in range(1, opts.max_iter + 1):
-        # q becomes the stacked dual (fit rows over regularizer rows), updated
-        # in place, both blocks scaled by sigma in one step; it is a fresh
-        # array every iteration, so the views kept of the previous one as
-        # dual_fit, dual_reg and *_prev stay intact
-        q = big @ xbar
-        fit, reg = q[:m], q[m:]
-        fit -= y
+        # q and x_new are fresh arrays every iteration, updated in place, so
+        # the previous alpha and x kept as *_prev stay intact
+        q = l_rot @ xbar
         q *= sigma
-        fit += dual_fit
-        fit /= one_plus_sigma
-        reg += dual_reg
-        _project_dual_ball_inplace(first.norm, reg, lam, neg_lam)
-        dual_fit, dual_reg = fit, reg
-        x_new = x - tau * (big.T @ q)
+        q += alpha
+        _project_dual_ball_inplace(first.norm, q, lam, neg_lam)
+        alpha = q
+        x_new = l_rot.T @ alpha
+        x_new -= rhs
+        x_new *= tau
+        np.subtract(x, x_new, out=x_new)
+        x_new *= shrink
         xbar = 2.0 * x_new - x
         x = x_new
         if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            res = _composite_residual(first, x, dual_reg, y, lam)
+            x_out = v @ x
+            res = _composite_residual(first, x_out, alpha, y, lam)
             better = res < best_res - margin
             best_res[better] = res[better]
-            best_x[:, better] = x[:, better]
+            best_x[:, better] = x_out[:, better]
             converged = res <= threshold
             finished = converged | (it == opts.max_iter)
             for j in np.nonzero(finished)[0]:
@@ -323,27 +326,22 @@ def solve_penalized_many(
                 break
             if finished.any():
                 keep = ~finished
-                x, xbar, dual_fit, dual_reg, y, best_x, x_prev, fit_prev, reg_prev = (
-                    a[:, keep]
-                    for a in (
-                        x, xbar, dual_fit, dual_reg, y, best_x, x_prev, fit_prev, reg_prev
-                    )
+                x, xbar, alpha, y, rhs, best_x, x_prev, alpha_prev = (
+                    a[:, keep] for a in (x, xbar, alpha, y, rhs, best_x, x_prev, alpha_prev)
                 )
                 lam, threshold, margin, best_res, live, omega = (
                     a[keep] for a in (lam, threshold, margin, best_res, live, omega)
                 )
+                neg_lam = -lam
             if it >= adapt_from:
                 dx = np.linalg.norm(x - x_prev, axis=0)
-                dd = np.sqrt(
-                    np.sum((dual_fit - fit_prev) ** 2, axis=0)
-                    + np.sum((dual_reg - reg_prev) ** 2, axis=0)
-                )
-                moved = (dx > 0) & (dd > 0)
-                omega[moved] = _next_weight(omega[moved], dd[moved], dx[moved])
+                da = np.linalg.norm(alpha - alpha_prev, axis=0)
+                moved = (dx > 0) & (da > 0)
+                omega[moved] = _next_weight(omega[moved], da[moved], dx[moved])
                 xbar[:, moved] = x[:, moved]
                 tau, sigma = step / omega, step * omega
-            one_plus_sigma, neg_lam = 1.0 + sigma, -lam
-            x_prev, fit_prev, reg_prev = x, dual_fit, dual_reg
+                shrink = 1.0 / (1.0 + np.outer(mu, tau))
+            x_prev, alpha_prev = x, alpha
 
     reports = []
     for j, p in enumerate(problems):

@@ -1082,6 +1082,8 @@ class TestCli:
             ({"frame_mode": None}, "frame_mode"),
             ({"plot": "false"}, "plot"),
             ({"frame_mode": "false"}, "frame_mode"),
+            ({"coupling_c": float("inf")}, "coupling_c"),
+            ({"solver": {"tol": float("inf")}}, "solver.tol"),
         ],
         ids=[
             "epsilons-nan",
@@ -1092,6 +1094,8 @@ class TestCli:
             "frame_mode-null",
             "plot-str",
             "frame_mode-str",
+            "coupling_c-inf",
+            "solver.tol-inf",
         ],
     )
     def test_bad_values_name_their_field_and_write_nothing(
