@@ -264,7 +264,7 @@ def _project_dual_ball_inplace(
     else:
         uu, s, vt = np.linalg.svd(_transposed_matrices(norm, cols), full_matrices=False)
         np.minimum(s, np.reshape(radius, (-1, 1)), out=s)
-        cols[...] = ((uu * s[:, None, :]) @ vt).reshape(cols.shape[1], -1).T
+        cols[...] = ((uu * s[:, None, :]) @ vt).reshape(cols.shape[::-1]).T
     return cols
 
 
@@ -428,8 +428,9 @@ def bregman(norm: DecomposableNorm, u, u0, alpha, tol: float = ACTIVE_RTOL) -> f
 
 def _bregman_value(norm: DecomposableNorm, u, u0, alpha) -> float:
     """``bregman`` for an alpha already validated at u0; rounding below 0 reads 0."""
-    d = norm_value(norm, u) - norm_value(norm, u0) - float(alpha @ (u - u0))
-    scale = 1.0 + norm_value(norm, u) + norm_value(norm, u0)
+    nu, nu0 = norm_value(norm, u), norm_value(norm, u0)
+    d = nu - nu0 - float(alpha @ (u - u0))
+    scale = 1.0 + nu + nu0
     if d < 0 and d > -1e-9 * scale:
         return 0.0
     return d

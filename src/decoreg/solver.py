@@ -13,7 +13,10 @@ over u in ker(L_S) and z with Phi^* z in Im(L_S).
 The splitting scheme is Chambolle and Pock's primal-dual iteration on L^*
 alone: the dual is the penalty block, and the fit term enters through its
 proximal map, a solve that is elementwise in the eigenbasis of Phi^T Phi
-which ``Problem`` caches.  Steps and the per-problem primal weight are in
+which ``Problem`` caches.  Held as (x_k; alpha_{k+1}) in that basis, one
+iteration is an affine map followed by the dual-ball projection, and
+convergence is tested every ``CHECK_EVERY`` iterations from what the
+iteration already holds.  Steps and the per-problem primal weight are in
 ``solve_penalized_many``.  Problems sharing Phi, L^* and the norm are solved
 together, one column per problem.
 The IC programs are solved in reduced coordinates: orthonormal bases of the
@@ -71,7 +74,7 @@ __all__ = [
 
 
 # iterations between the convergence checks of the primal-dual loops
-CHECK_EVERY = 50
+CHECK_EVERY = 10
 # relative tolerance of ``ic_value``'s feasibility checks
 IC_FEASIBILITY_TOL = 1e-9
 
@@ -184,25 +187,82 @@ def _composite_residual(
 
 
 # primal-weight adaptation in ``solve_penalized_many`` and the IC programs'
-# splitting: the number of check windows run at omega = 1 before the first
-# update, and the clamp on omega
-_WEIGHT_WARMUP_WINDOWS = 2
+# splitting: the iterations run at omega = 1 before the first update, the
+# iterations between updates, and the clamp on omega
+_WEIGHT_WARMUP = 100
+_WEIGHT_WINDOW = 50
 _WEIGHT_BOUNDS = (0.1, 10.0)
 
 
 def _next_weight(omega, dual_move, primal_move):
     """The primal weight moved halfway, in log scale, towards the ratio of
-    dual to primal movement over a check window, clamped to the bounds."""
+    dual to primal movement over a weight window, clamped to the bounds."""
     return np.clip(
         np.exp(0.5 * np.log(dual_move / primal_move) + 0.5 * np.log(omega)), *_WEIGHT_BOUNDS
     )
 
 
+def _affine_step(
+    l_rot: np.ndarray, mu: np.ndarray, tau, sigma, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """K and c of one splitting iteration before its projection.
+
+    With the state z = (x_k; alpha_{k+1}) in the eigenbasis, where L~ =
+    ``l_rot``, S = (I + tau diag mu)^{-1} and r = ``rhs`` (one column per
+    problem), the iteration is z <- proj(K z + c) with the projection on the
+    alpha rows alone and
+
+        K = [[S, -tau S L~^T], [sigma L~ (2S - I), I - 2 sigma tau L~ S L~^T]]
+        c = [tau S r; 2 sigma tau L~ S r].
+
+    Scalar steps give one (d, d) K, (B,) steps a (B, d, d) stack; c is
+    (d, B) either way, the shape of z.
+    """
+    p_dim, n = l_rot.shape
+    tau = np.asarray(tau, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    s = 1.0 / (1.0 + tau[..., None] * mu)
+    ts = tau[..., None] * s
+    k = np.zeros(s.shape[:-1] + (n + p_dim, n + p_dim))
+    diag = np.arange(n)
+    k[..., diag, diag] = s
+    k[..., :n, n:] = -ts[..., :, None] * l_rot.T
+    k[..., n:, :n] = sigma[..., None, None] * (l_rot * (2.0 * s - 1.0)[..., None, :])
+    k[..., n:, n:] = np.eye(p_dim) - 2.0 * sigma[..., None, None] * (
+        (l_rot * ts[..., None, :]) @ l_rot.T
+    )
+    cx = ts.T.reshape(n, -1) * rhs
+    return k, np.concatenate([cx, 2.0 * sigma * (l_rot @ cx)])
+
+
+def _check_residual(
+    norm: DecomposableNorm,
+    l_rot: np.ndarray,
+    x_before: np.ndarray,
+    x: np.ndarray,
+    alpha: np.ndarray,
+    tau,
+    lam: np.ndarray,
+) -> np.ndarray:
+    """``_composite_residual`` at (V x, alpha) from what the iteration holds.
+
+    x is the iterate in the eigenbasis, x_before the one before it and alpha
+    the dual (inside the lam ball) that produced x, one column per problem.
+    The proximal step makes Phi^T (Phi V x - y) + L alpha equal to
+    V (x_before - x) / tau, so the gradient-equation norm costs no product;
+    the gap takes one, u = L~ x.
+    """
+    grad = np.linalg.norm(x_before - x, axis=0) / tau
+    u = l_rot @ x
+    gap = lam * norm_value(norm, u) - np.einsum("ij,ij->j", alpha, u)
+    return grad + np.maximum(gap, 0.0)
+
+
 def solve_penalized(p: Problem, opts: SolverOptions | None = None) -> SolveReport:
     """Minimize the penalized objective by primal-dual splitting.
 
-    The report carries the iterate with the best composite first-order
-    residual seen at a check point.  Non-convergence within the iteration
+    The report carries the best iterate seen at a check point and its
+    composite first-order residual.  Non-convergence within the iteration
     budget is reported, not raised.
     """
     return solve_penalized_many([p], opts)[0]
@@ -213,37 +273,48 @@ def solve_penalized_many(
 ) -> list[SolveReport]:
     """Solve problems that share phi, l_adjoint and norm in one batched loop.
 
-    The iterates are (N, B) and (P, B) arrays with one column per problem
-    and that problem's y and lam.  Every column has its own convergence
-    test, best-residual iterate and stopping point: a column that converges
-    leaves the working arrays, so each problem runs exactly the iterations
-    a solve on its own would, and its report is the one ``solve_penalized``
-    gives up to rounding.  A check point becomes the best iterate only when
-    its residual is lower by more than rounding, so that holds on a
-    residual plateau too.  ``opts.init`` is None (start at zero) or an (N,)
-    vector that starts every column; any other shape raises ``ValueError``.
+    The iterate holds one column per problem, with that problem's y and
+    lam.  Every column has its own convergence test, best iterate and
+    stopping point: a column that converges leaves the working arrays, so
+    each problem runs exactly the iterations a solve on its own would, and
+    its report is the one ``solve_penalized`` gives up to rounding.
+    ``opts.init`` is None (start at zero) or an (N,) vector that starts
+    every column; any other shape raises ``ValueError``.
 
     The loop is Chambolle and Pock's Algorithm 1 (J. Math. Imaging Vision
     40, 2011) with the fit term taken by its proximal map:
 
-        alpha <- proj_lam(alpha + sigma L^* xbar)  (unchecked kernel)
+        alpha <- proj_lam(alpha + sigma L^* xbar)
         x     <- (I + tau Phi^T Phi)^{-1} (x - tau (L alpha - Phi^T y))
         xbar  <- 2 x_new - x
 
-    x lives in the eigenbasis V of Phi^T Phi = V diag(mu) V^T, where the
-    solve multiplies by 1 / (1 + tau mu), and maps back only at checks.
+    x lives in the eigenbasis V of Phi^T Phi = V diag(mu) V^T.  Held as
+    z = (x_k; alpha_{k+1}), the iteration is one affine map z <- K z + c
+    (``_affine_step``) followed by the unchecked in-place projection of the
+    alpha rows; K and c are built once per call and again at each weight
+    update.  Every ``CHECK_EVERY`` iterations ``_check_residual`` reads the
+    composite residual of (x_k, alpha_k) off the two last states.  A check
+    point becomes a column's best iterate only when its residual is lower by
+    more than rounding, so that the batched and the single solve pick the
+    same one on a residual plateau too.  A column whose best residual meets
+    the tolerance, and every column at ``max_iter``, gets
+    ``_composite_residual`` at its best iterate; that value is the report's
+    ``optimality_residual``, and the column retires as converged only when
+    it meets the tolerance too.
+
     Each column has its own primal weight omega and steps tau = eta / omega,
     sigma = eta * omega with eta = 0.99 / ||L^*||, so tau sigma ||L^*||^2 < 1.
-    omega is 1 for the first two check windows (100 iterations), so a solve
-    that converges by then runs the plain fixed-step iteration.  From then
-    on, at every check point, each column moves omega halfway, in log
-    scale, towards ||alpha change|| / ||x change|| over the window just
-    ended (Applegate et al., "Practical large-scale linear programming
-    using primal-dual hybrid gradient", NeurIPS 2021), clamps it to
-    [0.1, 10] and restarts the extrapolation (xbar = x); a window in which
-    either block did not move leaves the column as it is.  The clamp
-    matters at tiny lambda, where the dual is confined to a ball of radius
-    lambda and an unclamped omega collapses and stalls the primal.
+    omega is 1 for the first 100 iterations, so a solve that converges by
+    then runs the plain fixed-step iteration with one (d, d) K.  From then
+    on, every 50 iterations, each column moves omega halfway, in log scale,
+    towards ||alpha change|| / ||x change|| over the 50 iterations just
+    ended (Applegate et al., "Practical large-scale linear programming using
+    primal-dual hybrid gradient", NeurIPS 2021), clamps it to [0.1, 10] and
+    restarts the extrapolation (xbar = x), which recomputes its alpha rows
+    of z; K becomes a (B, d, d) stack.  A window in which either block did
+    not move leaves the column as it is.  The clamp matters at tiny lambda,
+    where the dual is confined to a ball of radius lambda and an unclamped
+    omega collapses and stalls the primal.
     """
     opts = opts or SolverOptions()
     if opts.max_iter < 1:
@@ -261,27 +332,31 @@ def solve_penalized_many(
         raise ValueError("batched problems must share the phi, l_adjoint and norm objects")
 
     n = first.phi.cols
+    norm = first.norm
     mu, v = first.gram_eig
     l_rot = first.l_adjoint.entries @ v  # L^* in the eigenbasis
     step = 0.99 / first.l_norm if first.l_norm > 0 else 1.0
     tau = sigma = step
-    shrink = (1.0 / (1.0 + tau * mu))[:, None]
-    adapt_from = _WEIGHT_WARMUP_WINDOWS * CHECK_EVERY
 
     b = len(problems)
     init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
     if init.shape != (n,):
         raise ValueError(f"init has shape {init.shape}, expected ({n},)")
-    x = np.repeat((v.T @ init)[:, None], b, axis=1)
-    xbar = x.copy()
     y = np.column_stack([q.y for q in problems])
     lam = np.array([q.lam for q in problems], dtype=float)
+    neg_lam = -lam
     phi_t_y = first.phi.entries.T @ y
     rhs = v.T @ phi_t_y
-    alpha = np.zeros((first.norm.ambient_dim, b))
+    k, c = _affine_step(l_rot, mu, tau, sigma, rhs)
+    x0 = v.T @ init
+    # one column (x_k; alpha_{k+1}) per problem
+    z = np.empty((n + norm.ambient_dim, b))
+    z[:n] = x0[:, None]
+    z[n:] = (sigma * (l_rot @ x0))[:, None]
+    _project_dual_ball_inplace(norm, z[n:], lam, neg_lam)
     omega = np.ones(b)
-    # the iterates at the previous check point, for the primal-weight update
-    x_prev, alpha_prev = x, alpha
+    # x and alpha at the start of the weight window
+    x_mark, alpha_mark = z[:n], np.zeros((norm.ambient_dim, b))
 
     scale = 1.0 + np.linalg.norm(phi_t_y, axis=0)
     threshold = opts.tol * scale
@@ -290,58 +365,68 @@ def solve_penalized_many(
     # the last bits, which differ between a batched and a single solve
     margin = 64.0 * np.finfo(float).eps * scale
     best_res = np.full(b, np.inf)
-    best_x = v @ x
+    best_x, best_alpha = x_mark.copy(), alpha_mark.copy()
     live = np.arange(b)  # problem index of each working column
     done: dict[int, tuple[np.ndarray, float, int, bool]] = {}
 
-    neg_lam = -lam
     for it in range(1, opts.max_iter + 1):
-        # q and x_new are fresh arrays every iteration, updated in place, so
-        # the previous alpha and x kept as *_prev stay intact
-        q = l_rot @ xbar
-        q *= sigma
-        q += alpha
-        _project_dual_ball_inplace(first.norm, q, lam, neg_lam)
-        alpha = q
-        x_new = l_rot.T @ alpha
-        x_new -= rhs
-        x_new *= tau
-        np.subtract(x, x_new, out=x_new)
-        x_new *= shrink
-        xbar = 2.0 * x_new - x
-        x = x_new
-        if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            x_out = v @ x
-            res = _composite_residual(first, x_out, alpha, y, lam)
-            better = res < best_res - margin
-            best_res[better] = res[better]
-            best_x[:, better] = x_out[:, better]
-            converged = res <= threshold
-            finished = converged | (it == opts.max_iter)
-            for j in np.nonzero(finished)[0]:
-                done[int(live[j])] = (
-                    best_x[:, j].copy(), float(best_res[j]), it, bool(converged[j])
-                )
+        z_before = z
+        # a (B, d, d) stack takes the columns as a stack of vectors
+        z = k @ z if k.ndim == 2 else (k @ z.T[:, :, None])[:, :, 0].T
+        z += c
+        _project_dual_ball_inplace(norm, z[n:], lam, neg_lam)
+        last = it == opts.max_iter
+        if it % CHECK_EVERY and not last:
+            continue
+        x, alpha = z[:n], z_before[n:]
+        res = _check_residual(norm, l_rot, z_before[:n], x, alpha, tau, lam)
+        better = res < best_res - margin
+        best_res[better] = res[better]
+        best_x[:, better] = x[:, better]
+        best_alpha[:, better] = alpha[:, better]
+        finished = (best_res <= threshold) | last
+        tested = np.nonzero(finished)[0]
+        if tested.size:
+            x_out = v @ best_x[:, tested]
+            exact = _composite_residual(
+                first, x_out, best_alpha[:, tested], y[:, tested], lam[tested]
+            )
+            converged = exact <= threshold[tested]
+            finished[tested] = converged | last
+            for j, x_j, res_j, conv_j in zip(tested, x_out.T, exact, converged):
+                if finished[j]:
+                    done[int(live[j])] = (x_j, float(res_j), it, bool(conv_j))
             if finished.all():
                 break
             if finished.any():
                 keep = ~finished
-                x, xbar, alpha, y, rhs, best_x, x_prev, alpha_prev = (
-                    a[:, keep] for a in (x, xbar, alpha, y, rhs, best_x, x_prev, alpha_prev)
+                z, c, x, alpha, rhs, y, best_x, best_alpha, x_mark, alpha_mark = (
+                    a[:, keep]
+                    for a in (z, c, x, alpha, rhs, y, best_x, best_alpha, x_mark, alpha_mark)
                 )
                 lam, threshold, margin, best_res, live, omega = (
                     a[keep] for a in (lam, threshold, margin, best_res, live, omega)
                 )
                 neg_lam = -lam
-            if it >= adapt_from:
-                dx = np.linalg.norm(x - x_prev, axis=0)
-                da = np.linalg.norm(alpha - alpha_prev, axis=0)
-                moved = (dx > 0) & (da > 0)
-                omega[moved] = _next_weight(omega[moved], da[moved], dx[moved])
-                xbar[:, moved] = x[:, moved]
-                tau, sigma = step / omega, step * omega
-                shrink = 1.0 / (1.0 + np.outer(mu, tau))
-            x_prev, alpha_prev = x, alpha
+                if np.ndim(tau):
+                    k, tau, sigma = k[keep], tau[keep], sigma[keep]
+        if it % _WEIGHT_WINDOW:
+            continue
+        if it >= _WEIGHT_WARMUP:
+            dx = np.linalg.norm(x - x_mark, axis=0)
+            da = np.linalg.norm(alpha - alpha_mark, axis=0)
+            moved = (dx > 0) & (da > 0)
+            omega[moved] = _next_weight(omega[moved], da[moved], dx[moved])
+            tau, sigma = step / omega, step * omega
+            k, c = _affine_step(l_rot, mu, tau, sigma, rhs)
+            # restart the extrapolation of the moved columns: alpha_{k+1}
+            # from xbar = x_k at the new sigma
+            restart = l_rot @ x[:, moved]
+            restart *= sigma[moved]
+            restart += alpha[:, moved]
+            _project_dual_ball_inplace(norm, restart, lam[moved], neg_lam[moved])
+            z[n:, moved] = restart
+        x_mark, alpha_mark = x, alpha
 
     reports = []
     for j, p in enumerate(problems):
@@ -576,6 +661,26 @@ def _min_linf_affine_lp(
     return d, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value)), w
 
 
+def _affine_dual_norm_step(
+    q: np.ndarray, g0: np.ndarray, tau: float, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """K and c of one iteration of ``_min_dual_norm_pdhg`` before its
+    projection: with the state z = (d_k; w_{k+1}) the iteration is
+    z <- proj(K z + c), the projection on the w rows alone, and
+
+        K = [[I, -tau q^T], [sigma q, I - 2 sigma tau q q^T]]
+        c = [0; sigma g0].
+    """
+    p_dim, r = q.shape
+    k = np.block(
+        [
+            [np.eye(r), -tau * q.T],
+            [sigma * q, np.eye(p_dim) - (2.0 * sigma * tau) * (q @ q.T)],
+        ]
+    )
+    return k, np.concatenate([np.zeros(r), sigma * g0])
+
+
 def _min_dual_norm_pdhg(
     norm: DecomposableNorm,
     g0: np.ndarray,
@@ -586,46 +691,65 @@ def _min_dual_norm_pdhg(
     """Primal-dual splitting for min_d dual_norm(g0 + q @ d), any norm, where
     q has orthonormal columns.
 
-    Starts at ``d_start`` when it beats d = 0 and stops once the certified
-    gap meets the tolerance; the best iterate seen at a check is returned
-    with the dual candidate of the last check.  The steps follow
-    ``solve_penalized_many``'s primal-weight rule, with d as the primal and
-    w as the dual block and eta = 0.99, since ||q|| = 1.
+    The iteration is Chambolle and Pock's, with d as the primal and w as
+    the dual block:
+
+        w    <- proj_1(w + sigma (q dbar + g0))  (the primal unit ball)
+        d    <- d - tau q^T w
+        dbar <- 2 d_new - d
+
+    Held as z = (d_k; w_{k+1}) it is one affine map z <- K z + c
+    (``_affine_dual_norm_step``) followed by the projection of the w rows.
+    Starts at ``d_start`` when it beats d = 0 and tests the certified gap
+    every ``CHECK_EVERY`` iterations, stopping once it meets the tolerance;
+    the best iterate seen at a check is returned with the dual candidate of
+    the last check.  The steps follow
+    ``solve_penalized_many``'s primal-weight rule and windows, with
+    eta = 0.99, since ||q|| = 1; a weight update restarts the extrapolation
+    (dbar = d), which recomputes the w rows of z.
     """
     step = tau = sigma = 0.99
     omega = 1.0
-    adapt_from = _WEIGHT_WARMUP_WINDOWS * CHECK_EVERY
-    best_val, best_d = dual_norm_value(norm, g0), np.zeros(q.shape[1])
+    r = q.shape[1]
+    best_val, best_d = dual_norm_value(norm, g0), np.zeros(r)
     val_start = dual_norm_value(norm, g0 + q @ d_start)
     if val_start < best_val:
         best_val, best_d = val_start, d_start.copy()
-    d, dbar = best_d.copy(), best_d.copy()
-    w = w_feas = np.zeros_like(g0)
+    k, c = _affine_dual_norm_step(q, g0, tau, sigma)
+    # w_0 = 0 and dbar_0 = d_0
+    z = np.concatenate([best_d, project_primal_ball(norm, sigma * (q @ best_d + g0), 1.0)])
+    w_feas = np.zeros_like(g0)
     gap, converged = np.inf, False
-    d_prev, w_prev = d, w
+    # d and w at the start of the weight window
+    d_prev, w_prev = z[:r], w_feas
 
     for it in range(1, opts.max_iter + 1):
-        w = project_primal_ball(norm, w + sigma * (q @ dbar + g0), 1.0)
-        d_new = d - tau * (q.T @ w)
-        dbar = 2.0 * d_new - d
-        d = d_new
-        if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            val = dual_norm_value(norm, g0 + q @ d)
-            if val < best_val:
-                best_val = val
-                best_d = d.copy()
-            gap, w_feas = _certified_gap(norm, g0, q, best_val, w)
-            if gap <= opts.tol * (1.0 + abs(best_val)):
-                converged = True
-                break
-            if it >= adapt_from:
-                dd = np.linalg.norm(d - d_prev)
-                dw = np.linalg.norm(w - w_prev)
-                if dd > 0 and dw > 0:
-                    omega = float(_next_weight(omega, dw, dd))
-                    dbar = d
-                    tau, sigma = step / omega, step * omega
-            d_prev, w_prev = d, w
+        z_before = z
+        z = k @ z
+        z += c
+        z[r:] = project_primal_ball(norm, z[r:], 1.0)
+        if it % CHECK_EVERY and it != opts.max_iter:
+            continue
+        d, w = z[:r], z_before[r:]
+        val = dual_norm_value(norm, g0 + q @ d)
+        if val < best_val:
+            best_val = val
+            best_d = d.copy()
+        gap, w_feas = _certified_gap(norm, g0, q, best_val, w)
+        if gap <= opts.tol * (1.0 + abs(best_val)):
+            converged = True
+            break
+        if it % _WEIGHT_WINDOW:
+            continue
+        if it >= _WEIGHT_WARMUP:
+            dd = np.linalg.norm(d - d_prev)
+            dw = np.linalg.norm(w - w_prev)
+            if dd > 0 and dw > 0:
+                omega = float(_next_weight(omega, dw, dd))
+                tau, sigma = step / omega, step * omega
+                k, c = _affine_dual_norm_step(q, g0, tau, sigma)
+                z[r:] = project_primal_ball(norm, w + sigma * (q @ d + g0), 1.0)
+        d_prev, w_prev = d, w
 
     return best_d, best_val, max(float(gap), 0.0), converged, w_feas
 

@@ -346,6 +346,13 @@ class TestColumnwise:
                     batched[:, j], reference_dual_projection(norm, v[:, j], r), atol=1e-12
                 )
 
+    def test_no_columns(self):
+        # the solver projects the columns a weight update restarted, which
+        # may be none
+        for norm in (l1(3), group([[0, 2], [1]]), nuclear(2, 3)):
+            empty = np.zeros((norm.ambient_dim, 0))
+            assert project_dual_ball(norm, empty, np.zeros(0)).shape == empty.shape
+
     def test_primal_ball_radius_below_float_spacing(self):
         # 3 - 2.2e-16 rounds to 3: the threshold search must still find k = 1
         for norm, v in ((l1(1), [3.0]), (group([[0, 1]]), [3.0, 0.0])):

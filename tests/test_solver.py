@@ -24,6 +24,7 @@ from decoreg.norms import (
     norm_value,
     nuclear,
     project_dual_ball,
+    project_primal_ball,
 )
 from decoreg.solver import (
     CHECK_EVERY,
@@ -36,8 +37,12 @@ from decoreg.solver import (
     solve_penalized,
     solve_penalized_many,
 )
+from decoreg.norms import _project_dual_ball_inplace
 from decoreg.solver import (
+    _affine_dual_norm_step,
+    _affine_step,
     _certified_gap,
+    _check_residual,
     _composite_residual,
     _min_dual_norm_affine,
     _min_dual_norm_pdhg,
@@ -144,122 +149,189 @@ class TestSolvePenalized:
         assert report.iterations == 60
 
 
+def affine_map_reference(l_rot, mu, tau, sigma):
+    """K of one column's iteration z = (x_k; alpha_{k+1}) <- K z + c before
+    the projection, written out block by block, and tau S, the diagonal of
+    its top left block times tau."""
+    s = 1.0 / (1.0 + tau * mu)
+    ts = tau * s
+    k = np.block(
+        [
+            [np.diag(s), -ts[:, None] * l_rot.T],
+            [
+                sigma * (l_rot * (2.0 * s - 1.0)),
+                np.eye(l_rot.shape[0]) - 2.0 * sigma * ((l_rot * ts) @ l_rot.T),
+            ],
+        ]
+    )
+    return k, ts
+
+
+def affine_offset_reference(l_rot, ts, sigma, rhs):
+    """c of every column at once, the columns (tau S r; 2 sigma tau L~ S r)
+    with r = V^T Phi^T y the columns of ``rhs``, ``ts`` the (N, B) or (N, 1)
+    tau S and ``sigma`` a scalar or (B,)."""
+    cx = ts * rhs
+    return np.concatenate([cx, 2.0 * sigma * (l_rot @ cx)])
+
+
+def project_alpha_rows(norm, z, n, lam):
+    """z with its alpha rows replaced by their projection onto the lam ball,
+    by the public ``project_dual_ball``; a new array."""
+    return np.concatenate([z[:n], project_dual_ball(norm, z[n:], lam)])
+
+
+def check_residual_reference(norm, l_rot, x_before, x, alpha, tau, lam):
+    """The check residual written out: ||x_before - x|| / tau plus the gap
+    lam ||L~ x|| - <alpha, L~ x>, one value per column."""
+    u = l_rot @ x
+    gap = lam * norm_value(norm, u) - np.sum(alpha * u, axis=0)
+    return np.linalg.norm(x_before - x, axis=0) / tau + np.maximum(gap, 0.0)
+
+
 def fixed_step_reference(p, opts, init=None):
-    """Reference for solves that end within the first two check windows:
-    the fixed-step iteration, tau = sigma = 0.99 / ||L^*|| (primal weight 1
-    throughout), on one column in the eigenbasis of Phi^T Phi, with the
-    solver's checks and best-iterate rule.  Returns (x_star, residual,
-    iterations, converged)."""
+    """Reference for solves that end within the first 100 iterations: the
+    fixed-step iteration, tau = sigma = 0.99 / ||L^*|| (primal weight 1
+    throughout), in the affine form on one column, with the solver's checks
+    every CHECK_EVERY iterations and its best-iterate rule.  Returns
+    (x_star, residual, iterations, converged)."""
     n = p.phi.cols
     mu, v = p.gram_eig
     l_rot = p.l_adjoint.entries @ v
     step = 0.99 / p.l_norm
-    shrink = (1.0 / (1.0 + step * mu))[:, None]
-    x0 = np.zeros(n) if init is None else np.asarray(init, dtype=float)
-    x = (v.T @ x0)[:, None]
-    xbar = x.copy()
     y = p.y[:, None]
     lam = np.array([p.lam])
-    rhs = v.T @ (p.phi.entries.T @ y)
-    alpha = np.zeros((p.norm.ambient_dim, 1))
-    scale = 1.0 + np.linalg.norm(p.phi.entries.T @ y, axis=0)
+    phi_t_y = p.phi.entries.T @ y
+    k, ts = affine_map_reference(l_rot, mu, step, step)
+    c = affine_offset_reference(l_rot, ts[:, None], step, v.T @ phi_t_y)
+    x0 = v.T @ (np.zeros(n) if init is None else np.asarray(init, dtype=float))
+    z = project_alpha_rows(p.norm, np.concatenate([x0, step * (l_rot @ x0)])[:, None], n, lam)
+    scale = 1.0 + np.linalg.norm(phi_t_y)
     margin = 64.0 * np.finfo(float).eps * scale
-    best_res, best_x = np.inf, x
+    best_res, best_x, best_alpha = np.inf, z[:n], np.zeros((p.norm.ambient_dim, 1))
     for it in range(1, opts.max_iter + 1):
-        alpha = project_dual_ball(p.norm, alpha + step * (l_rot @ xbar), lam)
-        x_new = (x - step * (l_rot.T @ alpha - rhs)) * shrink
-        xbar = 2.0 * x_new - x
-        x = x_new
+        z_before = z
+        z = project_alpha_rows(p.norm, k @ z + c, n, lam)
         if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            x_out = v @ x
-            res = _composite_residual(p, x_out, alpha, y, lam)
-            if res[0] < best_res - margin[0]:
-                best_res, best_x = res[0], x_out
-            converged = bool(res[0] <= opts.tol * scale[0])
-            if converged or it == opts.max_iter:
-                return best_x[:, 0], float(best_res), it, converged
+            x, alpha = z[:n], z_before[n:]
+            res = check_residual_reference(p.norm, l_rot, z_before[:n], x, alpha, step, lam)[0]
+            if res < best_res - margin:
+                best_res, best_x, best_alpha = res, x, alpha
+            if best_res <= opts.tol * scale or it == opts.max_iter:
+                x_out = v @ best_x
+                exact = _composite_residual(p, x_out, best_alpha, y, lam)[0]
+                converged = bool(exact <= opts.tol * scale)
+                if converged or it == opts.max_iter:
+                    return x_out[:, 0], float(exact), it, converged
 
 
 def allocating_batched_reference(problems, opts):
-    """Reference for ``solve_penalized_many``: its loop written with a new
-    array for every intermediate, the dual projected by the public
-    ``project_dual_ball``, and the primal-weight rule written out.  The
-    in-place loop does the same arithmetic in the same order.  Returns one
-    (x_star, residual, iterations, converged) per problem."""
+    """Reference for ``solve_penalized_many``: its affine loop written with a
+    new array for every intermediate, K and c written out block by block
+    and applied one column at a time once the steps are per column, the
+    dual projected by the public ``project_dual_ball``, and the check
+    residual and the primal-weight rule written out.  The in-place loop
+    does the same arithmetic in the same order.  Returns one (x_star,
+    residual, iterations, converged) per problem."""
     first = problems[0]
     n = first.phi.cols
     mu, v = first.gram_eig
     l_rot = first.l_adjoint.entries @ v
     step = 0.99 / first.l_norm
-    tau = sigma = step
-    shrink = (1.0 / (1.0 + tau * mu))[:, None]
     b = len(problems)
     init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
-    x = np.repeat((v.T @ init)[:, None], b, axis=1)
-    xbar = x.copy()
     y = np.column_stack([q.y for q in problems])
     lam = np.array([q.lam for q in problems])
-    rhs = v.T @ (first.phi.entries.T @ y)
-    alpha = np.zeros((first.norm.ambient_dim, b))
+    phi_t_y = first.phi.entries.T @ y
+    rhs = v.T @ phi_t_y
     omega = np.ones(b)
-    x_prev, alpha_prev = x, alpha
-    scale = 1.0 + np.linalg.norm(first.phi.entries.T @ y, axis=0)
+    tau = sigma = step
+    k, ts = affine_map_reference(l_rot, mu, step, step)
+    c = affine_offset_reference(l_rot, ts[:, None], step, rhs)
+    x0 = v.T @ init
+    z0 = np.concatenate([x0, step * (l_rot @ x0)])
+    z = project_alpha_rows(first.norm, np.repeat(z0[:, None], b, axis=1), n, lam)
+    x_mark, alpha_mark = z[:n], np.zeros((first.norm.ambient_dim, b))
+    scale = 1.0 + np.linalg.norm(phi_t_y, axis=0)
     threshold = opts.tol * scale
     margin = 64.0 * np.finfo(float).eps * scale
     best_res = np.full(b, np.inf)
-    best_x = v @ x
+    best_x, best_alpha = x_mark, alpha_mark
     live = np.arange(b)
     done = {}
     for it in range(1, opts.max_iter + 1):
-        alpha = project_dual_ball(first.norm, alpha + sigma * (l_rot @ xbar), lam)
-        x_new = (x - tau * (l_rot.T @ alpha - rhs)) * shrink
-        xbar = 2.0 * x_new - x
-        x = x_new
-        if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            x_out = v @ x
-            res = _composite_residual(first, x_out, alpha, y, lam)
-            better = res < best_res - margin
-            best_res[better] = res[better]
-            best_x[:, better] = x_out[:, better]
-            converged = res <= threshold
-            finished = converged | (it == opts.max_iter)
-            for j in np.nonzero(finished)[0]:
-                done[int(live[j])] = (
-                    best_x[:, j].copy(), float(best_res[j]), it, bool(converged[j])
-                )
-            if finished.all():
-                break
-            if finished.any():
-                keep = ~finished
-                x, xbar, alpha, y, rhs, best_x, x_prev, alpha_prev = (
-                    a[:, keep] for a in (x, xbar, alpha, y, rhs, best_x, x_prev, alpha_prev)
-                )
-                lam, threshold, margin, best_res, live, omega = (
-                    a[keep] for a in (lam, threshold, margin, best_res, live, omega)
-                )
-            if it >= 2 * CHECK_EVERY:
-                dx = np.linalg.norm(x - x_prev, axis=0)
-                da = np.linalg.norm(alpha - alpha_prev, axis=0)
-                moved = (dx > 0) & (da > 0)
-                omega[moved] = np.clip(
-                    np.exp(0.5 * np.log(da[moved] / dx[moved]) + 0.5 * np.log(omega[moved])),
-                    0.1,
-                    10.0,
-                )
-                xbar[:, moved] = x[:, moved]
-                tau, sigma = step / omega, step * omega
-                shrink = 1.0 / (1.0 + np.outer(mu, tau))
-            x_prev, alpha_prev = x, alpha
+        z_before = z
+        if np.ndim(tau):
+            z = np.column_stack([k_j @ z_j for k_j, z_j in zip(k, z.T)])
+        else:
+            z = k @ z
+        z = project_alpha_rows(first.norm, z + c, n, lam)
+        last = it == opts.max_iter
+        if it % CHECK_EVERY and not last:
+            continue
+        x, alpha = z[:n], z_before[n:]
+        res = check_residual_reference(first.norm, l_rot, z_before[:n], x, alpha, tau, lam)
+        better = res < best_res - margin
+        best_res = np.where(better, res, best_res)
+        best_x = np.where(better, x, best_x)
+        best_alpha = np.where(better, alpha, best_alpha)
+        finished = (best_res <= threshold) | last
+        tested = np.nonzero(finished)[0]
+        x_out = v @ best_x[:, tested]
+        exact = _composite_residual(
+            first, x_out, best_alpha[:, tested], y[:, tested], lam[tested]
+        )
+        for j, x_j, res_j in zip(tested, x_out.T, exact):
+            converged = bool(res_j <= threshold[j])
+            finished[j] = converged or last
+            if finished[j]:
+                done[int(live[j])] = (x_j, float(res_j), it, converged)
+        if finished.all():
+            break
+        keep = ~finished
+        z, c, x, alpha, rhs, y, best_x, best_alpha, x_mark, alpha_mark = (
+            a[:, keep] for a in (z, c, x, alpha, rhs, y, best_x, best_alpha, x_mark, alpha_mark)
+        )
+        lam, threshold, margin, best_res, live, omega = (
+            a[keep] for a in (lam, threshold, margin, best_res, live, omega)
+        )
+        if np.ndim(tau):
+            k, tau, sigma = k[keep], tau[keep], sigma[keep]
+        if it % 50:
+            continue
+        if it >= 100:
+            dx = np.linalg.norm(x - x_mark, axis=0)
+            da = np.linalg.norm(alpha - alpha_mark, axis=0)
+            moved = (dx > 0) & (da > 0)
+            omega = omega.copy()
+            omega[moved] = np.clip(
+                np.exp(0.5 * np.log(da[moved] / dx[moved]) + 0.5 * np.log(omega[moved])),
+                0.1,
+                10.0,
+            )
+            tau, sigma = step / omega, step * omega
+            maps = [affine_map_reference(l_rot, mu, t, s) for t, s in zip(tau, sigma)]
+            k = np.stack([m[0] for m in maps])
+            c = affine_offset_reference(l_rot, np.column_stack([m[1] for m in maps]), sigma, rhs)
+            # moved columns restart: alpha_{k+1} from xbar = x_k
+            restarted = project_dual_ball(
+                first.norm,
+                (l_rot @ x[:, moved]) * sigma[moved] + alpha[:, moved],
+                lam[moved],
+            )
+            z = z.copy()
+            z[n:, moved] = restarted
+        x_mark, alpha_mark = x, alpha
     return [done[j] for j in range(b)]
 
 
 def dualized_fit_reference(problems, opts):
     """The batched loop as it was before the fit term became a proximal
     step: PDHG on the stacked K = (Phi; L^*) with a second dual block for
-    the fit, eta = 0.99 / ||K||, and five check windows at primal weight 1
-    before the same primal-weight rule.  An independent solver of the same
-    problems.  Returns one (x_star, residual, iterations, converged) per
-    problem."""
+    the fit, eta = 0.99 / ||K||, checks every 50 iterations, and five check
+    windows at primal weight 1 before the same primal-weight rule.  An
+    independent solver of the same problems.  Returns one (x_star, residual,
+    iterations, converged) per problem."""
     first = problems[0]
     m, n = first.phi.rows, first.phi.cols
     big = np.vstack([first.phi.entries, first.l_adjoint.entries])
@@ -289,7 +361,7 @@ def dualized_fit_reference(problems, opts):
         x_new = x - tau * (big.T @ np.concatenate((dual_fit, dual_reg)))
         xbar = 2.0 * x_new - x
         x = x_new
-        if it % CHECK_EVERY == 0 or it == opts.max_iter:
+        if it % 50 == 0 or it == opts.max_iter:
             res = _composite_residual(first, x, dual_reg, y, lam)
             better = res < best_res - margin
             best_res[better] = res[better]
@@ -313,7 +385,7 @@ def dualized_fit_reference(problems, opts):
                 lam, threshold, margin, best_res, live, omega = (
                     a[keep] for a in (lam, threshold, margin, best_res, live, omega)
                 )
-            if it >= 5 * CHECK_EVERY:
+            if it >= 250:
                 dx = np.linalg.norm(x - x_prev, axis=0)
                 dd = np.sqrt(
                     np.sum((dual_fit - fit_prev) ** 2, axis=0)
@@ -569,6 +641,115 @@ class TestSolvePenalizedMany:
             assert report.converged and converged_ref
             obj_ref = p.objective(x_ref)
             assert abs(report.objective - obj_ref) <= 1e-8 * (1.0 + abs(obj_ref))
+
+
+def sequential_iterates(l_rot, mu, norm, rhs, lam, tau, sigma, x, alpha, iterations):
+    """The splitting loop one block after the other, with no checks: the
+    dual step from xbar, the proximal primal step, the extrapolation.
+    Returns the list of (x_k, alpha_k)."""
+    shrink = 1.0 / (1.0 + mu[:, None] * tau)
+    xbar, out = x, []
+    for _ in range(iterations):
+        alpha = project_dual_ball(norm, alpha + sigma * (l_rot @ xbar), lam)
+        x_new = (x - tau * (l_rot.T @ alpha - rhs)) * shrink
+        xbar = 2.0 * x_new - x
+        x = x_new
+        out.append((x, alpha))
+    return out
+
+
+def affine_iterates(l_rot, mu, norm, rhs, lam, tau, sigma, x, alpha, iterations):
+    """The same iterations as the solver runs them, z = (x_k; alpha_{k+1})
+    <- K z + c and the in-place projection of the alpha rows, from the same
+    (x_0, alpha_0).  Returns the list of (x_{k-1}, x_k, alpha_k)."""
+    n = l_rot.shape[1]
+    k, c = _affine_step(l_rot, mu, tau, sigma, rhs)
+    z = np.concatenate([x, alpha + sigma * (l_rot @ x)])
+    _project_dual_ball_inplace(norm, z[n:], lam, -lam)
+    out = []
+    for _ in range(iterations):
+        z_before = z
+        z = k @ z if k.ndim == 2 else (k @ z.T[:, :, None])[:, :, 0].T
+        z += c
+        _project_dual_ball_inplace(norm, z[n:], lam, -lam)
+        out.append((z_before[:n], z[:n], z_before[n:]))
+    return out
+
+
+def iteration_setup(seed, kind, steps, start):
+    """A batch of three shared_batch problems with its rotated operator,
+    right-hand sides, penalties, steps and start (x_0, alpha_0): scalar steps
+    at primal weight 1 or per-column weights in [0.1, 10], and a zero or a
+    random start with the dual inside its ball."""
+    from decoreg.experiments import difference_operator_1d
+
+    norm, l_adj = {
+        "l1": (l1(6), None),
+        "group": (group([[3, 0], [5], [1, 4, 2]]), None),
+        "nuclear": (nuclear(2, 3), None),
+        "tv1d": (l1(6), difference_operator_1d(7)),
+    }[kind]
+    problems = shared_batch(seed, norm, 5, [0.003, 0.1, 0.5], l_adjoint=l_adj)
+    first = problems[0]
+    mu, v = first.gram_eig
+    l_rot = first.l_adjoint.entries @ v
+    y = np.column_stack([q.y for q in problems])
+    rhs = v.T @ (first.phi.entries.T @ y)
+    lam = np.array([q.lam for q in problems])
+    step = 0.99 / first.l_norm
+    r = np.random.default_rng(seed)
+    omega = r.uniform(0.1, 10.0, 3) if steps == "per-column" else 1.0
+    n, b = first.phi.cols, len(problems)
+    x = np.zeros((n, b))
+    alpha = np.zeros((norm.ambient_dim, b))
+    if start == "warm":
+        x = r.standard_normal((n, b))
+        alpha = project_dual_ball(norm, r.standard_normal(alpha.shape), lam)
+    return problems, l_rot, mu, v, rhs, lam, step / omega, step * omega, x, alpha
+
+
+class TestAffineIteration:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear", "tv1d"]),
+        steps=st.sampled_from(["scalar", "per-column"]),
+        start=st.sampled_from(["cold", "warm"]),
+        iterations=st.integers(1, 300),
+    )
+    def test_reproduces_the_sequential_loop(self, seed, kind, steps, start, iterations):
+        problems, l_rot, mu, _, rhs, lam, tau, sigma, x, alpha = iteration_setup(
+            seed, kind, steps, start
+        )
+        args = (l_rot, mu, problems[0].norm, rhs, lam, tau, sigma, x, alpha, iterations)
+        for (x_ref, alpha_ref), (_, x_aff, alpha_aff) in zip(
+            sequential_iterates(*args), affine_iterates(*args), strict=True
+        ):
+            for ref, got in ((x_ref, x_aff), (alpha_ref, alpha_aff)):
+                assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear", "tv1d"]),
+        steps=st.sampled_from(["scalar", "per-column"]),
+        start=st.sampled_from(["cold", "warm"]),
+        iterations=st.integers(1, 300),
+    )
+    def test_check_residual_is_the_composite_residual(
+        self, seed, kind, steps, start, iterations
+    ):
+        problems, l_rot, mu, v, rhs, lam, tau, sigma, x, alpha = iteration_setup(
+            seed, kind, steps, start
+        )
+        norm = problems[0].norm
+        x_before, x_k, alpha_k = affine_iterates(
+            l_rot, mu, norm, rhs, lam, tau, sigma, x, alpha, iterations
+        )[-1]
+        y = np.column_stack([q.y for q in problems])
+        exact = _composite_residual(problems[0], v @ x_k, alpha_k, y, lam)
+        got = _check_residual(norm, l_rot, x_before, x_k, alpha_k, tau, lam)
+        assert np.all(np.abs(got - exact) <= 1e-12 * (1.0 + exact))
 
 
 def xi_apply(phi, l_s_adj, h):
@@ -1068,6 +1249,71 @@ def two_factorization_reference(norm, g0, columns, opts):
     c = vt.T @ (d / s)
     value = dual_norm_value(norm, g0 + columns @ c)
     return c, value, max(gap + value - d_value, 0.0), converged
+
+
+def sequential_dual_norm_iterates(norm, g0, q, d, w, tau, sigma, iterations):
+    """``_min_dual_norm_pdhg``'s splitting one block after the other, with no
+    checks, from (d_0, w_0) and dbar_0 = d_0.  Returns the list of
+    (d_k, w_k)."""
+    dbar, out = d, []
+    for _ in range(iterations):
+        w = project_primal_ball(norm, w + sigma * (q @ dbar + g0), 1.0)
+        d_new = d - tau * (q.T @ w)
+        dbar = 2.0 * d_new - d
+        d = d_new
+        out.append((d, w))
+    return out
+
+
+def affine_dual_norm_iterates(norm, g0, q, d, w, tau, sigma, iterations):
+    """The same iterations as ``_min_dual_norm_pdhg`` runs them, z = (d_k;
+    w_{k+1}) <- K z + c and the projection of the w rows.  Returns the list
+    of (d_k, w_k)."""
+    r = q.shape[1]
+    k, c = _affine_dual_norm_step(q, g0, tau, sigma)
+    z = np.concatenate([d, project_primal_ball(norm, w + sigma * (q @ d + g0), 1.0)])
+    out = []
+    for _ in range(iterations):
+        z_before = z
+        z = k @ z
+        z += c
+        z[r:] = project_primal_ball(norm, z[r:], 1.0)
+        out.append((z[:r], z_before[r:]))
+    return out
+
+
+class TestAffineDualNormIteration:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear"]),
+        k=st.integers(1, 10),
+        weighted=st.booleans(),
+        warm=st.booleans(),
+        iterations=st.integers(1, 300),
+    )
+    def test_reproduces_the_sequential_loop(self, seed, kind, k, weighted, warm, iterations):
+        # a weighted step is the one after a weight update, a warm start the
+        # (d_k, w_k) a restart continues from
+        norm = {
+            "l1": l1(16),
+            "group": group([list(range(b, b + 4)) for b in range(0, 16, 4)]),
+            "nuclear": nuclear(4, 4),
+        }[kind]
+        r = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(r.standard_normal((16, k)))
+        g0 = r.standard_normal(16)
+        omega = r.uniform(0.1, 10.0) if weighted else 1.0
+        d, w = np.zeros(k), np.zeros(16)
+        if warm:
+            d = r.standard_normal(k)
+            w = project_primal_ball(norm, r.standard_normal(16), 1.0)
+        args = (norm, g0, q, d, w, 0.99 / omega, 0.99 * omega, iterations)
+        for (d_ref, w_ref), (d_aff, w_aff) in zip(
+            sequential_dual_norm_iterates(*args), affine_dual_norm_iterates(*args), strict=True
+        ):
+            for ref, got in ((d_ref, d_aff), (w_ref, w_aff)):
+                assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
 class TestAffineDualNormProgram:
