@@ -14,17 +14,16 @@ import functools
 import sys
 from pathlib import Path
 
-from .certificates import build_certificate, certificate_quality, write_certificate_csv
+from .certificates import certificate_quality, write_certificate_csv
 from .experiments import (
     ScenarioConfig,
+    analyze_scenario,
     generate_scenario,
     oracle_solve,
     run_scenario,
     solve_trials,
 )
-from .guarantees import strong_nsp_check, uniqueness_from_certificate
-from .norms import decompose_at
-from .solver import SolverOptions, ic_context
+from .solver import SolverOptions
 
 
 @functools.cache
@@ -94,14 +93,10 @@ def _solve_command(cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _certify_command(cfg: ScenarioConfig, out: Path) -> int:
-    phi, l_op, norm, x0, _ = generate_scenario(cfg)
-    model = decompose_at(norm, l_op.T.apply(x0))
-    opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
-    try:
-        ctx = ic_context(phi, l_op, model.T)
-        cert = build_certificate(ctx, norm, model.e, mode=cfg.certificate_mode, opts=opts)
-    except ValueError as exc:
-        print(f"certificate failed: {exc}", file=sys.stderr)
+    analysis = analyze_scenario(cfg)
+    cert = analysis.cert
+    if cert is None:
+        print(f"certificate failed: {analysis.failure}", file=sys.stderr)
         return 0
     write_certificate_csv(cert, out / "certificate.csv")
     print(f"saturation {cert.saturation:.6g}")
@@ -111,25 +106,15 @@ def _certify_command(cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _uniqueness_command(cfg: ScenarioConfig, out: Path) -> int:
-    phi, l_op, norm, x0, _ = generate_scenario(cfg)
-    model = decompose_at(norm, l_op.T.apply(x0))
-    opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
-    joint = None
-    try:
-        ctx = ic_context(phi, l_op, model.T)
-        cert = build_certificate(ctx, norm, model.e, mode=cfg.certificate_mode, opts=opts)
-        if cfg.certificate_mode == "full":
-            joint = (cert.ic_value, cert.ic_gap)
-        verdict = uniqueness_from_certificate(cert, ctx.c_phi)
-        lines = [f"certificate verdict: {verdict.status}", f"saturation: {cert.saturation!r}"]
-    except ValueError as exc:
-        # the null-space check needs no restricted injectivity
-        lines = [f"certificate unavailable: {exc}"]
-    nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm, opts, joint=joint)
-    lines.insert(0, f"strong nsp verdict: {nsp.status}")
+    analysis = analyze_scenario(cfg)
+    lines = [f"strong nsp verdict: {analysis.nsp.status}"]
+    if analysis.cert is None:
+        lines.append(f"certificate unavailable: {analysis.failure}")
+    else:
+        lines.append(f"certificate verdict: {analysis.cert_verdict.status}")
+        lines.append(f"saturation: {analysis.cert.saturation!r}")
     (out / "uniqueness.txt").write_text("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    print(*lines, sep="\n")
     return 0
 
 

@@ -2,14 +2,15 @@
 
 A scenario bundles a measurement operator, an analysis operator, a norm, a
 structured signal and a noise-level schedule, all drawn deterministically
-from one seed.  The harness builds the model context once and from it the
-certificate and the stability constants, solves the penalized problem at
-lambda = c * eps for every noise level and noise draw (each distinct problem
-once; the noisy ones in one batch, or, when phi has a kernel, one batch per
-level warm-started at the level above; the noiseless one at a vanishing
-penalty, by a certified polish of the smallest-lambda solution), checks the
-bounds once per distinct solve, and writes the observed-versus-bound table
-as CSV, a text summary and a plot.
+from one seed.  ``analyze_scenario`` runs once the stages that the sweep,
+``certify`` and ``check-uniqueness`` read: model context, certificate, IC
+chain and null-space verdict.  The harness adds the stability constants,
+solves the penalized problem at lambda = c * eps for every noise level and
+noise draw (each distinct problem once; the noisy ones in one batch, or,
+when phi has a kernel, one batch per level warm-started at the level above;
+the noiseless one at a vanishing penalty, by a certified polish of the
+smallest-lambda solution), checks the bounds once per distinct solve, and
+writes the observed-versus-bound table as CSV, a text summary and a plot.
 
 A reference oracle for tiny instances provides certified objective values
 independent of the primal-dual solver: quasi-Newton descent on the objective
@@ -28,9 +29,12 @@ from pathlib import Path
 import numpy as np
 from scipy import optimize
 
-from .certificates import build_certificate, certificate_quality, write_certificate_csv
+from .certificates import (
+    DualCertificate, build_certificate, certificate_quality, write_certificate_csv
+)
 from .guarantees import (
     BoundCheckReport,
+    UniquenessVerdict,
     stability_constants,
     strong_nsp_check,
     uniqueness_from_certificate,
@@ -57,6 +61,7 @@ from .solver import (
     Problem,
     SolveReport,
     SolverOptions,
+    ICContext,
     _min_dual_norm_affine,
     ic_context,
     ic_value,
@@ -69,6 +74,7 @@ from .solver import (
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
+    "ScenarioAnalysis",
     "ScenarioResult",
     "difference_operator_1d",
     "difference_operator_2d",
@@ -79,6 +85,7 @@ __all__ = [
     "solve_trials",
     "first_order_residual",
     "generate_scenario",
+    "analyze_scenario",
     "oracle_solve",
     "run_scenario",
 ]
@@ -688,6 +695,51 @@ def oracle_solve(p: Problem) -> SolveReport:
 
 
 @dataclass
+class ScenarioAnalysis:
+    """The stages the sweep, ``certify`` and ``check-uniqueness`` read.  If the
+    certificate fails, ``failure`` says why and the later stages are None."""
+
+    scenario: tuple  # generate_scenario's (phi, l_op, norm, x0, ys)
+    model: DecompositionModel  # (T0, e0) at L^* x0
+    opts: SolverOptions
+    ctx: ICContext | None
+    cert: DualCertificate | None
+    failure: str | None
+    chain: tuple[float, float, float] | None  # IC values (joint, u-only, zero)
+    nsp: UniquenessVerdict
+    cert_verdict: UniquenessVerdict | None
+
+
+def analyze_scenario(cfg: ScenarioConfig) -> ScenarioAnalysis:
+    """Generate the scenario and run each stage the subcommands share, once."""
+    phi, l_op, norm, x0, _ = scenario = generate_scenario(cfg)
+    model = decompose_at(norm, l_op.T.apply(x0))
+    opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+    try:
+        ctx = ic_context(phi, l_op, model.T)
+        cert = build_certificate(ctx, norm, model.e, mode=cfg.certificate_mode, opts=opts)
+    except ValueError as exc:
+        # the null-space check needs no restricted injectivity
+        nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm, opts)
+        return ScenarioAnalysis(scenario, model, opts, None, None, str(exc), None, nsp, None)
+    ic_00 = ic_value(ctx, norm, model.e, np.zeros(cfg.p), np.zeros(cfg.m))
+    # the certificate already solved the program of its own mode
+    if cfg.certificate_mode == "u_only":
+        ic_u = cert.ic_value
+    else:
+        ic_u = minimize_ic_u(ctx, norm, model.e, opts).value
+    if cfg.certificate_mode == "full":
+        joint = (cert.ic_value, cert.ic_gap)
+    else:
+        sol = minimize_ic_full(ctx, norm, model.e, opts)
+        joint = (sol.value, sol.gap)
+    nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm, opts, joint=joint)
+    verdict = uniqueness_from_certificate(cert, ctx.c_phi)
+    chain = (joint[0], ic_u, ic_00)
+    return ScenarioAnalysis(scenario, model, opts, ctx, cert, None, chain, nsp, verdict)
+
+
+@dataclass
 class ScenarioResult:
     exit_code: int
     rows: list[tuple]
@@ -751,41 +803,35 @@ def _write_error_plot(path: Path, points: list[tuple[float, float]], total_c: fl
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
-    """Full pipeline: certificate, constants, solves, bound checks, reports.
+    """Full pipeline: ``analyze_scenario``, then constants, solves, bound
+    checks, reports.
 
     Writes results.csv, summary.txt, certificate.csv and (optionally)
     error_vs_eps.svg into ``out_dir``.  The exit code is 1 exactly when some
     bound check with valid preconditions fails on a converged solve; a trial
-    whose solve did not converge within ``max_iter`` never sets it, and the
-    summary counts such trials on its ``unconverged trials`` line.  Stage
-    failures (no certificate, saturated certificate) are recorded in the
-    summary.
+    whose solve did not converge within ``max_iter`` never sets it, reads
+    False in the ``pass_all`` column, and the summary counts such trials on
+    its ``unconverged trials`` line.  Stage failures (no certificate,
+    saturated certificate) are recorded in the summary.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    phi, l_op, norm, x0, ys = generate_scenario(cfg)
-    u0 = l_op.T.apply(x0)
-    model = decompose_at(norm, u0)
-    T0, e0 = model.T, model.e
+    analysis = analyze_scenario(cfg)
+    phi, l_op, norm, x0, ys = analysis.scenario
+    ctx, cert, solver_opts = analysis.ctx, analysis.cert, analysis.opts
 
     summary: list[str] = []
     summary.append(f"seed {cfg.seed}  dims m={cfg.m} n={cfg.n} p={cfg.p}")
-    summary.append(f"norm {norm.kind}  model dim {T0.dim}")
+    summary.append(f"norm {norm.kind}  model dim {analysis.model.T.dim}")
 
-    solver_opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
     rows: list[tuple] = []
     reports: list[BoundCheckReport] = []
     plot_points: list[tuple[float, float]] = []
     exit_code = 0
 
-    try:
-        ctx = ic_context(phi, l_op, T0)
-        cert = build_certificate(ctx, norm, e0, mode=cfg.certificate_mode, opts=solver_opts)
-    except ValueError as exc:
-        summary.append(f"certificate failed: {exc}")
-        # the null-space check needs no restricted injectivity
-        nsp = strong_nsp_check(phi, l_op, T0, e0, norm, solver_opts)
-        summary.append(f"strong nsp verdict: {nsp.status}")
+    if cert is None:
+        summary.append(f"certificate failed: {analysis.failure}")
+        summary.append(f"strong nsp verdict: {analysis.nsp.status}")
         (out / "summary.txt").write_text("\n".join(summary) + "\n")
         return ScenarioResult(0, rows, reports, None, out / "summary.txt", None)
 
@@ -795,24 +841,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     summary.append(f"quality {certificate_quality(cert)!r}")
     summary.append(f"source_residual {cert.source_residual!r}")
     summary.append(f"ic program gap {cert.ic_gap!r} converged {cert.ic_converged}")
-
-    ic_00 = ic_value(ctx, norm, e0, np.zeros(cfg.p), np.zeros(cfg.m))
-    # the certificate already solved the program of its own mode
-    if cfg.certificate_mode == "u_only":
-        ic_u = cert.ic_value
-    else:
-        ic_u = minimize_ic_u(ctx, norm, e0, solver_opts).value
-    if cfg.certificate_mode == "full":
-        joint = (cert.ic_value, cert.ic_gap)
-    else:
-        sol = minimize_ic_full(ctx, norm, e0, solver_opts)
-        joint = (sol.value, sol.gap)
-    summary.append(f"ic chain (joint, u-only, zero): {joint[0]!r} {ic_u!r} {ic_00!r}")
-
-    nsp = strong_nsp_check(phi, l_op, T0, e0, norm, solver_opts, joint=joint)
-    summary.append(f"strong nsp verdict: {nsp.status}")
-    cor1 = uniqueness_from_certificate(cert, ctx.c_phi)
-    summary.append(f"certificate uniqueness verdict: {cor1.status}")
+    summary.append("ic chain (joint, u-only, zero): " + " ".join(map(repr, analysis.chain)))
+    summary.append(f"strong nsp verdict: {analysis.nsp.status}")
+    summary.append(f"certificate uniqueness verdict: {analysis.cert_verdict.status}")
 
     try:
         bound = stability_constants(ctx, norm, cert, cfg.coupling_c, frame=cfg.frame_mode)
@@ -829,6 +860,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     )
 
     # raises unless alpha is a subgradient at u0, which every bound check assumes
+    u0 = l_op.T.apply(x0)
     bregman(norm, u0, u0, cert.alpha, tol=1e-6)
 
     trials: list[tuple[float, np.ndarray]] = []
@@ -863,7 +895,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
                 check.model_error.bound,
                 check.l2.observed,
                 check.l2.bound,
-                check.pass_all,
+                check.pass_all and report.converged,
             )
         )
         plot_points.append((eps, check.l2.observed))

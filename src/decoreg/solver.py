@@ -661,26 +661,6 @@ def _min_linf_affine_lp(
     return d, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value)), w
 
 
-def _affine_dual_norm_step(
-    q: np.ndarray, g0: np.ndarray, tau: float, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """K and c of one iteration of ``_min_dual_norm_pdhg`` before its
-    projection: with the state z = (d_k; w_{k+1}) the iteration is
-    z <- proj(K z + c), the projection on the w rows alone, and
-
-        K = [[I, -tau q^T], [sigma q, I - 2 sigma tau q q^T]]
-        c = [0; sigma g0].
-    """
-    p_dim, r = q.shape
-    k = np.block(
-        [
-            [np.eye(r), -tau * q.T],
-            [sigma * q, np.eye(p_dim) - (2.0 * sigma * tau) * (q @ q.T)],
-        ]
-    )
-    return k, np.concatenate([np.zeros(r), sigma * g0])
-
-
 def _min_dual_norm_pdhg(
     norm: DecomposableNorm,
     g0: np.ndarray,
@@ -698,15 +678,15 @@ def _min_dual_norm_pdhg(
         d    <- d - tau q^T w
         dbar <- 2 d_new - d
 
-    Held as z = (d_k; w_{k+1}) it is one affine map z <- K z + c
-    (``_affine_dual_norm_step``) followed by the projection of the w rows.
-    Starts at ``d_start`` when it beats d = 0 and tests the certified gap
-    every ``CHECK_EVERY`` iterations, stopping once it meets the tolerance;
-    the best iterate seen at a check is returned with the dual candidate of
-    the last check.  The steps follow
-    ``solve_penalized_many``'s primal-weight rule and windows, with
-    eta = 0.99, since ||q|| = 1; a weight update restarts the extrapolation
-    (dbar = d), which recomputes the w rows of z.
+    Held as z = (d_k; w_{k+1}) it is one affine map z <- K z + c followed by
+    the projection of the w rows: K is ``_affine_step``'s at L~ = q, mu = 0,
+    and c is sigma g0 on the w rows.  Starts at ``d_start`` when it
+    beats d = 0 and tests the certified gap every ``CHECK_EVERY``
+    iterations, stopping once it meets the tolerance; the best iterate seen
+    at a check is returned with the dual candidate of the last check.  The
+    steps follow ``solve_penalized_many``'s primal-weight rule and windows,
+    with eta = 0.99, since ||q|| = 1; a weight update restarts the
+    extrapolation (dbar = d), which recomputes the w rows of z.
     """
     step = tau = sigma = 0.99
     omega = 1.0
@@ -715,7 +695,8 @@ def _min_dual_norm_pdhg(
     val_start = dual_norm_value(norm, g0 + q @ d_start)
     if val_start < best_val:
         best_val, best_d = val_start, d_start.copy()
-    k, c = _affine_dual_norm_step(q, g0, tau, sigma)
+    k, c = _affine_step(q, np.zeros(r), tau, sigma, np.zeros((r, 1)))
+    c = c[:, 0] + np.r_[np.zeros(r), sigma * g0]
     # w_0 = 0 and dbar_0 = d_0
     z = np.concatenate([best_d, project_primal_ball(norm, sigma * (q @ best_d + g0), 1.0)])
     w_feas = np.zeros_like(g0)
@@ -747,7 +728,8 @@ def _min_dual_norm_pdhg(
             if dd > 0 and dw > 0:
                 omega = float(_next_weight(omega, dw, dd))
                 tau, sigma = step / omega, step * omega
-                k, c = _affine_dual_norm_step(q, g0, tau, sigma)
+                k, c = _affine_step(q, np.zeros(r), tau, sigma, np.zeros((r, 1)))
+                c = c[:, 0] + np.r_[np.zeros(r), sigma * g0]
                 z[r:] = project_primal_ball(norm, w + sigma * (q @ d + g0), 1.0)
         d_prev, w_prev = d, w
 

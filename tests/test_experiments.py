@@ -429,6 +429,14 @@ class TestRunScenario:
     def test_unconverged_trials_do_not_set_exit_1(self, tmp_path, monkeypatch):
         # five iterations leave every solve far from its minimizer, and the
         # far-off iterates miss their bounds
+        solve_trials = experiments.solve_trials
+        calls = []
+
+        def recorded(*args):
+            calls.append(solve_trials(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(experiments, "solve_trials", recorded)
         cfg = base_config(max_iter=5, plot=False)
         result = run_scenario(cfg, tmp_path / "unconverged")
         assert not all(row[-1] for row in result.rows)
@@ -438,8 +446,22 @@ class TestRunScenario:
         assert lines[-1].startswith("unconverged trials ")
         assert int(lines[-1].split()[-1]) >= 1
 
+        # sixty iterations leave every solve unconverged but inside its bounds
+        inside = run_scenario(base_config(max_iter=60, plot=False), tmp_path / "inside")
+        assert inside.exit_code == 0
+        assert not any(report.converged for report in calls[-1])
+        assert all(check.pass_all for check in inside.reports)
+        # an unconverged trial is never a pass, in the rows and in results.csv
+        for run, solved in zip((result, inside), calls, strict=True):
+            cells = [line.split(",")[-1] for line in run.results_path.read_text().splitlines()]
+            assert cells[1:] == [str(row[-1]) for row in run.rows]
+            assert all(
+                row[-1] is False
+                for report, row in zip(solved, run.rows, strict=True)
+                if not report.converged
+            )
+
         # the same misses by solves that report convergence are violations
-        solve_trials = experiments.solve_trials
         monkeypatch.setattr(
             experiments,
             "solve_trials",
@@ -677,18 +699,34 @@ class TestSolveTrials:
         with pytest.raises(ValueError, match="not a subgradient"):
             run_scenario(cfg, tmp_path / "flipped")
 
-    @pytest.mark.parametrize("mode", ["full", "u_only", "zero"])
-    def test_sweep_builds_the_ic_context_once(self, tmp_path, monkeypatch, mode):
-        """One context per sweep; the constants and the bound checks of every
-        trial read the model from it instead of deriving it again with
-        ``Subspace.complement``."""
+    @pytest.mark.parametrize(
+        "command, mode",
+        [
+            ("stability-sweep", "full"),
+            ("stability-sweep", "u_only"),
+            ("stability-sweep", "zero"),
+            ("certify", "full"),
+            ("check-uniqueness", "full"),
+        ],
+        ids=["full", "u_only", "zero", "certify", "check-uniqueness"],
+    )
+    def test_sweep_builds_the_ic_context_once(self, tmp_path, monkeypatch, command, mode):
+        """One context, one certificate and one pass of the IC chain and the
+        null-space check per command; the constants and the bound checks of
+        every trial read the model from the context instead of deriving it
+        again with ``Subspace.complement``."""
         import decoreg.certificates as certificates
+        import decoreg.cli as cli
         import decoreg.experiments as experiments
         import decoreg.guarantees as guarantees
         import decoreg.solver as solver
         from decoreg.linops import Subspace
 
-        calls = {"ic_context": 0, "minimize_ic_full": 0, "minimize_ic_u": 0}
+        calls = dict.fromkeys(
+            ["ic_context", "build_certificate", "minimize_ic_full", "minimize_ic_u",
+             "strong_nsp_check"],
+            0,
+        )
         rederived = {"complement": 0}
         inside = [0]  # depth of calls into the context consumers
 
@@ -722,18 +760,33 @@ class TestSolveTrials:
 
             monkeypatch.setattr(owner, attr, wrapper)
 
-        for module in (certificates, experiments, guarantees, solver):
+        for module in (certificates, cli, experiments, guarantees, solver):
             for name in calls:
                 if hasattr(module, name):
                     counted(module, name)
         for name in ("verify_bounds", "stability_constants"):
             consumer(name)
         rederiving(Subspace, "complement", "complement")
-        # m = 14: no mode's certificate saturates, so every mode runs its trials
+        # m = 14: no mode's certificate saturates, so every mode runs its
+        # trials; the JSON config is the same scenario
         cfg = base_config(m=14, noise_draws=2, plot=False, certificate_mode=mode)
+        if command != "stability-sweep":
+            config = write_config(
+                tmp_path,
+                seed=7,
+                dims={"m": 14, "n": 16, "p": 16},
+                signal={"kind": "analysis_sparse", "active": 3},
+                epsilons=[0.001, 0.01, 0.1],
+                noise_draws=2,
+                solver={"tol": 1e-9},
+            )
+            assert ScenarioConfig.from_json(config) == cfg
+            assert cli_main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+            assert calls == dict.fromkeys(calls, 1)
+            return
         result = run_scenario(cfg, tmp_path)
         assert len(result.rows) == 6
-        assert calls == {"ic_context": 1, "minimize_ic_full": 1, "minimize_ic_u": 1}
+        assert calls == dict.fromkeys(calls, 1)
         assert rederived == {"complement": 0}
         summary = (tmp_path / "summary.txt").read_text()
         joint, u_only, zero = (
@@ -960,7 +1013,9 @@ class TestCli:
         assert (tmp_path / "out" / "certificate.csv").exists()
 
     def test_check_uniqueness(self, tmp_path):
-        # every config has dim ker(Phi) >= 2; the verdict is the sweep's
+        # every config has dim ker(Phi) >= 2; the verdicts are the sweep's,
+        # and certify writes the sweep's certificate
+        certificates = 0
         for i, overrides in enumerate(
             [
                 {},  # m = 6, n = 8
@@ -984,9 +1039,16 @@ class TestCli:
             ]
         ):
             cfg = write_config(tmp_path, **overrides)
-            for command, out in (("check-uniqueness", "u"), ("stability-sweep", "s")):
+            for command, out in (
+                ("check-uniqueness", "u"), ("stability-sweep", "s"), ("certify", "c")
+            ):
                 out_dir = str(tmp_path / f"{out}{i}")
                 assert cli_main([command, "--config", str(cfg), "--out", out_dir]) == 0
+            certified, swept = (tmp_path / f"{out}{i}" / "certificate.csv" for out in "cs")
+            assert certified.exists() == swept.exists()
+            if swept.exists():
+                certificates += 1
+                assert certified.read_bytes() == swept.read_bytes()
             text = (tmp_path / f"u{i}" / "uniqueness.txt").read_text()
             assert "verdict" in text
             assert "unique_up_to_sampling" not in text
@@ -1003,6 +1065,7 @@ class TestCli:
                 line.split(": ")[1] for line in summary
                 if line.startswith("certificate uniqueness verdict: ")
             ]
+        assert certificates == 4
 
     def test_frame_mode_reads_the_frame_bound_off_l(self, tmp_path):
         # L^* = F / 2 for a Parseval frame F has lower frame bound a = 1/4,

@@ -39,7 +39,6 @@ from decoreg.solver import (
 )
 from decoreg.norms import _project_dual_ball_inplace
 from decoreg.solver import (
-    _affine_dual_norm_step,
     _affine_step,
     _certified_gap,
     _check_residual,
@@ -1270,7 +1269,8 @@ def affine_dual_norm_iterates(norm, g0, q, d, w, tau, sigma, iterations):
     w_{k+1}) <- K z + c and the projection of the w rows.  Returns the list
     of (d_k, w_k)."""
     r = q.shape[1]
-    k, c = _affine_dual_norm_step(q, g0, tau, sigma)
+    k, c = _affine_step(q, np.zeros(r), tau, sigma, np.zeros((r, 1)))
+    c = c[:, 0] + np.r_[np.zeros(r), sigma * g0]
     z = np.concatenate([d, project_primal_ball(norm, w + sigma * (q @ d + g0), 1.0)])
     out = []
     for _ in range(iterations):
