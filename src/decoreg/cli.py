@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import shutil
 import sys
 from pathlib import Path
 
@@ -152,9 +153,16 @@ def _oracle_command(cfg: ScenarioConfig, out: Path) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = Path(args.out)
+    # the outermost directory this call creates, removed on a configuration
+    # error so that a refused run leaves nothing behind
+    created = None
+    for folder in (out, *out.absolute().parents):
+        if folder.exists():
+            break
+        created = folder
     try:
         cfg = _load_config(args)
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             return _solve_command(cfg, out)
@@ -169,6 +177,8 @@ def main(argv=None) -> int:
         if args.command == "oracle-compare":
             return _oracle_command(cfg, out)
     except ValueError as exc:  # ConfigError included
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .certificates import (
     DualCertificate, build_certificate, certificate_quality, write_certificate_csv
@@ -421,6 +420,8 @@ def _polish_on_model(p: Problem, model, x_ref: np.ndarray) -> np.ndarray:
         coef = np.linalg.pinv(a.T @ a, rcond=1e-12) @ rhs
         return basis @ coef
 
+    from scipy import optimize
+
     def fun(c):
         return p.objective(basis @ c)
 
@@ -687,6 +688,8 @@ def oracle_solve(p: Problem) -> SolveReport:
     """
     if p.phi.cols > 8 or p.norm.ambient_dim > 8:
         raise ValueError("oracle restricted to tiny instances (N <= 8, P <= 8)")
+    from scipy import optimize
+
     x = np.zeros(p.phi.cols)
     for mu in (1e-2, 1e-4, 1e-6, 1e-8):
         x = optimize.minimize(_smoothed(p, mu), x, jac=True, method="BFGS").x

@@ -24,13 +24,13 @@ feasible subspaces turn the affine-constrained dual-norm minimization into an
 unconstrained one, min_c dual_norm(g0 + C c).  One SVD C = U S V^T with
 Q = U_r turns that into min_d dual_norm(g0 + Q d).  The minimum-norm
 least-squares point d = -Q^T g0 settles it when it cancels g0.  Otherwise
-the l1 case (an l-infinity objective) is a linear program solved by HiGHS,
-and the group and nuclear cases run the same primal-dual scheme, with the
-same primal-weight rule and eta = 0.99, since ||Q|| = 1.  Either d maps back
-to c = V_r S_r^{-1} d.  Both report the value at their point with a duality
-gap from a dual candidate, the LP's marginals or the splitting's dual
-iterate, which certifies it.  The strong null-space check solves the same
-program.
+the l1 case (an l-infinity objective) is a linear program, solved exactly by
+a dense revised simplex on its dual, and the group and nuclear cases run
+the same primal-dual scheme, with the same primal-weight rule and
+eta = 0.99, since ||Q|| = 1.  Either d maps back to c = V_r S_r^{-1} d.
+Both report the value at their point with a duality gap from a dual
+candidate, the LP's optimal basic solution or the splitting's dual iterate,
+which certifies it.  The strong null-space check solves the same program.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .linops import (
     LinearOperator,
@@ -591,8 +590,9 @@ def _min_dual_norm_affine(
     it otherwise.  It comes before any solver because the minimizer need not
     be unique: where g0 cancels, the minimum-norm point is the one downstream
     quantities (the certificate's eta, hence C) are defined by.  The program
-    min_d dual_norm(g0 + Q d) runs as a linear program for l1 and by
-    primal-dual splitting for the other norms; either d maps back to
+    min_d dual_norm(g0 + Q d) runs as a linear program for l1, by the
+    simplex of ``_min_linf_affine_lp``, and by primal-dual splitting for
+    the other norms; either d maps back to
     c = V_r S_r^{-1} d, where the value is recomputed and the gap shifted by
     the difference.
     """
@@ -627,6 +627,32 @@ def _certified_gap(
     return value - float(g0 @ w_feas), w_feas
 
 
+# the l1 LP's simplex: the pivot cap, the smallest pivot the ratio test
+# takes (1e-12 reached singular bases), the degenerate pivots in a row after
+# which Bland's rule replaces Dantzig's, and the pivots between
+# refactorizations of the basis inverse
+_LP_MAX_PIVOTS = 1000
+_LP_PIVOT_TOL = 1e-9
+_LP_BLAND_AFTER = 20
+_LP_REFACTOR_EVERY = 50
+
+
+def _independent_rows(q: np.ndarray) -> list[int]:
+    """r linearly independent rows of the p x r matrix q of rank r, by greedy
+    Gram-Schmidt: each is the row with the largest part orthogonal to the
+    rows chosen before it."""
+    rows = q.copy()
+    chosen: list[int] = []
+    for _ in range(q.shape[1]):
+        sq = np.einsum("ij,ij->i", rows, rows)
+        sq[chosen] = -1.0
+        i = int(np.argmax(sq))
+        chosen.append(i)
+        h = rows[i] / np.sqrt(sq[i])
+        rows -= np.outer(rows @ h, h)
+    return chosen
+
+
 def _min_linf_affine_lp(
     norm: DecomposableNorm,
     g0: np.ndarray,
@@ -634,31 +660,72 @@ def _min_linf_affine_lp(
     d_start: np.ndarray,
     opts: SolverOptions,
 ) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
-    """The l1 case, min_d ||g0 + q @ d||_inf with q orthonormal, as a linear
-    program.
+    """The l1 case, min_d ||g0 + q @ d||_inf with q orthonormal, by a dense
+    revised simplex on its dual.
 
-    Variables (d, t), minimize t subject to +-(g0 + q @ d) - t <= 0, solved
-    by HiGHS.  The value at the returned d gets its gap from the inequality
-    marginals mu+ and mu-: w = mu+ - mu- is the dual candidate of
-    ``_certified_gap``.  A solver failure returns ``d_start`` unconverged
-    with an infinite gap and a zero candidate.
+    The dual maximizes <g0, v> subject to q^T v = 0 and ||v||_1 <= 1.  In
+    standard form, over x = (v+, v-, s) >= 0, its r + 1 rows are
+    q^T (v+ - v-) = 0 and 1^T (v+ + v-) + s = 1, as in Barrodale and
+    Phillips' discrete Chebyshev simplex (ACM TOMS 1, 1975, Algorithm 495).
+    The start basis is s and the v+ of r rows of q chosen by
+    ``_independent_rows``; it is feasible, at v = 0, because the q^T rows
+    have right-hand side 0.  Each pivot enters the largest reduced cost
+    (Dantzig's rule), or after 20 degenerate pivots in a row the first
+    positive one (Bland's rule, which cannot cycle) until a pivot moves the
+    vertex.  The basis inverse takes a rank-one update per pivot and is
+    refactored every 50 pivots and at the optimum; its last column is the
+    basic solution, since the right-hand side is the last unit vector.  At
+    the optimum the duals y of the basis give d = -y_Q, the negated
+    multipliers of the q^T rows, and the basic solution gives v, the dual
+    candidate of ``_certified_gap``.  The pivot cap, or a ratio test with no
+    pivot above the tolerance, returns ``d_start`` unconverged with an
+    infinite gap and a zero candidate.
     """
     p_dim, r = q.shape
-    ones = np.ones((p_dim, 1))
-    res = optimize.linprog(
-        np.r_[np.zeros(r), 1.0],
-        A_ub=np.block([[q, -ones], [-q, -ones]]),
-        b_ub=np.r_[-g0, g0],
-        bounds=(None, None),
-        method="highs",
-    )
-    if res.status != 0:
-        return d_start, dual_norm_value(norm, g0 + q @ d_start), np.inf, False, np.zeros_like(g0)
-    d = res.x[:r]
-    value = dual_norm_value(norm, g0 + q @ d)
-    marginals = res.ineqlin.marginals  # nonpositive for <= rows
-    gap, w = _certified_gap(norm, g0, q, value, marginals[p_dim:] - marginals[:p_dim])
-    return d, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value)), w
+    a = np.zeros((r + 1, 2 * p_dim + 1))
+    a[:r, :p_dim] = q.T
+    a[:r, p_dim:-1] = -q.T
+    a[r] = 1.0
+    cost = np.r_[g0, -g0, 0.0]
+    cost_tol = 1e-12 * (1.0 + float(np.max(np.abs(g0))))
+    basis = np.array(_independent_rows(q) + [2 * p_dim])
+    degenerate = 0
+    for pivot in range(_LP_MAX_PIVOTS + 1):
+        if pivot % _LP_REFACTOR_EVERY == 0:
+            binv = np.linalg.inv(a[:, basis])
+        y = cost[basis] @ binv
+        reduced = cost - y @ a
+        entering = reduced > cost_tol
+        if not entering.any():
+            binv = np.linalg.inv(a[:, basis])
+            y = cost[basis] @ binv
+            x = np.zeros(2 * p_dim + 1)
+            x[basis] = binv[:, -1]
+            d = -y[:r]
+            value = dual_norm_value(norm, g0 + q @ d)
+            gap, w = _certified_gap(norm, g0, q, value, x[:p_dim] - x[p_dim:-1])
+            return d, value, max(gap, 0.0), gap <= opts.tol * (1.0 + abs(value)), w
+        if pivot == _LP_MAX_PIVOTS:
+            break
+        bland = degenerate >= _LP_BLAND_AFTER
+        j = int(np.argmax(entering)) if bland else int(np.argmax(reduced))
+        col = binv @ a[:, j]
+        usable = col > _LP_PIVOT_TOL
+        if not usable.any():
+            break
+        # the basic solution lies in [0, 1] (||v||_1 <= 1), so ratios and
+        # steps below 1e-12 are rounding
+        ratios = np.full(r + 1, np.inf)
+        ratios[usable] = np.maximum(binv[usable, -1], 0.0) / col[usable]
+        step = ratios.min()
+        ties = np.nonzero(ratios <= step + 1e-12)[0]
+        leave = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(col[ties])]
+        degenerate = degenerate + 1 if step <= 1e-12 else 0
+        row = binv[leave] / col[leave]
+        binv -= np.outer(col, row)
+        binv[leave] = row
+        basis[leave] = j
+    return d_start, dual_norm_value(norm, g0 + q @ d_start), np.inf, False, np.zeros_like(g0)
 
 
 def _min_dual_norm_pdhg(

@@ -1105,6 +1105,25 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("out_kind", ["new", "nested", "existing"])
+    def test_generation_error_leaves_what_it_found(self, tmp_path, capsys, out_kind):
+        # the active set is checked when the scenario is generated, after
+        # the output directory is made: a directory this call made goes,
+        # one that was there stays with its contents
+        cfg = write_config(tmp_path, signal={"kind": "analysis_sparse", "active": 40})
+        top = tmp_path / "out"
+        out = top / "a" / "b" if out_kind == "nested" else top
+        if out_kind == "existing":
+            out.mkdir()
+            (out / "keep.txt").write_text("kept")
+        code = cli_main(["stability-sweep", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "active set" in capsys.readouterr().err
+        if out_kind == "existing":
+            assert [f.name for f in out.iterdir()] == ["keep.txt"]
+        else:
+            assert not top.exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         code = cli_main(
             [

@@ -37,6 +37,7 @@ from decoreg.solver import (
     solve_penalized,
     solve_penalized_many,
 )
+from decoreg import solver as solver_module
 from decoreg.norms import _project_dual_ball_inplace
 from decoreg.solver import (
     _affine_step,
@@ -45,6 +46,7 @@ from decoreg.solver import (
     _composite_residual,
     _min_dual_norm_affine,
     _min_dual_norm_pdhg,
+    _min_linf_affine_lp,
     _xi_matrix,
 )
 
@@ -1189,12 +1191,9 @@ class TestL1ProgramLp:
         solved = minimize_ic_full(ctx, norm, model.e)
         assert solved.converged and solved.gap <= 1e-12
 
-        def failing_linprog(*args, **kwargs):
-            return optimize.OptimizeResult(
-                status=4, success=False, x=None, message="numerical difficulties"
-            )
-
-        monkeypatch.setattr(optimize, "linprog", failing_linprog)
+        # no pivot allowed: the start basis is not optimal, so the simplex
+        # stops at its cap
+        monkeypatch.setattr(solver_module, "_LP_MAX_PIVOTS", 0)
         failed = minimize_ic_full(ctx, norm, model.e)
         assert not failed.converged
         assert failed.gap == np.inf
@@ -1204,6 +1203,61 @@ class TestL1ProgramLp:
         ls_value = dual_norm_value(norm, g0 + cols @ c_ls)
         assert failed.value == pytest.approx(ls_value, rel=1e-12)
         assert failed.value >= solved.value
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        p_dim=st.integers(2, 48),
+        rank_share=st.floats(0.0, 1.0),
+        zero_rows=st.integers(0, 3),
+        repeated_rows=st.integers(0, 3),
+        g0_kind=st.sampled_from(["generic", "in", "near", "ties"]),
+    )
+    def test_simplex_against_highs(
+        self, seed, p_dim, rank_share, zero_rows, repeated_rows, g0_kind
+    ):
+        r = np.random.default_rng(seed)
+        k = 1 + int(rank_share * (p_dim - 2))
+        cols = r.standard_normal((p_dim, k))
+        rows = r.permutation(p_dim)
+        cols[rows[:zero_rows]] = 0.0
+        for i in range(min(repeated_rows, p_dim - 1)):
+            cols[rows[-1 - i]] = cols[rows[-2 - i]]
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        q = u[:, : numerical_rank(s)]
+        assume(0 < q.shape[1] < p_dim)
+        g0 = r.standard_normal(p_dim)
+        if g0_kind == "in":
+            g0 = q @ r.standard_normal(q.shape[1])
+        elif g0_kind == "near":
+            g0 = q @ r.standard_normal(q.shape[1]) + 1e-6 * g0
+        elif g0_kind == "ties":
+            g0 = r.integers(-2, 3, size=p_dim).astype(float)
+        norm = l1(p_dim)
+        opts = SolverOptions(tol=1e-9)
+        d, value, gap, converged, w = _min_linf_affine_lp(norm, g0, q, np.zeros(q.shape[1]), opts)
+        assert converged
+        assert value == pytest.approx(np.max(np.abs(g0 + q @ d)), rel=1e-15, abs=1e-15)
+        # the dual candidate: feasible, and a lower bound within the gap
+        assert np.linalg.norm(q.T @ w) <= 1e-12
+        assert np.sum(np.abs(w)) <= 1.0 + 1e-12
+        assert g0 @ w >= value - gap - 1e-15
+        # HiGHS on the same LP, certified from its marginals
+        ones = np.ones((p_dim, 1))
+        res = optimize.linprog(
+            np.r_[np.zeros(q.shape[1]), 1.0],
+            A_ub=np.block([[q, -ones], [-q, -ones]]),
+            b_ub=np.r_[-g0, g0],
+            bounds=(None, None),
+            method="highs",
+        )
+        assert res.status == 0
+        ref_value = dual_norm_value(norm, g0 + q @ res.x[:-1])
+        marginals = res.ineqlin.marginals
+        ref_gap, _ = _certified_gap(
+            norm, g0, q, ref_value, marginals[p_dim:] - marginals[:p_dim]
+        )
+        assert abs(value - ref_value) <= gap + max(ref_gap, 0.0) + 1e-15
 
 
 def two_factorization_reference(norm, g0, columns, opts):
