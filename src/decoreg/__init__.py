@@ -12,7 +12,6 @@ from .certificates import (
     build_certificate,
     certificate_quality,
     check_source_condition,
-    read_certificate_csv,
     write_certificate_csv,
 )
 from .experiments import (
@@ -67,7 +66,6 @@ from .norms import (
     norm_from_config,
     norm_value,
     nuclear,
-    prox,
     project_dual_ball,
     project_primal_ball,
     separable_split,

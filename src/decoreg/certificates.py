@@ -16,8 +16,8 @@ the stability constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +32,12 @@ __all__ = [
     "check_source_condition",
     "certificate_quality",
     "write_certificate_csv",
-    "read_certificate_csv",
 ]
 
 CERTIFICATE_TOL = 1e-7
 
 
-@dataclass(frozen=True, eq=False)
-class DualCertificate:
+class DualCertificate(NamedTuple):
     """Certificate data: eta in the measurement space, alpha in the analysis
     space, the measured saturation dual_norm(P_S alpha) and the source
     equation residual ||Phi^* eta - L alpha||.
@@ -60,8 +58,7 @@ class DualCertificate:
     ic_gap: float = 0.0
 
 
-@dataclass(frozen=True)
-class SourceCheck:
+class SourceCheck(NamedTuple):
     valid: bool
     reason: str | None = None
 
@@ -165,29 +162,3 @@ def write_certificate_csv(cert: DualCertificate, path) -> None:
         f"ic_converged,{bool(cert.ic_converged)}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_certificate_csv(path) -> DualCertificate:
-    """Read a certificate back; every row ``write_certificate_csv`` writes is
-    required.  The file stores no separate IC value: the saturation stands
-    in for it."""
-    rows: dict[str, list[str]] = {}
-    for line in Path(path).read_text().strip().splitlines():
-        parts = line.split(",")
-        rows[parts[0]] = parts[1:]
-    try:
-        converged = rows["ic_converged"][0]
-        if converged not in ("True", "False"):
-            raise ValueError(f"{path}: ic_converged is {converged!r}, not True or False")
-        saturation = float(rows["saturation"][0])
-        return DualCertificate(
-            eta=np.array([float(v) for v in rows["eta"]]),
-            alpha=np.array([float(v) for v in rows["alpha"]]),
-            saturation=saturation,
-            source_residual=float(rows["source_residual"][0]),
-            ic_converged=converged == "True",
-            ic_value=saturation,
-            ic_gap=float(rows["ic_gap"][0]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing certificate field {exc}") from exc

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: ``solve``, ``certify``, ``check-uniqueness``, ``stability-sweep``
+Commands: ``solve``, ``certify``, ``check-uniqueness``, ``stability-sweep``
 and ``oracle-compare``; all read a JSON scenario config.  Exit codes: 0 on
 success, 1 when a bound or oracle-agreement check fails under valid
 preconditions, 2 on configuration errors.
@@ -25,32 +25,6 @@ from .experiments import (
     solve_trials,
 )
 from .solver import SolverOptions
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="decoreg",
-        description="Penalized analysis recovery: solve, certify, verify.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("solve", "solve the penalized problem for every noise level"),
-        ("certify", "build and store the dual certificate"),
-        ("check-uniqueness", "run the uniqueness verdicts for the scenario"),
-        ("stability-sweep", "full pipeline with bound verification"),
-        ("oracle-compare", "compare the solver against the tiny-instance oracle"),
-    ):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", required=True, help="scenario config (JSON)")
-        cmd.add_argument("--out", default="out", help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="override the seed")
-        cmd.add_argument("--tol", type=float, default=None, help="solver tolerance")
-        cmd.add_argument(
-            "--max-iter", type=int, default=None, help="solver iteration budget"
-        )
-    return parser
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -151,6 +125,44 @@ def _oracle_command(cfg: ScenarioConfig, out: Path) -> int:
     return worst
 
 
+def _sweep_command(cfg: ScenarioConfig, out: Path) -> int:
+    result = run_scenario(cfg, out)
+    print(f"wrote {result.results_path or result.summary_path}")
+    return result.exit_code
+
+
+# each command's handler and its line in ``--help``
+_COMMANDS = {
+    "solve": (_solve_command, "solve the penalized problem for every noise level"),
+    "certify": (_certify_command, "build and store the dual certificate"),
+    "check-uniqueness": (_uniqueness_command, "run the uniqueness verdicts for the scenario"),
+    "stability-sweep": (_sweep_command, "full pipeline with bound verification"),
+    "oracle-compare": (_oracle_command, "compare the solver against the tiny-instance oracle"),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: one command positional
+    and the five options every command takes."""
+    parser = argparse.ArgumentParser(
+        prog="decoreg",
+        description="Penalized analysis recovery: solve, certify, verify.",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<18}{text}" for name, (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", required=True, help="scenario config (JSON)")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override the seed")
+    parser.add_argument("--tol", type=float, default=None, help="solver tolerance")
+    parser.add_argument("--max-iter", type=int, default=None, help="solver iteration budget")
+    return parser
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
@@ -164,24 +176,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "solve":
-            return _solve_command(cfg, out)
-        if args.command == "certify":
-            return _certify_command(cfg, out)
-        if args.command == "check-uniqueness":
-            return _uniqueness_command(cfg, out)
-        if args.command == "stability-sweep":
-            result = run_scenario(cfg, out)
-            print(f"wrote {result.results_path or result.summary_path}")
-            return result.exit_code
-        if args.command == "oracle-compare":
-            return _oracle_command(cfg, out)
+        return _COMMANDS[args.command][0](cfg, out)
     except ValueError as exc:  # ConfigError included
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -550,7 +551,7 @@ def solve_vanishing(
     stages = []
     for lam in lams:
         init = stages[-1].x_star if stages else None
-        stages.append(solve_penalized(problem.with_data(problem.y, lam), replace(opts, init=init)))
+        stages.append(solve_penalized(problem.with_data(problem.y, lam), opts._replace(init=init)))
     reports = (
         _certified(problem, *_polished(problem, s.x_star), s.iterations, opts.tol)
         for s in reversed(stages)
@@ -609,7 +610,7 @@ def solve_trials(
     solved: dict[tuple, SolveReport] = {}
     init = opts.init
     for level in levels:
-        reports = solve_penalized_many([problems[k] for k in level], replace(opts, init=init))
+        reports = solve_penalized_many([problems[k] for k in level], opts._replace(init=init))
         solved.update(zip(level, reports))
         init = reports[0].x_star
     start = solved[min(noisy, key=lambda k: k[1])].x_star if noisy else None
@@ -697,8 +698,7 @@ def oracle_solve(p: Problem) -> SolveReport:
     return _certified(p, *_polished(p, x, ties=True), 0, SolverOptions().tol)
 
 
-@dataclass
-class ScenarioAnalysis:
+class ScenarioAnalysis(NamedTuple):
     """The stages the sweep, ``certify`` and ``check-uniqueness`` read.  If the
     certificate fails, ``failure`` says why and the later stages are None."""
 
@@ -714,7 +714,7 @@ class ScenarioAnalysis:
 
 
 def analyze_scenario(cfg: ScenarioConfig) -> ScenarioAnalysis:
-    """Generate the scenario and run each stage the subcommands share, once."""
+    """Generate the scenario and run each stage the commands share, once."""
     phi, l_op, norm, x0, _ = scenario = generate_scenario(cfg)
     model = decompose_at(norm, l_op.T.apply(x0))
     opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
@@ -742,8 +742,7 @@ def analyze_scenario(cfg: ScenarioConfig) -> ScenarioAnalysis:
     return ScenarioAnalysis(scenario, model, opts, ctx, cert, None, chain, nsp, verdict)
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     exit_code: int
     rows: list[tuple]
     reports: list[BoundCheckReport]

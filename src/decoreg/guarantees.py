@@ -31,7 +31,7 @@ of the dual frame restricted to the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ STATUS_VIOLATED = "violated"
 _NSP_MARGIN = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class UniquenessVerdict:
+class UniquenessVerdict(NamedTuple):
     status: str
     witness: np.ndarray | None = None
 
@@ -185,8 +184,7 @@ def separable_uniqueness(
     return UniquenessVerdict(STATUS_UNDECIDED)
 
 
-@dataclass(frozen=True)
-class StabilityBound:
+class StabilityBound(NamedTuple):
     """All constants entering the error bound ||x - x0|| <= total_c * eps."""
 
     c: float
@@ -301,15 +299,13 @@ def bregman_to_l2(bregman_value: float, saturation: float, c_a: float) -> float:
     return bregman_value / (c_a * (1.0 - saturation))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     observed: float
     bound: float
     passed: bool
 
 
-@dataclass(frozen=True, eq=False)
-class BoundCheckReport:
+class BoundCheckReport(NamedTuple):
     epsilon: float
     c: float
     preconditions_ok: bool

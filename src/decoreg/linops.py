@@ -9,7 +9,6 @@ stability bounds are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,17 +46,14 @@ def _vector(x, n: int, what: str) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
 class LinearOperator:
     """Dense linear map from R^cols to R^rows with an exact adjoint."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries: np.ndarray):
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"operator entries must be a matrix, got ndim={a.ndim}")
-        object.__setattr__(self, "entries", a)
+        self.entries = a
 
     @property
     def rows(self) -> int:
@@ -85,7 +81,6 @@ def identity(n: int) -> LinearOperator:
     return LinearOperator(np.eye(n))
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """Subspace of R^ambient_dim carried by an orthonormal basis.
 
@@ -93,11 +88,9 @@ class Subspace:
     columns denote the trivial subspace {0}.
     """
 
-    ambient_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+    def __init__(self, ambient_dim: int, basis: np.ndarray):
+        self.ambient_dim = ambient_dim
+        b = np.asarray(basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise ValueError(
                 f"basis must be ({self.ambient_dim}, k), got shape {b.shape}"
@@ -106,7 +99,7 @@ class Subspace:
         eye = np.eye(b.shape[1])
         if not np.all(np.abs(b.T @ b - eye) <= 1e-12 + 1e-5 * eye):
             raise ValueError("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", b)
+        self.basis = b
 
     @property
     def dim(self) -> int:

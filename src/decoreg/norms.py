@@ -4,9 +4,9 @@ Three instances are implemented: the l1 norm, the group l1-l2 norm over a
 fixed partition, and the nuclear norm of a column-major vectorized matrix.
 The l1 norm is the group norm whose blocks are the single coordinates and
 runs the group code; only the solver's dual-ball projection kernel keeps an
-l1 clip.  Each norm comes with its dual norm, proximity operator, ball
-projections, a canonical model decomposition (the pair (T, e) describing its
-subdifferential) and the Bregman distance.
+l1 clip.  Each norm comes with its dual norm, ball projections, a canonical
+model decomposition (the pair (T, e) describing its subdifferential) and the
+Bregman distance.
 
 The subdifferential at u is { alpha : P_T alpha = e, dual_norm(P_{T^perp}
 alpha) <= 1 } where T is the model subspace and e in T the attained
@@ -18,7 +18,7 @@ spaces and U V^T for the nuclear norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "norm_from_config",
     "norm_value",
     "dual_norm_value",
-    "prox",
     "project_dual_ball",
     "project_primal_ball",
     "norm_subgradient",
@@ -52,7 +51,6 @@ __all__ = [
 ACTIVE_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
 class DecomposableNorm:
     """One of the supported decomposable norms on R^ambient_dim.
 
@@ -61,15 +59,18 @@ class DecomposableNorm:
     shape (nrows, ncols) with nrows * ncols = ambient_dim and column-major
     vectorization.  An l1 norm is the group norm whose blocks are the single
     coordinates, and takes no other partition; its block norm sqrt(u_i^2)
-    is exactly |u_i| for every u_i = 0 or 1e-150 <= |u_i| <= 1e150.
+    is exactly |u_i| for every u_i = 0 or 1e-150 <= |u_i| <= 1e150.  Two
+    norms are equal when kind, ambient_dim, blocks and shape are.
     """
 
-    kind: str
-    ambient_dim: int
-    blocks: tuple[tuple[int, ...], ...] | None = None
-    shape: tuple[int, int] | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: str,
+        ambient_dim: int,
+        blocks: tuple[tuple[int, ...], ...] | None = None,
+        shape: tuple[int, int] | None = None,
+    ):
+        self.kind, self.ambient_dim, self.blocks, self.shape = kind, ambient_dim, blocks, shape
         if self.kind not in ("l1", "group", "nuclear"):
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.ambient_dim <= 0:
@@ -78,7 +79,7 @@ class DecomposableNorm:
             singletons = tuple((i,) for i in range(self.ambient_dim))
             if self.blocks not in (None, singletons):
                 raise ValueError("l1 norm blocks are the single coordinates")
-            object.__setattr__(self, "blocks", singletons)
+            self.blocks = singletons
         if self.kind in ("l1", "group"):
             if not self.blocks:
                 raise ValueError("group norm needs a block partition")
@@ -100,12 +101,26 @@ class DecomposableNorm:
             sizes = np.array([len(b) for b in self.blocks], dtype=np.intp)
             block_of = np.empty(self.ambient_dim, dtype=np.intp)
             block_of[order] = np.repeat(np.arange(len(self.blocks)), sizes)
-            object.__setattr__(self, "_block_order", order)
-            object.__setattr__(self, "_block_starts", np.cumsum(sizes) - sizes)
-            object.__setattr__(self, "_block_of", block_of)
+            self._block_order = order
+            self._block_starts = np.cumsum(sizes) - sizes
+            self._block_of = block_of
         if self.kind == "nuclear":
             if self.shape is None or self.shape[0] * self.shape[1] != self.ambient_dim:
                 raise ValueError("nuclear norm needs nrows * ncols == ambient_dim")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.ambient_dim, self.blocks, self.shape)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"DecomposableNorm{self._key()!r}"
 
 
 def l1(dim: int) -> DecomposableNorm:
@@ -207,26 +222,6 @@ def dual_norm_value(norm: DecomposableNorm, u) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def prox(norm: DecomposableNorm, u, tau: float) -> np.ndarray:
-    """Proximity operator: argmin_z  0.5 ||z - u||^2 + tau * ||z||.
-
-    Soft thresholding, blockwise shrinkage, or singular value shrinkage.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    u = _check_dim(norm, u)
-    if norm.kind != "nuclear":
-        nb = _block_norms(norm, u[:, None])[:, 0]
-        kept = nb > tau
-        shrink = np.zeros_like(nb)
-        shrink[kept] = 1.0 - tau / nb[kept]
-        return u * shrink[norm._block_of]
-    x = _to_matrix(norm, u)
-    uu, s, vt = np.linalg.svd(x, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    return _to_vector((uu * s) @ vt)
-
-
 def project_dual_ball(
     norm: DecomposableNorm, v, radius: float | np.ndarray = 1.0
 ) -> np.ndarray:
@@ -317,8 +312,7 @@ def norm_subgradient(norm: DecomposableNorm, u) -> np.ndarray:
     return _to_vector(uu[:, :r] @ vt[:r, :])
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionModel:
+class DecompositionModel(NamedTuple):
     """Model pair (T, e) of a decomposable norm at a point.
 
     ``active`` records the active block indices of the group norm (for l1
@@ -331,8 +325,7 @@ class DecompositionModel:
     active: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     member: bool
     reason: str | None = None
 

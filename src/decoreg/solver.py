@@ -36,7 +36,7 @@ which certifies it.  The strong null-space check solves the same program.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,14 +78,12 @@ CHECK_EVERY = 10
 IC_FEASIBILITY_TOL = 1e-9
 
 
-@dataclass
-class SolverOptions:
+class SolverOptions(NamedTuple):
     tol: float = 1e-9
     max_iter: int = 200_000
     init: np.ndarray | None = None
 
 
-@dataclass(frozen=True, eq=False)
 class Problem:
     """One instance of the penalized problem.
 
@@ -99,15 +97,15 @@ class Problem:
     check.
     """
 
-    phi: LinearOperator
-    l_adjoint: LinearOperator
-    norm: DecomposableNorm
-    y: np.ndarray
-    lam: float
-    gram_eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    l_norm: float = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        phi: LinearOperator,
+        l_adjoint: LinearOperator,
+        norm: DecomposableNorm,
+        y: np.ndarray,
+        lam: float,
+    ):
+        self.phi, self.l_adjoint, self.norm, self.y, self.lam = phi, l_adjoint, norm, y, lam
         n = self.phi.cols
         if self.l_adjoint.cols != n:
             raise ValueError(
@@ -127,12 +125,12 @@ class Problem:
                 "the solution set is unbounded"
             )
         phi = self.phi.entries
-        object.__setattr__(self, "gram_eig", tuple(np.linalg.eigh(phi.T @ phi)))
-        object.__setattr__(self, "l_norm", float(np.linalg.norm(self.l_adjoint.entries, 2)))
+        self.gram_eig = tuple(np.linalg.eigh(phi.T @ phi))
+        self.l_norm = float(np.linalg.norm(self.l_adjoint.entries, 2))
 
     def _check_data(self) -> None:
         y = np.asarray(self.y, dtype=float).reshape(-1)
-        object.__setattr__(self, "y", y)
+        self.y = y
         if y.shape[0] != self.phi.rows:
             raise ValueError(f"y has length {y.shape[0]}, phi maps into R^{self.phi.rows}")
         if not self.lam > 0:
@@ -143,8 +141,7 @@ class Problem:
         y and lam; y and lam are checked, the operators' rank check,
         ``gram_eig`` and ``l_norm`` are this problem's."""
         sibling = copy.copy(self)
-        object.__setattr__(sibling, "y", y)
-        object.__setattr__(sibling, "lam", lam)
+        sibling.y, sibling.lam = y, lam
         sibling._check_data()
         return sibling
 
@@ -156,8 +153,7 @@ class Problem:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SolveReport:
+class SolveReport(NamedTuple):
     x_star: np.ndarray
     objective: float
     optimality_residual: float
@@ -465,8 +461,7 @@ def _xi_matrix(phi: LinearOperator, ker: np.ndarray) -> tuple[np.ndarray, float]
     return ker @ inner @ ker.T, float(s[-1])
 
 
-@dataclass(frozen=True, eq=False)
-class ICContext:
+class ICContext(NamedTuple):
     """Everything that depends only on (Phi, L, T): the operators and the
     model themselves, the model's complement S, L_S = L P_S and the pieces
     built from its one SVD.  The irrepresentability programs, the
@@ -528,8 +523,7 @@ def ic_context(phi: LinearOperator, l_op: LinearOperator, T: Subspace) -> ICCont
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ICSolution:
+class ICSolution(NamedTuple):
     """Minimizer and certified value of one irrepresentability program."""
 
     u: np.ndarray

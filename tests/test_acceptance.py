@@ -35,7 +35,6 @@ from decoreg.norms import (
     norm_value,
     nuclear,
     project_dual_ball,
-    prox,
     subdiff_membership,
 )
 from decoreg.solver import (
@@ -47,6 +46,7 @@ from decoreg.solver import (
     minimize_ic_u,
     solve_penalized,
 )
+from test_norms import prox
 
 EPS_GRID = (1e-3, 1e-2, 1e-1)
 NOISE_DRAWS = 50

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from decoreg.certificates import (
     build_certificate,
     certificate_quality,
     check_source_condition,
-    read_certificate_csv,
     write_certificate_csv,
 )
 from decoreg.linops import (
@@ -19,6 +20,32 @@ from decoreg.norms import decompose_at, l1, group, nuclear
 from decoreg.solver import Problem, SolverOptions, ic_context, solve_penalized
 
 rng = np.random.default_rng(31)
+
+
+def read_certificate_csv(path) -> DualCertificate:
+    """Read a certificate back; every row ``write_certificate_csv`` writes is
+    required.  The file stores no separate IC value: the saturation stands
+    in for it."""
+    rows: dict[str, list[str]] = {}
+    for line in Path(path).read_text().strip().splitlines():
+        parts = line.split(",")
+        rows[parts[0]] = parts[1:]
+    try:
+        converged = rows["ic_converged"][0]
+        if converged not in ("True", "False"):
+            raise ValueError(f"{path}: ic_converged is {converged!r}, not True or False")
+        saturation = float(rows["saturation"][0])
+        return DualCertificate(
+            eta=np.array([float(v) for v in rows["eta"]]),
+            alpha=np.array([float(v) for v in rows["alpha"]]),
+            saturation=saturation,
+            source_residual=float(rows["source_residual"][0]),
+            ic_converged=converged == "True",
+            ic_value=saturation,
+            ic_gap=float(rows["ic_gap"][0]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing certificate field {exc}") from exc
 
 
 def random_orthonormal(n, seed=0):
@@ -70,6 +97,13 @@ class TestCheckSourceCondition:
         res = check_source_condition(identity(2), identity(2), l1(2), [1.0, 0.0], cert)
         assert not res.valid
         assert "range" in res.reason
+
+    def test_truth_value_is_valid(self):
+        # a two-field tuple would be true either way
+        cert = DualCertificate(np.array([1.0, 1.5]), np.array([1.0, 1.5]), 1.5, 0.0)
+        assert not check_source_condition(identity(2), identity(2), l1(2), [1.0, 0.0], cert)
+        ok = cert._replace(eta=np.array([1.0, 0.3]), alpha=np.array([1.0, 0.3]), saturation=0.3)
+        assert check_source_condition(identity(2), identity(2), l1(2), [1.0, 0.0], ok)
 
 
 class TestBuildCertificate:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -31,9 +30,9 @@ from decoreg.norms import (
     l1,
     norm_value,
     nuclear,
-    prox,
 )
 from decoreg.solver import Problem, SolverOptions, solve_penalized
+from test_norms import prox
 
 rng = np.random.default_rng(9)
 
@@ -466,7 +465,7 @@ class TestRunScenario:
             experiments,
             "solve_trials",
             lambda *args: [
-                dataclasses.replace(r, converged=True) for r in solve_trials(*args)
+                r._replace(converged=True) for r in solve_trials(*args)
             ],
         )
         result = run_scenario(cfg, tmp_path / "converged")
@@ -516,7 +515,7 @@ class TestSolveTrials:
             lam = 2.0 * eps if eps > 0 else vanishing_penalty(phi, y)
             p = Problem(phi=phi, l_adjoint=l_adj, norm=norm, y=y, lam=lam)
             if eps > 0:
-                alone = solve_penalized(p, dataclasses.replace(opts, init=level_starts[eps]))
+                alone = solve_penalized(p, opts._replace(init=level_starts[eps]))
             else:
                 alone = solve_vanishing(p, opts, start=start)
             assert report.problem.lam == lam
@@ -693,7 +692,7 @@ class TestSolveTrials:
 
         def flipped(*args, **kwargs):
             cert = build(*args, **kwargs)
-            return dataclasses.replace(cert, alpha=-cert.alpha)
+            return cert._replace(alpha=-cert.alpha)
 
         monkeypatch.setattr(experiments, "build_certificate", flipped)
         with pytest.raises(ValueError, match="not a subgradient"):
@@ -988,6 +987,28 @@ def write_config(tmp_path, **overrides):
 
 
 class TestCli:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, text in (
+            ("solve", "solve the penalized problem for every noise level"),
+            ("certify", "build and store the dual certificate"),
+            ("check-uniqueness", "run the uniqueness verdicts for the scenario"),
+            ("stability-sweep", "full pipeline with bound verification"),
+            ("oracle-compare", "compare the solver against the tiny-instance oracle"),
+        ):
+            assert any(line.split() == [name, *text.split()] for line in out.splitlines())
+
+    def test_unknown_command_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_stability_sweep(self, tmp_path):
         cfg = write_config(tmp_path)
         code = cli_main(

@@ -19,13 +19,34 @@ from decoreg.norms import (
     nuclear,
     project_dual_ball,
     project_primal_ball,
-    prox,
     separable_split,
     subdiff_membership,
 )
 from decoreg.norms import DecomposableNorm, _project_dual_ball_inplace, _project_simplex_like
+from decoreg.norms import _block_norms, _check_dim, _to_matrix, _to_vector
 
 rng = np.random.default_rng(77)
+
+
+def prox(norm: DecomposableNorm, u, tau: float) -> np.ndarray:
+    """Proximity operator: argmin_z  0.5 ||z - u||^2 + tau * ||z||.
+
+    Soft thresholding, blockwise shrinkage, or singular value shrinkage; the
+    acceptance and sweep tests import it as their reference.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    u = _check_dim(norm, u)
+    if norm.kind != "nuclear":
+        nb = _block_norms(norm, u[:, None])[:, 0]
+        kept = nb > tau
+        shrink = np.zeros_like(nb)
+        shrink[kept] = 1.0 - tau / nb[kept]
+        return u * shrink[norm._block_of]
+    x = _to_matrix(norm, u)
+    uu, s, vt = np.linalg.svd(x, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    return _to_vector((uu * s) @ vt)
 
 NORM_KINDS = {
     "l1": l1(6),
@@ -60,6 +81,15 @@ class TestConstruction:
     def test_nuclear_shape_mismatch(self):
         with pytest.raises(ValueError):
             nuclear(2, 3).__class__("nuclear", 5, shape=(2, 3))
+
+    def test_equal_configs_give_equal_norms(self):
+        for make in (lambda: l1(4), lambda: group([[0, 1], [2, 3]]), lambda: nuclear(2, 2)):
+            a, b = make(), make()
+            assert a is not b and a == b and hash(a) == hash(b)
+        assert group([[0, 1], [2, 3]]) != group([[0, 2], [1, 3]])
+        assert group([[0], [1], [2], [3]]) != l1(4)
+        assert nuclear(2, 3) != nuclear(3, 2)
+        assert len({l1(4), l1(4), group([[0, 1], [2, 3]])}) == 2
 
     def test_config_wire_format(self):
         assert norm_from_config({"kind": "l1", "dim": 4}).kind == "l1"
@@ -496,6 +526,11 @@ class TestSubdiffMembership:
         res = subdiff_membership(l1(2), [1.0, 0.0], [0.9, 0.0], tol=1e-8)
         assert not res.member
         assert "model" in res.reason
+
+    def test_truth_value_is_member(self):
+        # a two-field tuple would be true either way
+        assert not subdiff_membership(l1(2), [1.0, 0.0], [0.9, 0.0], tol=1e-8)
+        assert subdiff_membership(l1(2), [1.0, 0.0], [1.0, 0.5], tol=1e-8)
 
 
 class TestCoercivity:

@@ -1,6 +1,8 @@
-"""Every exported name and every name the benchmark tracer wraps exists."""
+"""Every exported name and every name the benchmark tracer wraps exists; the
+records are immutable NamedTuples and ScenarioConfig is the only dataclass."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -50,3 +52,45 @@ def test_no_function_takes_an_optional_context(module):
 def test_traced_name_exists(module, name):
     assert module in MODULES
     assert hasattr(importlib.import_module(f"decoreg.{module}"), name)
+
+
+RECORDS = [
+    ("certificates", "DualCertificate"),
+    ("certificates", "SourceCheck"),
+    ("experiments", "ScenarioAnalysis"),
+    ("experiments", "ScenarioResult"),
+    ("guarantees", "UniquenessVerdict"),
+    ("guarantees", "StabilityBound"),
+    ("guarantees", "BoundCheck"),
+    ("guarantees", "BoundCheckReport"),
+    ("norms", "DecompositionModel"),
+    ("norms", "Membership"),
+    ("solver", "SolverOptions"),
+    ("solver", "SolveReport"),
+    ("solver", "ICContext"),
+    ("solver", "ICSolution"),
+]
+
+
+@pytest.mark.parametrize("module, name", RECORDS)
+def test_records_are_immutable_named_tuples(module, name):
+    record = getattr(importlib.import_module(f"decoreg.{module}"), name)
+    assert issubclass(record, tuple) and record._fields
+    instance = record._make([None] * len(record._fields))
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(instance, field, 1.0)
+
+
+def test_scenario_config_is_the_only_dataclass():
+    """The records are NamedTuples and the validated types plain classes;
+    only ScenarioConfig keeps ``dataclasses.replace`` re-running its
+    validation."""
+    exported = {
+        name: getattr(mod, name)
+        for mod in (importlib.import_module(f"decoreg.{m}") for m in MODULES)
+        for name in getattr(mod, "__all__", [])
+    }
+    assert [name for name, obj in exported.items() if dataclasses.is_dataclass(obj)] == [
+        "ScenarioConfig"
+    ]

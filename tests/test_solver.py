@@ -66,6 +66,15 @@ def l1_problem(m, n, lam, seed=0, y=None):
     return Problem(phi=phi, l_adjoint=identity(n), norm=l1(n), y=y, lam=lam)
 
 
+class TestSolverOptions:
+    def test_replace_keeps_the_other_fields(self):
+        opts = SolverOptions(tol=1e-6, max_iter=50)
+        init = np.ones(3)
+        warm = opts._replace(init=init)
+        assert warm.init is init and (warm.tol, warm.max_iter) == (1e-6, 50)
+        assert opts.init is None
+
+
 class TestProblemValidation:
     def test_kernel_intersection_rejected(self):
         phi = LinearOperator([[1.0, 0.0], [0.0, 0.0]])
