@@ -8,10 +8,8 @@ uniqueness and noise-stability guarantees with explicitly computed constants.
 
 from .certificates import (
     DualCertificate,
-    SourceCheck,
     build_certificate,
     certificate_quality,
-    check_source_condition,
     write_certificate_csv,
 )
 from .experiments import (

@@ -21,20 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linops import LinearOperator
-from .norms import DecomposableNorm, dual_norm_value, subdiff_membership
+from .norms import DecomposableNorm, dual_norm_value
 from .solver import ICContext, ICSolution, SolverOptions, minimize_ic_full, minimize_ic_u
 
 __all__ = [
     "DualCertificate",
-    "SourceCheck",
     "build_certificate",
-    "check_source_condition",
     "certificate_quality",
     "write_certificate_csv",
 ]
-
-CERTIFICATE_TOL = 1e-7
 
 
 class DualCertificate(NamedTuple):
@@ -58,14 +53,6 @@ class DualCertificate(NamedTuple):
     ic_gap: float = 0.0
 
 
-class SourceCheck(NamedTuple):
-    valid: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
 def build_certificate(
     ctx: ICContext,
     norm: DecomposableNorm,
@@ -74,14 +61,9 @@ def build_certificate(
     opts: SolverOptions | None = None,
 ) -> DualCertificate:
     """Assemble a certificate for the model (``ctx.T``, e0) from the
-    irrepresentability minimizers.
-
-    ``mode`` selects the feasible pair: "full" uses the joint minimizer,
-    "u_only" fixes z = 0, "zero" uses (0, 0).  Requires phi injective on
-    ker(L_S0^*), which ``ic_context`` checked when it built ``ctx``; a
-    certificate whose saturation reaches 1 is still returned (the value
-    itself is what phase-transition experiments need), only its quality
-    margin is nonpositive.
+    irrepresentability minimizers of ``mode``: "full" (joint), "u_only"
+    (z = 0) or "zero" ((0, 0)).  A certificate whose saturation reaches 1 is
+    still returned, since phase-transition experiments need the value.
     """
     if mode not in ("full", "u_only", "zero"):
         raise ValueError(f"unknown certificate mode {mode!r}")
@@ -116,31 +98,6 @@ def build_certificate(
         ic_value=sol.value,
         ic_gap=sol.gap,
     )
-
-
-def check_source_condition(
-    phi: LinearOperator,
-    l_op: LinearOperator,
-    norm: DecomposableNorm,
-    x,
-    cert: DualCertificate,
-    tol: float = CERTIFICATE_TOL,
-) -> SourceCheck:
-    """Verify the source condition at x for a given certificate.
-
-    Valid when the range equation Phi^* eta = L alpha holds to ``tol``
-    relative and alpha is a subgradient of the norm at L^* x.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    l_alpha = l_op.apply(cert.alpha)
-    resid = float(np.linalg.norm(phi.adjoint_apply(cert.eta) - l_alpha))
-    if resid > tol * (1.0 + float(np.linalg.norm(l_alpha))):
-        return SourceCheck(False, "range equation Phi^* eta = L alpha is violated")
-    u = l_op.T.apply(x)
-    mem = subdiff_membership(norm, u, cert.alpha, tol=max(tol, 1e-8))
-    if not mem.member:
-        return SourceCheck(False, f"alpha is not a subgradient at L^* x: {mem.reason}")
-    return SourceCheck(True)
 
 
 def certificate_quality(cert: DualCertificate) -> float:

@@ -2,20 +2,11 @@
 
 A scenario bundles a measurement operator, an analysis operator, a norm, a
 structured signal and a noise-level schedule, all drawn deterministically
-from one seed.  ``analyze_scenario`` runs once the stages that the sweep,
-``certify`` and ``check-uniqueness`` read: model context, certificate, IC
-chain and null-space verdict.  The harness adds the stability constants,
-solves the penalized problem at lambda = c * eps for every noise level and
-noise draw (each distinct problem once; the noisy ones in one batch, or,
-when phi has a kernel, one batch per level warm-started at the level above;
-the noiseless one at a vanishing penalty, by a certified polish of the
-smallest-lambda solution), checks the bounds once per distinct solve, and
-writes the observed-versus-bound table as CSV, a text summary and a plot.
-
-A reference oracle for tiny instances provides certified objective values
-independent of the primal-dual solver: quasi-Newton descent on the objective
-with the norm smoothed at a decreasing parameter, then a polish on the
-models read off that point and on a brute-force enumeration of models.
+from one seed.  The harness solves the penalized problem at lambda = c * eps
+for every noise level and draw, checks the stability bounds against the
+solutions and writes the observed-versus-bound table as CSV, a text summary
+and a plot.  ``oracle_solve`` gives certified reference objectives for tiny
+instances, independent of the primal-dual solver.
 """
 
 from __future__ import annotations
@@ -23,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -102,6 +93,17 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; maps to exit code 2 in the CLI."""
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+# the conversion each numeric ScenarioConfig field takes, from JSON or a caller
+_CONVERSIONS = dict(
+    l_height=int, l_width=int, signal_active=int, signal_rank=int, noise_draws=int,
+    max_iter=int, coupling_c=float, tol=float, signal_x0=_floats, epsilons=_floats,
+)
+
+
 def difference_operator_1d(n: int) -> LinearOperator:
     """Forward differences: (n-1) x n matrix with rows (-1, 1, 0, ...)."""
     if n < 2:
@@ -178,26 +180,30 @@ class ScenarioConfig:
     certificate_mode: str = "full"
     frame_mode: bool = False
     plot: bool = True
-    tol: float = 1e-9
-    max_iter: int = 200_000
+    tol: float = SolverOptions().tol
+    max_iter: int = SolverOptions().max_iter
 
     def __post_init__(self):
+        for name, kind in _CONVERSIONS.items():
+            if (value := getattr(self, name)) is not None:
+                setattr(self, name, kind(value))
         if self.m < 1 or self.n < 1 or self.p < 1:
             raise ConfigError("dimensions must be positive")
         if self.norm.ambient_dim != self.p:
             raise ConfigError(
                 f"norm lives on R^{self.norm.ambient_dim} but p = {self.p}"
             )
-        eps = tuple(float(e) for e in self.epsilons)
-        if not all(0 <= e < math.inf for e in eps):
+        if not all(0 <= e < math.inf for e in self.epsilons):
             raise ConfigError("epsilons must be finite and nonnegative")
-        if list(eps) != sorted(eps):
+        if list(self.epsilons) != sorted(self.epsilons):
             raise ConfigError("epsilons must be ascending")
-        self.epsilons = eps
         if self.phi_kind not in ("gaussian", "identity", "convolution", "from_file"):
             raise ConfigError(f"unknown phi kind {self.phi_kind!r}")
         if self.l_kind not in ("identity", "tv1d", "tv2d", "tight_frame", "from_file"):
             raise ConfigError(f"unknown l kind {self.l_kind!r}")
+        for side in ("phi", "l"):
+            if getattr(self, f"{side}_kind") == "from_file" and not getattr(self, f"{side}_path"):
+                raise ConfigError(f"{side}.path is required for kind from_file")
         if self.phi_kind in ("identity", "convolution") and self.m != self.n:
             raise ConfigError(f"{self.phi_kind} measurements need m == n")
         if self.l_kind == "identity" and self.p != self.n:
@@ -219,6 +225,8 @@ class ScenarioConfig:
         if self.signal_kind == "explicit":
             if self.signal_x0 is None or len(self.signal_x0) != self.n:
                 raise ConfigError("explicit signal needs an x0 of length n")
+            if not all(map(math.isfinite, self.signal_x0)):
+                raise ConfigError("signal.x0 must be finite")
         if self.signal_active < 0:
             raise ConfigError("signal.active must be nonnegative")
         if self.signal_rank < 1:
@@ -239,40 +247,31 @@ class ScenarioConfig:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ScenarioConfig":
+        """The config of a JSON scenario.  Field ``phi_kind`` is the JSON's
+        phi.kind (likewise for l and signal), tol and max_iter sit in the
+        solver block, the other fields at the top level; a key the JSON
+        omits keeps the field's default, and unknown keys are ignored."""
         try:
             dims = cfg["dims"]
             norm_cfg = dict(cfg["norm"])
             if norm_cfg.get("kind") == "l1" and "dim" not in norm_cfg:
                 norm_cfg["dim"] = int(dims["p"])
-            phi_cfg = cfg.get("phi", {"kind": "gaussian"})
-            l_cfg = cfg.get("l", {"kind": "identity"})
-            signal = cfg.get("signal", {"kind": "analysis_sparse", "active": 1})
-            solver = cfg.get("solver", {})
-            x0 = signal.get("x0")
+            given = {}
+            for field in fields(cls)[5:]:  # those after seed, m, n, p and norm
+                section, _, key = field.name.partition("_")
+                if section not in ("phi", "l", "signal"):
+                    section = "solver" if field.name in ("tol", "max_iter") else None
+                    key = field.name
+                part = dict(cfg.get(section, {})) if section else cfg
+                if key in part:
+                    given[field.name] = part[key]
             return cls(
                 seed=int(cfg.get("seed", 0)),
                 m=int(dims["m"]),
                 n=int(dims["n"]),
                 p=int(dims["p"]),
                 norm=norm_from_config(norm_cfg),
-                phi_kind=phi_cfg.get("kind", "gaussian"),
-                phi_path=phi_cfg.get("path"),
-                l_kind=l_cfg.get("kind", "identity"),
-                l_path=l_cfg.get("path"),
-                l_height=l_cfg.get("height"),
-                l_width=l_cfg.get("width"),
-                signal_kind=signal.get("kind", "analysis_sparse"),
-                signal_active=int(signal.get("active", 1)),
-                signal_rank=int(signal.get("rank", 1)),
-                signal_x0=tuple(x0) if x0 is not None else None,
-                epsilons=tuple(cfg.get("epsilons", [0.01])),
-                coupling_c=float(cfg.get("coupling_c", 1.0)),
-                noise_draws=int(cfg.get("noise_draws", 1)),
-                certificate_mode=cfg.get("certificate_mode", "full"),
-                frame_mode=cfg.get("frame_mode", False),
-                plot=cfg.get("plot", True),
-                tol=float(solver.get("tol", 1e-9)),
-                max_iter=int(solver.get("max_iter", 200_000)),
+                **given,
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -288,6 +287,16 @@ class ScenarioConfig:
         return cls.from_config(cfg)
 
 
+def _read_operator(name: str, path: str, rows: int, cols: int) -> LinearOperator:
+    try:
+        op = read_operator_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {name} from {path}: {exc}") from exc
+    if (op.rows, op.cols) != (rows, cols):
+        raise ConfigError(f"{name} from {path} is {op.rows}x{op.cols}, expected {rows}x{cols}")
+    return op
+
+
 def _build_phi(cfg: ScenarioConfig, rng: np.random.Generator) -> LinearOperator:
     if cfg.phi_kind == "gaussian":
         return LinearOperator(rng.standard_normal((cfg.m, cfg.n)) / math.sqrt(cfg.m))
@@ -300,12 +309,7 @@ def _build_phi(cfg: ScenarioConfig, rng: np.random.Generator) -> LinearOperator:
         mat = np.zeros((cfg.n, cfg.n))
         np.add.at(mat, (i, (i + k) % cfg.n), taps[k])
         return LinearOperator(mat)
-    op = read_operator_csv(cfg.phi_path)
-    if op.rows != cfg.m or op.cols != cfg.n:
-        raise ConfigError(
-            f"phi from {cfg.phi_path} is {op.rows}x{op.cols}, expected {cfg.m}x{cfg.n}"
-        )
-    return op
+    return _read_operator("phi", cfg.phi_path, cfg.m, cfg.n)
 
 
 def _build_l_adjoint(cfg: ScenarioConfig, rng: np.random.Generator) -> LinearOperator:
@@ -318,12 +322,7 @@ def _build_l_adjoint(cfg: ScenarioConfig, rng: np.random.Generator) -> LinearOpe
         return difference_operator_2d(cfg.l_height, cfg.l_width)
     if cfg.l_kind == "tight_frame":
         return parseval_frame_analysis(cfg.p, cfg.n, rng)
-    op = read_operator_csv(cfg.l_path)
-    if op.rows != cfg.p or op.cols != cfg.n:
-        raise ConfigError(
-            f"l from {cfg.l_path} is {op.rows}x{op.cols}, expected {cfg.p}x{cfg.n}"
-        )
-    return op
+    return _read_operator("l", cfg.l_path, cfg.p, cfg.n)
 
 
 def _zero_rows_for(cfg: ScenarioConfig, rng: np.random.Generator) -> list[int]:
@@ -334,10 +333,6 @@ def _zero_rows_for(cfg: ScenarioConfig, rng: np.random.Generator) -> list[int]:
         raise ConfigError("requested active set exceeds the number of analysis blocks")
     inactive = rng.choice(len(blocks), size=len(blocks) - cfg.signal_active, replace=False)
     return sorted(i for b in inactive for i in blocks[int(b)])
-
-
-def _active_count(norm: DecomposableNorm, model) -> int:
-    return len(model.active) if model.active is not None else model.T.dim
 
 
 def _build_signal(
@@ -384,7 +379,7 @@ def _build_signal(
             continue
         x0 *= SIGNAL_AMPLITUDE / nx
         model = decompose_at(norm, l_adjoint.apply(x0))
-        if _active_count(norm, model) == cfg.signal_active:
+        if (model.T.dim if model.active is None else len(model.active)) == cfg.signal_active:
             return x0
     raise ConfigError("could not realize the requested model dimension")
 
@@ -402,12 +397,10 @@ def generate_scenario(cfg: ScenarioConfig):
 
 
 def _polish_on_model(p: Problem, model, x_ref: np.ndarray) -> np.ndarray:
-    """Minimize the objective restricted to { x : L^* x in T }.
-
-    For the l1 norm the restricted objective is quadratic plus linear and is
-    solved in closed form; otherwise the restricted problem is smooth near a
-    model-consistent point, and a quasi-Newton polish and a root of its
-    gradient finish the job.
+    """Minimize the objective restricted to { x : L^* x in T }: in closed
+    form for l1, whose restricted objective is quadratic plus linear, else
+    by a quasi-Newton polish and a root of its gradient, the restricted
+    problem being smooth near a model-consistent point.
     """
     t_perp = model.T.complement()
     constraint = t_perp.projector_matrix() @ p.l_adjoint.entries
@@ -480,13 +473,12 @@ def first_order_residual(p: Problem, x: np.ndarray) -> float:
     """Certified upper bound on the first-order violation at x.
 
     x is a minimizer exactly when Phi^*(y - Phi x) / lam = L (e + beta) with
-    beta in S = T^perp of dual norm at most 1, the source condition.  For the
-    models of L^* x at thresholds 1e-8, 1e-6 and 1e-3, and T = {0} when
-    ||L^* x|| <= 1e-8 (1 + ||Phi^* y||), one SVD of L B (B a basis of S) and
-    the shared affine dual-norm program give the beta of least dual norm,
-    scaled into the unit ball.  Returns the least
-    ||r0 + lam L alpha|| + lam (||u|| - <alpha, u>), r0 = Phi^*(Phi x - y);
-    every such beta bounds it, so an early stop of the program stays honest.
+    beta in S = T^perp of dual norm at most 1, the source condition.  For
+    each model tried (those of L^* x at thresholds 1e-8, 1e-6 and 1e-3, and
+    T = {0} where L^* x is tiny), the beta of least dual norm, scaled into
+    the unit ball, gives ||r0 + lam L alpha|| + lam (||u|| - <alpha, u>),
+    r0 = Phi^*(Phi x - y); the least of these is returned.  Any beta bounds
+    the violation, so an early stop of the program stays honest.
     """
     return _certified_residual(p, x)[0]
 
@@ -523,18 +515,14 @@ def solve_vanishing(
 ) -> SolveReport:
     """Solve one problem at a vanishing penalty by a certified model polish.
 
-    A ``start`` (a sweep passes its smallest-lambda solution, which usually
-    identifies the model) is polished and returned with zero iterations when
-    that certifies.  Otherwise, since splitting from zero crawls along
-    ker(phi) at tiny lambda, a continuation of ``solve_penalized`` stages
-    runs, lambda falling by factors of ten from 0.01 (1 + ||Phi^* y||), each
-    warm-started at the last.  Its end point is polished the same way, then,
-    while no polish certifies, the earlier stages' points from the last one
-    backwards: where the minimal-norm pre-certificate fails, the small-lambda
-    points carry O(lambda) entries off the support that no threshold reads
-    as zero.  The first certified report is returned, ``iterations``
-    counting its stage; when none certifies, the last stage's report with
-    ``converged`` False.
+    A ``start`` that polishes to a certified point is returned with zero
+    iterations.  Otherwise, since splitting from zero crawls along ker(phi)
+    at tiny lambda, ``solve_penalized`` runs a continuation from lambda =
+    0.01 (1 + ||Phi^* y||) down by factors of ten, and the stages' points
+    are polished from the last backwards until one certifies: where the
+    minimal-norm pre-certificate fails, the small-lambda points carry
+    O(lambda) entries off the support that no threshold reads as zero.
+    With none certified, the last stage's report has ``converged`` False.
     """
     if start is not None and (
         report := _certified(problem, *_polished(problem, start), 0, opts.tol)
@@ -570,24 +558,15 @@ def solve_trials(
 ) -> list[SolveReport]:
     """Solve the penalized problem for every (eps, y) trial, in trial order.
 
-    Each distinct (y, lambda) is solved once and its report is shared by
-    every trial with that data; the noiseless trials of a sweep are all one
-    problem, since their noise is zero.  All problems share phi, l_adjoint
-    and norm, and the eps > 0 ones at lambda = c * eps are solved first.
-    When phi is injective they are one ``solve_penalized_many`` run from
-    ``opts.init``.  Otherwise splitting from zero crawls along ker(phi),
-    where only the penalty acts, and most at small lambda; so the problems
-    are grouped into levels of equal lambda and solved as a continuation,
-    one run per level in descending lambda, each started at the first
-    solution of the level above.  Then each eps = 0 problem is solved by
-    ``solve_vanishing`` started at the first smallest-lambda solution.
-
-    ``converged`` says that ||Phi^*(Phi x - y) + lam L alpha||
-    + lam (||L^* x|| - <alpha, L^* x>) is at most tol (1 + ||Phi^* y||) for
-    some alpha in the unit dual ball, an upper bound on the first-order
-    violation either way: an eps > 0 report takes the batched solver's
-    projected dual iterate as alpha, an eps = 0 report the alpha of
-    ``first_order_residual``.
+    Each distinct (y, lambda) is solved once and its report shared.  The
+    eps > 0 problems, at lambda = c * eps, run as one batch when phi is
+    injective; otherwise splitting from zero crawls along ker(phi), where
+    only the penalty acts, so they run one batch per lambda level, in
+    descending order, each started at the level above.  The eps = 0 ones
+    go to ``solve_vanishing``, started at a smallest-lambda solution.
+    ``converged`` bounds the first-order violation by tol (1 + ||Phi^* y||)
+    either way: eps > 0 reports take the batch's projected dual iterate as
+    alpha, eps = 0 ones the alpha of ``first_order_residual``.
     """
     problems: dict[tuple, Problem] = {}
     keys = []
@@ -621,13 +600,10 @@ def solve_trials(
 
 
 def _enumerated_models(p: Problem, x_ref: np.ndarray) -> list[DecompositionModel]:
-    """Brute-force candidate models for the oracle's polish, independent of
-    any active-set detection.
-
-    T = {0}, which relative thresholds never read off a nonzero point; every
-    sign pattern for l1 when there are at most 1,000; every block subset for
-    the group norm; the full rank sweep of the reference point for the
-    nuclear norm.
+    """Brute-force candidate models for the oracle's polish: T = {0}, which
+    relative thresholds never read off a nonzero point, every l1 sign
+    pattern when there are at most 1,000, every group block subset, and the
+    nuclear rank sweep of the reference point.
     """
     pdim = p.norm.ambient_dim
     models = [decompose_at(p.norm, np.zeros(pdim))]
@@ -676,16 +652,13 @@ def _smoothed(p: Problem, mu: float):
 
 
 def oracle_solve(p: Problem) -> SolveReport:
-    """High-precision reference minimizer for tiny instances, independent of
-    the primal-dual solver.
+    """High-precision reference minimizer for tiny instances (N, P <= 8),
+    independent of the primal-dual solver.
 
-    BFGS minimizes the smoothed objective (each atom a of the norm replaced
-    by sqrt(a^2 + mu^2)) at mu = 1e-2, 1e-4, 1e-6 and 1e-8, each run started
-    at the last.  That point is polished on its models and on a brute-force
-    enumeration of model patterns, the best polish is polished again on its
-    own models (a tie replaces it), and the result is certified.  Only
-    instances with N <= 8 and P <= 8 are accepted; ``converged`` is the
-    certified residual's verdict at the default tol.
+    BFGS on ``_smoothed`` objectives at mu = 1e-2 down to 1e-8, each started
+    at the last; that point is polished on its models and on an enumeration
+    of model patterns, the best polish once more on its own (a tie replaces
+    it), and the result is certified at the default tol.
     """
     if p.phi.cols > 8 or p.norm.ambient_dim > 8:
         raise ValueError("oracle restricted to tiny instances (N <= 8, P <= 8)")
@@ -806,15 +779,11 @@ def _write_error_plot(path: Path, points: list[tuple[float, float]], total_c: fl
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     """Full pipeline: ``analyze_scenario``, then constants, solves, bound
-    checks, reports.
-
-    Writes results.csv, summary.txt, certificate.csv and (optionally)
-    error_vs_eps.svg into ``out_dir``.  The exit code is 1 exactly when some
-    bound check with valid preconditions fails on a converged solve; a trial
-    whose solve did not converge within ``max_iter`` never sets it, reads
-    False in the ``pass_all`` column, and the summary counts such trials on
-    its ``unconverged trials`` line.  Stage failures (no certificate,
-    saturated certificate) are recorded in the summary.
+    checks, and results.csv, summary.txt, certificate.csv and (optionally)
+    error_vs_eps.svg in ``out_dir``.  The exit code is 1 exactly when a
+    bound check with valid preconditions fails on a converged solve; an
+    unconverged trial reads False in ``pass_all`` and is counted in the
+    summary.  Stage failures are recorded in the summary.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

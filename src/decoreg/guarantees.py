@@ -3,12 +3,8 @@
 Uniqueness comes in three forms, checked in decreasing strength:
 
 * a strong null-space condition: norm(L_S^* h) - <L_T^* h, e> > 0 for every
-  nonzero kernel element h of phi.  With a trivial kernel it is vacuous;
-  otherwise, by convexity and homogeneity, it is a minimum dual norm over
-  an affine set, the program of the joint irrepresentability chain, whose
-  certified value decides it in any kernel dimension.  The inequality is
-  evaluated with the primal norm on L_S^* h, which is what the
-  directional-derivative computation produces.
+  nonzero kernel element h of phi, in the primal norm that the directional
+  derivative produces (``strong_nsp_check``).
 * a certificate criterion: a valid source condition with saturation < 1
   together with restricted injectivity.
 * its separable weakening: for norms splitting additively on S = V + W it is
@@ -23,10 +19,8 @@ generating signal is at most C * eps where
 with C1 = 1 / C_Phi and C2 = (||Phi|| + C_Phi) / (C_L C_Phi C_A) extracted
 from the proof chain: C_Phi the injectivity constant of phi on ker(L_S0^*),
 C_L the smallest nonzero singular value of L_S0^*, C_A the coercivity
-constant of the norm.  In frame mode (ker(L^*) = {0}, so L^* is the
-analysis operator of a frame with lower frame bound a = sigma_min(L^*)^2)
-C_L is replaced by sqrt(a) and the injectivity subspace becomes the image
-of the dual frame restricted to the model.
+constant of the norm.  In frame mode C_L is the square root of the lower
+frame bound (``stability_constants``).
 """
 
 from __future__ import annotations
@@ -104,20 +98,16 @@ def strong_nsp_check(
     With K an orthonormal basis of ker(phi), A_S = P_S L^* K and
     q = K^T L P_T e, g(K c) = norm(A_S c) - <q, c> is convex and positively
     homogeneous, so the condition holds exactly when A_S has full column rank
-    and min{dual_norm(w) : A_S^T w = q} < 1, the affine dual-norm program of
-    the joint irrepresentability chain.  One SVD of A_S gives its rank and
-    the coordinates w = w_p + N c (w_p the minimum-norm solution, N a basis
-    of ker(A_S^T)).  value + gap below 1 - margin is unique; value - gap of
-    at least 1 is violated, witnessed by A_S^+ w' for the program's dual
-    candidate w' (unit primal ball, <q, A_S^+ w'> = value - gap); anything
-    else is undecided.  A rank-deficient A_S is violated along its kernel.
-
-    ``joint`` is the (value, gap) of ``minimize_ic_full`` for this model when
-    the caller has solved it: both programs range over the same set, so a
-    joint value that proves uniqueness is used without solving again.
-    ``opts`` are the program's solver options.  The check takes no model
-    context: it must run where ``ic_context`` raises, since it needs no
-    restricted injectivity.
+    and min{dual_norm(w) : A_S^T w = q} < 1, the program of the joint
+    irrepresentability chain, which decides it in any kernel dimension.
+    value + gap below 1 - margin is unique; value - gap of at least 1 is
+    violated, witnessed by A_S^+ w' for the program's dual candidate w';
+    anything else is undecided.  A rank-deficient A_S is violated along its
+    kernel.  ``joint``, the (value, gap) of ``minimize_ic_full`` when the
+    caller has it, ranges over the same set, so a value that proves
+    uniqueness is used without solving again.  The check takes no model
+    context: it must run where ``ic_context`` raises, needing no restricted
+    injectivity.
     """
     e = np.asarray(e, dtype=float).reshape(-1)
     ker = kernel_basis(phi)
@@ -219,15 +209,11 @@ def stability_constants(
     c: float,
     frame: bool = False,
 ) -> StabilityBound:
-    """Compute every constant of the error bound for the model ``ctx.T`` and
-    a certificate.
-
-    C_Phi and C_L are read from ``ctx``; C_L is +inf when L_S0 vanishes,
-    since that error component is then absent.  With ``frame``, L^* is read
-    as a frame analysis operator: it requires ker(L^*) = {0}, replaces C_L by
-    sqrt(a) = sigma_min(L^*), a the lower frame bound, and takes the
-    injectivity constant over the image of the dual frame restricted to the
-    model subspace.
+    """Every constant of the error bound for the model ``ctx.T`` and a
+    certificate.  With ``frame``, L^* must have ker(L^*) = {0}, so it is the
+    analysis operator of a frame with lower frame bound a = sigma_min(L^*)^2:
+    C_L becomes sqrt(a), and C_Phi is taken over the image of the dual frame
+    restricted to the model.
     """
     if not cert.saturation < 1.0:
         raise ValueError("no stability guarantee: certificate saturates")
@@ -251,13 +237,9 @@ def stability_constants(
     phi_norm = float(np.linalg.norm(phi.entries, 2))
     c_a = coercivity_constant(norm)
     eta_norm = float(np.linalg.norm(cert.eta))
-    if np.isinf(c_phi):
-        c1 = 0.0
-        ratio = 0.0
-    else:
-        c1 = 1.0 / c_phi
-        ratio = phi_norm / c_phi
-    c2 = 0.0 if np.isinf(c_l) else (1.0 + ratio) / (c_l * c_a)
+    # an infinite C_Phi or C_L (an absent error component) gives 1/inf = 0
+    c1 = 1.0 / c_phi
+    c2 = (1.0 + phi_norm / c_phi) / (c_l * c_a)
     total_c = assemble_total_constant(c1, c2, c, eta_norm, cert.saturation)
     return StabilityBound(
         c=float(c),
@@ -341,18 +323,15 @@ def verify_bounds(
     bound: StabilityBound,
 ) -> BoundCheckReport:
     """Compare the four observed errors of a solved instance against their
-    theoretical bounds.
+    theoretical bounds, at the c and ||eta|| ``bound`` was built with.
 
-    The coupling c and ||eta|| are those ``bound`` was built with.
-    Preconditions are verified, not assumed: the solve must have used
-    lambda = c * epsilon (a vanishing penalty stands in at epsilon = 0) on
-    data within epsilon of phi x0.  Violated preconditions mark the report
-    invalid rather than raising; failed comparisons are recorded with
-    passed = False.  A slack of 1e-6 (1 + ||x0||) absorbs solver inexactness
-    on top of the relative tolerance of each comparison.  ``ctx`` is the
-    context of the model T0 at L^* x0; the model error is measured on its
-    complement S0 = ``ctx.S``.  The caller checks once that ``cert.alpha``
-    is a subgradient at L^* x0, as ``run_scenario`` does with ``bregman``.
+    The preconditions are checked, not assumed: the solve used lambda =
+    c * epsilon (a vanishing penalty at epsilon = 0) on data within epsilon
+    of phi x0; a violation marks the report invalid rather than raising.  A
+    slack of 1e-6 (1 + ||x0||) absorbs solver inexactness.  ``ctx`` is the
+    context of the model T0 at L^* x0, whose complement S0 carries the model
+    error.  The caller checks once that ``cert.alpha`` is a subgradient at
+    L^* x0, as ``run_scenario`` does with ``bregman``.
     """
     phi, l_op = ctx.phi, ctx.l_op
     x0 = np.asarray(x0, dtype=float).reshape(-1)

@@ -163,8 +163,8 @@ def restricted_injectivity_constant(phi: LinearOperator, sub: Subspace) -> float
     A positive value certifies that phi is injective on the subspace; zero
     signals the restricted injectivity condition fails, also when the
     restriction is rank deficient under ``RANK_RTOL``.  The trivial subspace
-    returns +inf: injectivity is vacuous there and downstream constants stay
-    finite through explicit guards.
+    returns +inf: injectivity is vacuous there, and the constants that
+    divide by it read 1 / inf = 0.
     """
     if sub.ambient_dim != phi.cols:
         raise ValueError(
@@ -228,4 +228,6 @@ def read_operator_csv(path) -> LinearOperator:
         if len(vals) != cols:
             raise ValueError(f"{path}: row {i} has {len(vals)} entries, expected {cols}")
         entries[i] = vals
+    if not np.isfinite(entries).all():
+        raise ValueError(f"{path}: entries must be finite")
     return LinearOperator(entries)

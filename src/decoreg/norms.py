@@ -2,10 +2,8 @@
 
 Three instances are implemented: the l1 norm, the group l1-l2 norm over a
 fixed partition, and the nuclear norm of a column-major vectorized matrix.
-The l1 norm is the group norm whose blocks are the single coordinates and
-runs the group code; only the solver's dual-ball projection kernel keeps an
-l1 clip.  Each norm comes with its dual norm, ball projections, a canonical
-model decomposition (the pair (T, e) describing its subdifferential) and the
+Each comes with its dual norm, ball projections, a canonical model
+decomposition (the pair (T, e) describing its subdifferential) and the
 Bregman distance.
 
 The subdifferential at u is { alpha : P_T alpha = e, dual_norm(P_{T^perp}

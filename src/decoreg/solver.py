@@ -1,36 +1,15 @@
-"""First-order primal-dual solver for the penalized analysis problem
+"""Primal-dual solver for the penalized analysis problem
 
     min_x  0.5 ||y - Phi x||^2 + lambda ||L^* x||_A
 
-and the irrepresentability machinery living on top of it: the restricted
-normal-equation map Xi, the transfer operator Gamma, and the convex programs
-minimizing the irrepresentability coefficient
+and the irrepresentability programs built on it: with the restricted
+normal-equation map Xi and the transfer operator Gamma, the coefficient
 
     IC_{u,z}(T, e) = dual_norm( Gamma e + P_S u + pinv(L_S) Phi^* z )
 
-over u in ker(L_S) and z with Phi^* z in Im(L_S).
-
-The splitting scheme is Chambolle and Pock's primal-dual iteration on L^*
-alone: the dual is the penalty block, and the fit term enters through its
-proximal map, a solve that is elementwise in the eigenbasis of Phi^T Phi
-which ``Problem`` caches.  Held as (x_k; alpha_{k+1}) in that basis, one
-iteration is an affine map followed by the dual-ball projection, and
-convergence is tested every ``CHECK_EVERY`` iterations from what the
-iteration already holds.  Steps and the per-problem primal weight are in
-``solve_penalized_many``.  Problems sharing Phi, L^* and the norm are solved
-together, one column per problem.
-The IC programs are solved in reduced coordinates: orthonormal bases of the
-feasible subspaces turn the affine-constrained dual-norm minimization into an
-unconstrained one, min_c dual_norm(g0 + C c).  One SVD C = U S V^T with
-Q = U_r turns that into min_d dual_norm(g0 + Q d).  The minimum-norm
-least-squares point d = -Q^T g0 settles it when it cancels g0.  Otherwise
-the l1 case (an l-infinity objective) is a linear program, solved exactly by
-a dense revised simplex on its dual, and the group and nuclear cases run
-the same primal-dual scheme, with the same primal-weight rule and
-eta = 0.99, since ||Q|| = 1.  Either d maps back to c = V_r S_r^{-1} d.
-Both report the value at their point with a duality gap from a dual
-candidate, the LP's optimal basic solution or the splitting's dual iterate,
-which certifies it.  The strong null-space check solves the same program.
+is minimized over u in ker(L_S) and z with Phi^* z in Im(L_S).  These
+programs and the strong null-space check are each one affine dual-norm
+program, min_c dual_norm(g0 + C c), solved by ``_min_dual_norm_affine``.
 """
 
 from __future__ import annotations
@@ -85,16 +64,13 @@ class SolverOptions(NamedTuple):
 
 
 class Problem:
-    """One instance of the penalized problem.
+    """One instance of the penalized problem, with lam > 0.
 
-    ``phi`` maps R^N to R^M, ``l_adjoint`` is the analysis operator L^* from
-    R^N to R^P, and lam > 0.  Construction verifies the problem has a
-    nonempty compact solution set, which holds exactly when the kernels of
-    phi and L^* intersect trivially, and caches what the solver's loop
-    needs: ``gram_eig``, the eigendecomposition (mu, V) of Phi^T Phi, and
-    ``l_norm``, the spectral norm of L^*.  ``with_data`` makes a sibling on
-    the same operators and norm that shares both without repeating the
-    check.
+    Construction checks that the solution set is nonempty and compact,
+    which holds exactly when ker(phi) and ker(L^*) intersect trivially, and
+    caches the solver's ``gram_eig``, the eigendecomposition (mu, V) of
+    Phi^T Phi, and ``l_norm`` = ||L^*||.  ``with_data`` makes a sibling that
+    shares them without repeating the check.
     """
 
     def __init__(
@@ -137,9 +113,8 @@ class Problem:
             raise ValueError("lam must be positive")
 
     def with_data(self, y, lam: float) -> "Problem":
-        """The problem with the same phi, l_adjoint and norm objects and new
-        y and lam; y and lam are checked, the operators' rank check,
-        ``gram_eig`` and ``l_norm`` are this problem's."""
+        """This problem with new y and lam, which are checked; the rest is
+        shared."""
         sibling = copy.copy(self)
         sibling.y, sibling.lam = y, lam
         sibling._check_data()
@@ -165,13 +140,10 @@ class SolveReport(NamedTuple):
 def _composite_residual(
     p: Problem, x: np.ndarray, alpha_dual: np.ndarray, y: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
-    """First-order residual with a certified dual candidate, per column.
-
-    Column j of ``x``, ``alpha_dual`` and ``y`` belongs to a problem with
-    p's operators and norm and penalty lam[j].  The dual iterate is rescaled
-    and projected onto the unit dual ball; the returned value adds the
-    gradient-equation norm and the Fenchel gap lam * (||u|| - <alpha, u>),
-    both of which vanish at a minimizer.
+    """Per column (each with p's operators and norm and penalty lam[j]):
+    the gradient-equation norm plus the Fenchel gap lam (||u|| - <alpha, u>)
+    at alpha, the dual iterate scaled and projected onto the unit dual
+    ball.  Both vanish at a minimizer.
     """
     phi, l_adj = p.phi.entries, p.l_adjoint.entries
     u = l_adj @ x
@@ -181,9 +153,12 @@ def _composite_residual(
     return np.linalg.norm(grad, axis=0) + gap
 
 
-# primal-weight adaptation in ``solve_penalized_many`` and the IC programs'
-# splitting: the iterations run at omega = 1 before the first update, the
-# iterations between updates, and the clamp on omega
+# primal-weight adaptation (Applegate et al., "Practical large-scale linear
+# programming using primal-dual hybrid gradient", NeurIPS 2021) in
+# ``solve_penalized_many`` and the IC programs' splitting: the iterations at
+# omega = 1 before the first update, the iterations between updates, and the
+# clamp on omega, without which omega collapses at tiny lambda (the dual is
+# confined to a ball of radius lambda) and stalls the primal
 _WEIGHT_WARMUP = 100
 _WEIGHT_WINDOW = 50
 _WEIGHT_BOUNDS = (0.1, 10.0)
@@ -239,13 +214,11 @@ def _check_residual(
     tau,
     lam: np.ndarray,
 ) -> np.ndarray:
-    """``_composite_residual`` at (V x, alpha) from what the iteration holds.
-
-    x is the iterate in the eigenbasis, x_before the one before it and alpha
-    the dual (inside the lam ball) that produced x, one column per problem.
-    The proximal step makes Phi^T (Phi V x - y) + L alpha equal to
-    V (x_before - x) / tau, so the gradient-equation norm costs no product;
-    the gap takes one, u = L~ x.
+    """``_composite_residual`` at (V x, alpha) from what the iteration holds:
+    x and the x_before it in the eigenbasis, and the dual alpha (inside the
+    lam ball) that produced x.  The proximal step makes Phi^T (Phi V x - y)
+    + L alpha equal to V (x_before - x) / tau, so only the gap costs a
+    product.
     """
     grad = np.linalg.norm(x_before - x, axis=0) / tau
     u = l_rot @ x
@@ -254,62 +227,31 @@ def _check_residual(
 
 
 def solve_penalized(p: Problem, opts: SolverOptions | None = None) -> SolveReport:
-    """Minimize the penalized objective by primal-dual splitting.
-
-    The report carries the best iterate seen at a check point and its
-    composite first-order residual.  Non-convergence within the iteration
-    budget is reported, not raised.
-    """
+    """Minimize the penalized objective by primal-dual splitting; a solve
+    that does not converge within the budget is reported, not raised."""
     return solve_penalized_many([p], opts)[0]
 
 
 def solve_penalized_many(
     problems: list[Problem], opts: SolverOptions | None = None
 ) -> list[SolveReport]:
-    """Solve problems that share phi, l_adjoint and norm in one batched loop.
-
-    The iterate holds one column per problem, with that problem's y and
-    lam.  Every column has its own convergence test, best iterate and
-    stopping point: a column that converges leaves the working arrays, so
-    each problem runs exactly the iterations a solve on its own would, and
-    its report is the one ``solve_penalized`` gives up to rounding.
-    ``opts.init`` is None (start at zero) or an (N,) vector that starts
-    every column; any other shape raises ``ValueError``.
+    """Solve problems that share phi, l_adjoint and norm in one loop, one
+    column per problem with its own y, lam, best iterate and stop; a
+    finished column leaves the working arrays, so each report is the one
+    ``solve_penalized`` gives up to rounding.  ``opts.init`` is None (zero)
+    or an (N,) vector that starts every column.
 
     The loop is Chambolle and Pock's Algorithm 1 (J. Math. Imaging Vision
-    40, 2011) with the fit term taken by its proximal map:
+    40, 2011) with the fit term taken by its proximal map,
 
         alpha <- proj_lam(alpha + sigma L^* xbar)
         x     <- (I + tau Phi^T Phi)^{-1} (x - tau (L alpha - Phi^T y))
         xbar  <- 2 x_new - x
 
-    x lives in the eigenbasis V of Phi^T Phi = V diag(mu) V^T.  Held as
-    z = (x_k; alpha_{k+1}), the iteration is one affine map z <- K z + c
-    (``_affine_step``) followed by the unchecked in-place projection of the
-    alpha rows; K and c are built once per call and again at each weight
-    update.  Every ``CHECK_EVERY`` iterations ``_check_residual`` reads the
-    composite residual of (x_k, alpha_k) off the two last states.  A check
-    point becomes a column's best iterate only when its residual is lower by
-    more than rounding, so that the batched and the single solve pick the
-    same one on a residual plateau too.  A column whose best residual meets
-    the tolerance, and every column at ``max_iter``, gets
-    ``_composite_residual`` at its best iterate; that value is the report's
-    ``optimality_residual``, and the column retires as converged only when
-    it meets the tolerance too.
-
-    Each column has its own primal weight omega and steps tau = eta / omega,
-    sigma = eta * omega with eta = 0.99 / ||L^*||, so tau sigma ||L^*||^2 < 1.
-    omega is 1 for the first 100 iterations, so a solve that converges by
-    then runs the plain fixed-step iteration with one (d, d) K.  From then
-    on, every 50 iterations, each column moves omega halfway, in log scale,
-    towards ||alpha change|| / ||x change|| over the 50 iterations just
-    ended (Applegate et al., "Practical large-scale linear programming using
-    primal-dual hybrid gradient", NeurIPS 2021), clamps it to [0.1, 10] and
-    restarts the extrapolation (xbar = x), which recomputes its alpha rows
-    of z; K becomes a (B, d, d) stack.  A window in which either block did
-    not move leaves the column as it is.  The clamp matters at tiny lambda,
-    where the dual is confined to a ball of radius lambda and an unclamped
-    omega collapses and stalls the primal.
+    in the eigenbasis of Phi^T Phi, at tau = eta / omega and sigma = eta
+    omega, eta = 0.99 / ||L^*||, so tau sigma ||L^*||^2 < 1 for any primal
+    weight omega.  A column converges when ``_composite_residual`` at its
+    best check point is at most tol (1 + ||Phi^* y||).
     """
     opts = opts or SolverOptions()
     if opts.max_iter < 1:
@@ -440,11 +382,10 @@ def solve_penalized_many(
 
 
 def _xi_matrix(phi: LinearOperator, ker: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dense matrix of the map h -> argmin over ker(L_S^*) of
-    0.5 ||Phi x||^2 - <h, x>, namely B (B^T Phi^T Phi B)^{-1} B^T for the
-    orthonormal kernel basis B = ``ker``, and C_Phi, the smallest singular
-    value of Phi B (+inf for a trivial kernel).  Raises when phi fails to be
-    injective on that kernel."""
+    """The map h -> argmin over ker(L_S^*) of 0.5 ||Phi x||^2 - <h, x>,
+    B (B^T Phi^T Phi B)^{-1} B^T for the orthonormal basis B = ``ker``, and
+    C_Phi = sigma_min(Phi B) (+inf for a trivial kernel); raises unless phi
+    is injective on ker(L_S^*)."""
     n = phi.cols
     if ker.shape[1] == 0:
         return np.zeros((n, n)), float("inf")
@@ -462,11 +403,8 @@ def _xi_matrix(phi: LinearOperator, ker: np.ndarray) -> tuple[np.ndarray, float]
 
 
 class ICContext(NamedTuple):
-    """Everything that depends only on (Phi, L, T): the operators and the
-    model themselves, the model's complement S, L_S = L P_S and the pieces
-    built from its one SVD.  The irrepresentability programs, the
-    certificate, the stability constants and the bound checks take it in
-    place of (Phi, L, T); ``ic_context`` builds it."""
+    """Everything that depends only on (Phi, L, T), built once by
+    ``ic_context`` and passed to every consumer of the model."""
 
     phi: LinearOperator
     l_op: LinearOperator
@@ -486,10 +424,8 @@ class ICContext(NamedTuple):
 
 
 def ic_context(phi: LinearOperator, l_op: LinearOperator, T: Subspace) -> ICContext:
-    """Build the context of the model subspace T.
-
-    One SVD of L_S gives ker(L_S), Im(L_S), ker(L_S^*), pinv(L_S) and C_L
-    (+inf when L_S vanishes); C_Phi comes from the SVD inside Xi.  Raises
+    """The context of the model subspace T: one SVD of L_S gives ker(L_S),
+    Im(L_S), ker(L_S^*), pinv(L_S) and C_L (+inf when L_S vanishes).  Raises
     when Phi fails to be injective on ker(L_S^*).
     """
     n = l_op.rows
@@ -534,12 +470,8 @@ class ICSolution(NamedTuple):
 
 
 def ic_value(ctx: ICContext, norm: DecomposableNorm, e, u, z) -> float:
-    """Evaluate the irrepresentability coefficient at a feasible pair (u, z).
-
-    Feasibility (u in ker(L_S), Phi^* z in Im(L_S)) is enforced up to
-    ``IC_FEASIBILITY_TOL`` relative and violations name the failing
-    membership.
-    """
+    """The irrepresentability coefficient at (u, z), which must be feasible
+    up to ``IC_FEASIBILITY_TOL`` relative."""
     e = np.asarray(e, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -570,25 +502,15 @@ def _min_dual_norm_affine(
 ) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
     """Minimize c -> dual_norm(g0 + columns @ c) with a certified gap.
 
-    The dual of this program maximizes <g0, w> over primal-unit-ball vectors
-    w with columns^T w = 0, which yields a computable optimality gap: every
-    reported value comes with a certificate ``gap`` bounding its distance to
-    the true minimum.  Returns (c, value, gap, converged, w), w that dual
-    candidate with <g0, w> >= value - gap, or zero where no program runs.
-
-    One SVD columns = U S V^T gives everything: the rank r counts the
-    singular values above both ``numerical_rank``'s relative cut and the
-    absolute floor 1e-12 (1 + ||g0||), below which columns contribute
-    nothing; Q = U_r; and the minimum-norm least-squares point d = -Q^T g0.
-    That point settles the program when it cancels g0 (or r = 0) and starts
-    it otherwise.  It comes before any solver because the minimizer need not
-    be unique: where g0 cancels, the minimum-norm point is the one downstream
-    quantities (the certificate's eta, hence C) are defined by.  The program
-    min_d dual_norm(g0 + Q d) runs as a linear program for l1, by the
-    simplex of ``_min_linf_affine_lp``, and by primal-dual splitting for
-    the other norms; either d maps back to
-    c = V_r S_r^{-1} d, where the value is recomputed and the gap shifted by
-    the difference.
+    Returns (c, value, gap, converged, w), w a dual candidate (primal unit
+    ball, columns^T w = 0) with <g0, w> >= value - gap, or zero where no
+    program runs.  One SVD columns = U S V^T reduces the program to
+    min_d dual_norm(g0 + Q d), Q = U_r, c = V_r S_r^{-1} d; r also drops the
+    singular values below 1e-12 (1 + ||g0||), whose columns add nothing.
+    The minimum-norm point d = -Q^T g0 settles the program when it cancels
+    g0: the minimizer need not be unique there, and the minimum-norm one is
+    what the certificate's eta, hence C, is defined by.  Otherwise it starts
+    ``_min_linf_affine_lp`` for l1 or ``_min_dual_norm_pdhg``.
     """
     base = dual_norm_value(norm, g0)
     u, s, vt = np.linalg.svd(columns, full_matrices=False)
@@ -608,12 +530,9 @@ def _min_dual_norm_affine(
 def _certified_gap(
     norm: DecomposableNorm, g0: np.ndarray, q_im: np.ndarray, value: float, w: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Upper bound on value - minimum from a dual candidate w, and the
-    feasible candidate it comes from.
-
-    w is projected onto ker(columns^T) (q_im is an orthonormal basis of the
-    columns' image) and scaled into the unit primal ball; <g0, w> is then a
-    lower bound on the minimum."""
+    """value - <g0, w'> >= value - minimum, and w': w projected onto
+    ker(q_im^T) (q_im an orthonormal basis of the columns' image) and
+    scaled into the unit primal ball."""
     w_feas = w - q_im @ (q_im.T @ w)
     pn = norm_value(norm, w_feas)
     if pn > 1.0:
@@ -655,25 +574,16 @@ def _min_linf_affine_lp(
     opts: SolverOptions,
 ) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
     """The l1 case, min_d ||g0 + q @ d||_inf with q orthonormal, by a dense
-    revised simplex on its dual.
-
-    The dual maximizes <g0, v> subject to q^T v = 0 and ||v||_1 <= 1.  In
-    standard form, over x = (v+, v-, s) >= 0, its r + 1 rows are
-    q^T (v+ - v-) = 0 and 1^T (v+ + v-) + s = 1, as in Barrodale and
-    Phillips' discrete Chebyshev simplex (ACM TOMS 1, 1975, Algorithm 495).
-    The start basis is s and the v+ of r rows of q chosen by
-    ``_independent_rows``; it is feasible, at v = 0, because the q^T rows
-    have right-hand side 0.  Each pivot enters the largest reduced cost
-    (Dantzig's rule), or after 20 degenerate pivots in a row the first
-    positive one (Bland's rule, which cannot cycle) until a pivot moves the
-    vertex.  The basis inverse takes a rank-one update per pivot and is
-    refactored every 50 pivots and at the optimum; its last column is the
-    basic solution, since the right-hand side is the last unit vector.  At
-    the optimum the duals y of the basis give d = -y_Q, the negated
-    multipliers of the q^T rows, and the basic solution gives v, the dual
-    candidate of ``_certified_gap``.  The pivot cap, or a ratio test with no
-    pivot above the tolerance, returns ``d_start`` unconverged with an
-    infinite gap and a zero candidate.
+    revised simplex on its dual: max <g0, v> subject to q^T v = 0 and
+    ||v||_1 <= 1, over x = (v+, v-, s) >= 0 in standard form (Barrodale and
+    Phillips, ACM TOMS 1, 1975, Algorithm 495).  The start basis, s and the
+    v+ of r independent rows of q, is feasible at v = 0.  Pivots take
+    Dantzig's rule, or Bland's, which cannot cycle, after a run of
+    degenerate pivots until one moves the vertex.  The right-hand side is
+    the last unit vector, so the basis inverse's last column is the basic
+    solution.  At the optimum d = -y_Q, the negated duals of the q^T rows,
+    and the basic solution's v is the candidate of ``_certified_gap``.  The
+    pivot cap, or no usable pivot, returns ``d_start`` with an infinite gap.
     """
     p_dim, r = q.shape
     a = np.zeros((r + 1, 2 * p_dim + 1))
@@ -729,25 +639,19 @@ def _min_dual_norm_pdhg(
     d_start: np.ndarray,
     opts: SolverOptions,
 ) -> tuple[np.ndarray, float, float, bool, np.ndarray]:
-    """Primal-dual splitting for min_d dual_norm(g0 + q @ d), any norm, where
-    q has orthonormal columns.
-
-    The iteration is Chambolle and Pock's, with d as the primal and w as
-    the dual block:
+    """Primal-dual splitting for min_d dual_norm(g0 + q @ d), q with
+    orthonormal columns: Chambolle and Pock's iteration with d the primal
+    and w the dual block,
 
         w    <- proj_1(w + sigma (q dbar + g0))  (the primal unit ball)
         d    <- d - tau q^T w
         dbar <- 2 d_new - d
 
-    Held as z = (d_k; w_{k+1}) it is one affine map z <- K z + c followed by
-    the projection of the w rows: K is ``_affine_step``'s at L~ = q, mu = 0,
-    and c is sigma g0 on the w rows.  Starts at ``d_start`` when it
-    beats d = 0 and tests the certified gap every ``CHECK_EVERY``
-    iterations, stopping once it meets the tolerance; the best iterate seen
-    at a check is returned with the dual candidate of the last check.  The
-    steps follow ``solve_penalized_many``'s primal-weight rule and windows,
-    with eta = 0.99, since ||q|| = 1; a weight update restarts the
-    extrapolation (dbar = d), which recomputes the w rows of z.
+    that is ``_affine_step``'s map at L~ = q, mu = 0 plus sigma g0 on the w
+    rows.  It starts at ``d_start`` when that beats d = 0, stops once the
+    certified gap meets the tolerance and returns the best iterate with the
+    dual candidate of the last check.  Steps and weights follow
+    ``solve_penalized_many``, at eta = 0.99 since ||q|| = 1.
     """
     step = tau = sigma = 0.99
     omega = 1.0
@@ -822,11 +726,7 @@ def _minimize_ic(
 def minimize_ic_full(
     ctx: ICContext, norm: DecomposableNorm, e, opts: SolverOptions | None = None
 ) -> ICSolution:
-    """Minimize the irrepresentability coefficient over both feasible blocks.
-
-    u ranges over ker(L_S) and z over the preimage parametrization of
-    { z : Phi^* z in Im(L_S) }.
-    """
+    """Minimize the irrepresentability coefficient over u and z."""
     return _minimize_ic(ctx, norm, e, opts, joint=True)
 
 

@@ -1212,6 +1212,51 @@ class TestCli:
         assert not out.exists()
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"signal": {"kind": "explicit", "x0": [float("nan")] + [1.0] * 7}}, "signal.x0"),
+            ({"phi": {"kind": "from_file"}}, "phi.path"),
+            ({"l": {"kind": "from_file"}}, "l.path"),
+            ({"phi": {"kind": "from_file", "path": "missing.csv"}}, "missing.csv"),
+            ({"l": {"kind": "from_file", "path": "nan.csv"}}, "nan.csv"),
+            ({"l": "tv1d"}, "bad scenario config"),
+        ],
+        ids=[
+            "x0-nan", "phi-no-path", "l-no-path", "phi-missing-file", "l-nan-entry",
+            "l-not-an-object",
+        ],
+    )
+    def test_bad_inputs_are_configuration_errors(
+        self, tmp_path, capsys, monkeypatch, overrides, named
+    ):
+        # exit 1 means a failed bound check, so a bad input must not raise
+        # its way out to it, nor run (a NaN x0 ran every trial to max_iter)
+        monkeypatch.chdir(tmp_path)
+        entries = np.eye(8)
+        entries[2, 3] = np.nan
+        write_operator_csv(LinearOperator(entries), tmp_path / "nan.csv")
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        code = cli_main(["stability-sweep", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+    def test_grid_sides_read_as_integers(self, tmp_path):
+        # "height": 2.0 is the grid side 2, as "m": 6.0 is the dimension 6
+        results = []
+        for height in (2, 2.0):
+            cfg = write_config(
+                tmp_path,
+                dims={"m": 5, "n": 6, "p": 7},
+                l={"kind": "tv2d", "height": height, "width": 3},
+            )
+            out = tmp_path / f"out-{height}"
+            assert cli_main(["stability-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            results.append((out / "results.csv").read_bytes())
+        assert results[0] == results[1]
+
     def test_solver_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, epsilons=[0.05])
         code = cli_main(

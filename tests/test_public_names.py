@@ -56,7 +56,6 @@ def test_traced_name_exists(module, name):
 
 RECORDS = [
     ("certificates", "DualCertificate"),
-    ("certificates", "SourceCheck"),
     ("experiments", "ScenarioAnalysis"),
     ("experiments", "ScenarioResult"),
     ("guarantees", "UniquenessVerdict"),
