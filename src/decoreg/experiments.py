@@ -187,14 +187,16 @@ class ScenarioConfig:
         for name, kind in _CONVERSIONS.items():
             if (value := getattr(self, name)) is not None:
                 setattr(self, name, kind(value))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.m < 1 or self.n < 1 or self.p < 1:
             raise ConfigError("dimensions must be positive")
         if self.norm.ambient_dim != self.p:
             raise ConfigError(
                 f"norm lives on R^{self.norm.ambient_dim} but p = {self.p}"
             )
-        if not all(0 <= e < math.inf for e in self.epsilons):
-            raise ConfigError("epsilons must be finite and nonnegative")
+        if not self.epsilons or not all(0 <= e < math.inf for e in self.epsilons):
+            raise ConfigError("epsilons must be a nonempty list of finite nonnegative values")
         if list(self.epsilons) != sorted(self.epsilons):
             raise ConfigError("epsilons must be ascending")
         if self.phi_kind not in ("gaussian", "identity", "convolution", "from_file"):
@@ -336,18 +338,15 @@ def _zero_rows_for(cfg: ScenarioConfig, rng: np.random.Generator) -> list[int]:
 
 
 def _build_signal(
-    cfg: ScenarioConfig,
-    rng: np.random.Generator,
-    l_adjoint: LinearOperator,
-    norm: DecomposableNorm,
+    cfg: ScenarioConfig, rng: np.random.Generator, l_adjoint: LinearOperator
 ) -> np.ndarray:
     if cfg.signal_kind == "explicit":
         return np.asarray(cfg.signal_x0, dtype=float)
 
     if cfg.signal_kind == "low_rank":
-        if norm.kind != "nuclear":
+        if cfg.norm.kind != "nuclear":
             raise ConfigError("low_rank signals require the nuclear norm")
-        nr, nc = norm.shape
+        nr, nc = cfg.norm.shape
         r = cfg.signal_rank
         if r > min(nr, nc):
             raise ConfigError("requested rank exceeds the matrix shape")
@@ -358,7 +357,7 @@ def _build_signal(
             x0, *_ = np.linalg.lstsq(l_adjoint.entries, u0, rcond=None)
             if np.linalg.norm(l_adjoint.apply(x0) - u0) > 1e-8 * (1 + np.linalg.norm(u0)):
                 raise ConfigError("requested low-rank pattern is not an analysis image")
-            s = np.linalg.svd(u0.reshape(norm.shape, order="F"), compute_uv=False)
+            s = np.linalg.svd(u0.reshape(cfg.norm.shape, order="F"), compute_uv=False)
             if numerical_rank(s, 1e-8) == r:
                 return x0
         raise ConfigError("could not realize the requested rank")
@@ -378,7 +377,7 @@ def _build_signal(
         if nx == 0.0:
             continue
         x0 *= SIGNAL_AMPLITUDE / nx
-        model = decompose_at(norm, l_adjoint.apply(x0))
+        model = decompose_at(cfg.norm, l_adjoint.apply(x0))
         if (model.T.dim if model.active is None else len(model.active)) == cfg.signal_active:
             return x0
     raise ConfigError("could not realize the requested model dimension")
@@ -390,7 +389,7 @@ def generate_scenario(cfg: ScenarioConfig):
     phi = _build_phi(cfg, rng)
     l_adjoint = _build_l_adjoint(cfg, rng)
     l_op = l_adjoint.T
-    x0 = _build_signal(cfg, rng, l_adjoint, cfg.norm)
+    x0 = _build_signal(cfg, rng, l_adjoint)
     clean = phi.apply(x0)
     ys = [clean + noise_in_ball(rng, cfg.m, eps) for eps in cfg.epsilons]
     return phi, l_op, cfg.norm, x0, ys

@@ -1221,10 +1221,14 @@ class TestCli:
             ({"phi": {"kind": "from_file", "path": "missing.csv"}}, "missing.csv"),
             ({"l": {"kind": "from_file", "path": "nan.csv"}}, "nan.csv"),
             ({"l": "tv1d"}, "bad scenario config"),
+            # ran a sweep of zero trials and wrote empty results
+            ({"epsilons": []}, "epsilons"),
+            # numpy's "expected non-negative integer" named no field
+            ({"seed": -3}, "seed must be nonnegative, got -3"),
         ],
         ids=[
             "x0-nan", "phi-no-path", "l-no-path", "phi-missing-file", "l-nan-entry",
-            "l-not-an-object",
+            "l-not-an-object", "epsilons-empty", "seed-negative",
         ],
     )
     def test_bad_inputs_are_configuration_errors(

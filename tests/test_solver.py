@@ -203,8 +203,10 @@ def fixed_step_reference(p, opts, init=None):
     """Reference for solves that end within the first 100 iterations: the
     fixed-step iteration, tau = sigma = 0.99 / ||L^*|| (primal weight 1
     throughout), in the affine form on one column, with the solver's checks
-    every CHECK_EVERY iterations and its best-iterate rule.  Returns
-    (x_star, residual, iterations, converged)."""
+    every CHECK_EVERY iterations and its best-iterate rule: a check counts
+    only when its gradient term ||x_{k-1} - x_k|| / tau is at most the
+    threshold, or at max_iter.  Returns (x_star, residual, iterations,
+    converged)."""
     n = p.phi.cols
     mu, v = p.gram_eig
     l_rot = p.l_adjoint.entries @ v
@@ -224,6 +226,9 @@ def fixed_step_reference(p, opts, init=None):
         z = project_alpha_rows(p.norm, k @ z + c, n, lam)
         if it % CHECK_EVERY == 0 or it == opts.max_iter:
             x, alpha = z[:n], z_before[n:]
+            grad = np.linalg.norm(z_before[:n] - x) / step
+            if grad > opts.tol * scale and it != opts.max_iter:
+                continue
             res = check_residual_reference(p.norm, l_rot, z_before[:n], x, alpha, step, lam)[0]
             if res < best_res - margin:
                 best_res, best_x, best_alpha = res, x, alpha
@@ -240,9 +245,13 @@ def allocating_batched_reference(problems, opts):
     new array for every intermediate, K and c written out block by block
     and applied one column at a time once the steps are per column, the
     dual projected by the public ``project_dual_ball``, and the check
-    residual and the primal-weight rule written out.  The in-place loop
-    does the same arithmetic in the same order.  Returns one (x_star,
-    residual, iterations, converged) per problem."""
+    residual, its eligibility rule and the primal-weight rule written out:
+    the residual is computed for every column (the in-place loop computes
+    it only for the eligible ones), but a column takes part in a check only
+    when its gradient term ||x_{k-1} - x_k|| / tau is at most its
+    threshold, or at max_iter.  Otherwise the in-place loop does the same
+    arithmetic in the same order.  Returns one (x_star, residual,
+    iterations, converged) per problem."""
     first = problems[0]
     n = first.phi.cols
     mu, v = first.gram_eig
@@ -280,12 +289,13 @@ def allocating_batched_reference(problems, opts):
         if it % CHECK_EVERY and not last:
             continue
         x, alpha = z[:n], z_before[n:]
+        eligible = (np.linalg.norm(z_before[:n] - x, axis=0) / tau <= threshold) | last
         res = check_residual_reference(first.norm, l_rot, z_before[:n], x, alpha, tau, lam)
-        better = res < best_res - margin
+        better = eligible & (res < best_res - margin)
         best_res = np.where(better, res, best_res)
         best_x = np.where(better, x, best_x)
         best_alpha = np.where(better, alpha, best_alpha)
-        finished = (best_res <= threshold) | last
+        finished = eligible & (best_res <= threshold) | last
         tested = np.nonzero(finished)[0]
         x_out = v @ best_x[:, tested]
         exact = _composite_residual(
@@ -333,6 +343,103 @@ def allocating_batched_reference(problems, opts):
             z[n:, moved] = restarted
         x_mark, alpha_mark = x, alpha
     return [done[j] for j in range(b)]
+
+
+def ungated_reference(problems, opts):
+    """The in-place batched loop as it was before its checks were gated:
+    the same kernels, so the same iterates bit for bit, but every check
+    computes the residual of every live column, and the best iterate is the
+    lowest-residual check of all.  Returns one (x_star, residual,
+    iterations, converged) per problem and the history of every check, a
+    list of (iteration, live, x, alpha, grad, res) with x in the eigenbasis,
+    grad the gradient term and res the check residual of each live
+    column."""
+    first = problems[0]
+    n = first.phi.cols
+    mu, v = first.gram_eig
+    l_rot = first.l_adjoint.entries @ v
+    step = 0.99 / first.l_norm
+    tau = sigma = step
+    b = len(problems)
+    init = np.zeros(n) if opts.init is None else np.asarray(opts.init, dtype=float)
+    y = np.column_stack([q.y for q in problems])
+    lam = np.array([q.lam for q in problems])
+    neg_lam = -lam
+    phi_t_y = first.phi.entries.T @ y
+    rhs = v.T @ phi_t_y
+    k, c = _affine_step(l_rot, mu, tau, sigma, rhs)
+    x0 = v.T @ init
+    z = np.empty((n + first.norm.ambient_dim, b))
+    z[:n] = x0[:, None]
+    z[n:] = (sigma * (l_rot @ x0))[:, None]
+    _project_dual_ball_inplace(first.norm, z[n:], lam, neg_lam)
+    omega = np.ones(b)
+    x_mark, alpha_mark = z[:n], np.zeros((first.norm.ambient_dim, b))
+    scale = 1.0 + np.linalg.norm(phi_t_y, axis=0)
+    threshold = opts.tol * scale
+    margin = 64.0 * np.finfo(float).eps * scale
+    best_res = np.full(b, np.inf)
+    best_x, best_alpha = x_mark.copy(), alpha_mark.copy()
+    live = np.arange(b)
+    done, history = {}, []
+    for it in range(1, opts.max_iter + 1):
+        z_before = z
+        z = k @ z if k.ndim == 2 else (k @ z.T[:, :, None])[:, :, 0].T
+        z += c
+        _project_dual_ball_inplace(first.norm, z[n:], lam, neg_lam)
+        last = it == opts.max_iter
+        if it % CHECK_EVERY and not last:
+            continue
+        x, alpha = z[:n], z_before[n:]
+        grad = np.linalg.norm(z_before[:n] - x, axis=0) / tau
+        res = check_residual_reference(first.norm, l_rot, z_before[:n], x, alpha, tau, lam)
+        history.append((it, live, x.copy(), alpha.copy(), grad, res.copy()))
+        better = res < best_res - margin
+        best_res[better] = res[better]
+        best_x[:, better] = x[:, better]
+        best_alpha[:, better] = alpha[:, better]
+        finished = (best_res <= threshold) | last
+        tested = np.nonzero(finished)[0]
+        if tested.size:
+            x_out = v @ best_x[:, tested]
+            exact = _composite_residual(
+                first, x_out, best_alpha[:, tested], y[:, tested], lam[tested]
+            )
+            converged = exact <= threshold[tested]
+            finished[tested] = converged | last
+            for j, x_j, res_j, conv_j in zip(tested, x_out.T, exact, converged):
+                if finished[j]:
+                    done[int(live[j])] = (x_j, float(res_j), it, bool(conv_j))
+            if finished.all():
+                break
+            if finished.any():
+                keep = ~finished
+                z, c, x, alpha, rhs, y, best_x, best_alpha, x_mark, alpha_mark = (
+                    a[:, keep]
+                    for a in (z, c, x, alpha, rhs, y, best_x, best_alpha, x_mark, alpha_mark)
+                )
+                lam, threshold, margin, best_res, live, omega = (
+                    a[keep] for a in (lam, threshold, margin, best_res, live, omega)
+                )
+                neg_lam = -lam
+                if np.ndim(tau):
+                    k, tau, sigma = k[keep], tau[keep], sigma[keep]
+        if it % 50:
+            continue
+        if it >= 100:
+            dx = np.linalg.norm(x - x_mark, axis=0)
+            da = np.linalg.norm(alpha - alpha_mark, axis=0)
+            moved = (dx > 0) & (da > 0)
+            omega[moved] = solver_module._next_weight(omega[moved], da[moved], dx[moved])
+            tau, sigma = step / omega, step * omega
+            k, c = _affine_step(l_rot, mu, tau, sigma, rhs)
+            restart = l_rot @ x[:, moved]
+            restart *= sigma[moved]
+            restart += alpha[:, moved]
+            _project_dual_ball_inplace(first.norm, restart, lam[moved], neg_lam[moved])
+            z[n:, moved] = restart
+        x_mark, alpha_mark = x, alpha
+    return [done[j] for j in range(b)], history
 
 
 def dualized_fit_reference(problems, opts):
@@ -525,6 +632,103 @@ class TestSolvePenalizedMany:
             else:
                 assert np.array_equal(report.x_star, x_ref)
                 assert report.optimality_residual == res_ref
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "group", "nuclear", "tv1d"]),
+        lams=st.lists(
+            st.sampled_from([1e-4, 1e-3, 0.003, 0.02, 0.1, 0.5]), min_size=1, max_size=5
+        ),
+        max_iter=st.sampled_from([150, 2_000]),
+        start=st.sampled_from(["zero", "shared"]),
+    )
+    def test_gated_checks_match_the_ungated_loop(self, seed, kind, lams, max_iter, start):
+        # a check computes the gap only of columns whose gradient term is at
+        # most their threshold: a converged column reports what the ungated
+        # loop reports, bit for bit, and an unconverged one the composite
+        # residual at the lowest-residual check it was eligible at
+        from decoreg.experiments import difference_operator_1d
+
+        norm, l_adj = {
+            "l1": (l1(6), None),
+            "group": (group([[3, 0], [5], [1, 4, 2]]), None),
+            "nuclear": (nuclear(2, 3), None),
+            "tv1d": (l1(6), difference_operator_1d(7)),
+        }[kind]
+        problems = shared_batch(seed, norm, 5, lams, l_adjoint=l_adj)
+        n = problems[0].phi.cols
+        init = np.random.default_rng(seed + 1).standard_normal(n) if start == "shared" else None
+        opts = SolverOptions(tol=1e-9, max_iter=max_iter, init=init)
+        reports = solve_penalized_many(problems, opts)
+        reference, history = ungated_reference(problems, opts)
+        v = problems[0].gram_eig[1]
+        for j, (p, report, (x_ref, res_ref, it_ref, converged_ref)) in enumerate(
+            zip(problems, reports, reference, strict=True)
+        ):
+            if report.converged:
+                assert converged_ref and report.iterations == it_ref
+                assert np.array_equal(report.x_star, x_ref)
+                assert report.optimality_residual == res_ref
+                continue
+            assert report.iterations == max_iter
+            scale = 1.0 + np.linalg.norm(p.phi.entries.T @ p.y)
+            eligible = [
+                (x[:, col], alpha[:, col], res[col])
+                for it, live, x, alpha, grad, res in history
+                for col in np.nonzero(live == j)[0]
+                if grad[col] <= opts.tol * scale or it == max_iter
+            ]
+            distances = [np.linalg.norm(v @ x - report.x_star) for x, _, _ in eligible]
+            x, alpha, res = eligible[int(np.argmin(distances))]
+            assert min(distances) <= 1e-12 * (1.0 + np.linalg.norm(report.x_star))
+            margin = 64.0 * np.finfo(float).eps * scale
+            assert res <= min(r for *_, r in eligible) + 2.0 * margin
+            exact = _composite_residual(
+                p, report.x_star[:, None], alpha[:, None], p.y[:, None], np.array([p.lam])
+            )[0]
+            assert abs(report.optimality_residual - exact) <= 1e-12 * scale
+
+    def test_checks_evaluate_no_gap_while_every_gradient_is_above_threshold(
+        self, monkeypatch
+    ):
+        # at tol 1e-14 no gradient term of the first 50 iterations reaches
+        # the threshold, so only the check at max_iter computes a gap
+        calls = []
+        check = solver_module._check_residual
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(solver_module, "_check_residual", counted)
+        problems = shared_batch(4, l1(6), 5, [0.003, 0.1, 0.5])
+        opts = SolverOptions(tol=1e-14, max_iter=60)
+        reports = solve_penalized_many(problems, opts)
+        assert [r.converged for r in reports] == [False] * 3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["l1", "group", "nuclear", "tv1d"])
+    def test_objectives_are_the_problems_objectives(self, kind):
+        # one norm evaluation over the finished columns: bit for bit on a
+        # one-column batch, in the last bits on a wider one
+        from decoreg.experiments import difference_operator_1d
+
+        norm, l_adj = {
+            "l1": (l1(6), None),
+            "group": (group([[3, 0], [5], [1, 4, 2]]), None),
+            "nuclear": (nuclear(2, 3), None),
+            "tv1d": (l1(6), difference_operator_1d(7)),
+        }[kind]
+        problems = shared_batch(5, norm, 5, [1e-3, 0.02, 0.1, 0.5], l_adjoint=l_adj)
+        opts = SolverOptions(tol=1e-9, max_iter=2_000)
+        for p in problems:
+            report = solve_penalized(p, opts)
+            assert report.objective == p.objective(report.x_star)
+        for p, report in zip(problems, solve_penalized_many(problems, opts), strict=True):
+            assert report.objective == pytest.approx(
+                p.objective(report.x_star), rel=8 * np.finfo(float).eps
+            )
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
@@ -758,7 +962,8 @@ class TestAffineIteration:
         )[-1]
         y = np.column_stack([q.y for q in problems])
         exact = _composite_residual(problems[0], v @ x_k, alpha_k, y, lam)
-        got = _check_residual(norm, l_rot, x_before, x_k, alpha_k, tau, lam)
+        grad = np.linalg.norm(x_before - x_k, axis=0) / tau
+        got = _check_residual(norm, l_rot, grad, x_k, alpha_k, lam)
         assert np.all(np.abs(got - exact) <= 1e-12 * (1.0 + exact))
 
 
