@@ -34,7 +34,6 @@ from .guarantees import (
     assemble_total_constant,
     bregman_to_l2,
     prediction_bregman_bounds,
-    separable_uniqueness,
     stability_constants,
     strong_nsp_check,
     uniqueness_from_certificate,
@@ -59,14 +58,12 @@ from .norms import (
     decompose_at,
     dual_norm_value,
     group,
-    is_separable,
     l1,
     norm_from_config,
     norm_value,
     nuclear,
     project_dual_ball,
     project_primal_ball,
-    separable_split,
     subdiff_membership,
 )
 from .solver import (

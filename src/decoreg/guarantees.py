@@ -1,15 +1,12 @@
 """Numerical verdicts for uniqueness and noise stability.
 
-Uniqueness comes in three forms, checked in decreasing strength:
+Uniqueness comes in two forms, checked in decreasing strength:
 
 * a strong null-space condition: norm(L_S^* h) - <L_T^* h, e> > 0 for every
   nonzero kernel element h of phi, in the primal norm that the directional
   derivative produces (``strong_nsp_check``).
 * a certificate criterion: a valid source condition with saturation < 1
   together with restricted injectivity.
-* its separable weakening: for norms splitting additively on S = V + W it is
-  enough that the dual norm of alpha stays below 1 on V, at the price of
-  restricted injectivity on ker(L_V^*) = {x : L^* x in T + W}.
 
 Stability: with lambda = c * eps the distance of any minimizer to the
 generating signal is at most C * eps where
@@ -40,11 +37,8 @@ from .linops import (
 )
 from .norms import (
     DecomposableNorm,
-    DecompositionModel,
     _bregman_value,
     coercivity_constant,
-    dual_norm_value,
-    separable_split,
 )
 from .solver import ICContext, SolveReport, SolverOptions, _min_dual_norm_affine
 
@@ -55,7 +49,6 @@ __all__ = [
     "UniquenessVerdict",
     "strong_nsp_check",
     "uniqueness_from_certificate",
-    "separable_uniqueness",
     "StabilityBound",
     "assemble_total_constant",
     "stability_constants",
@@ -141,35 +134,6 @@ def strong_nsp_check(
 def uniqueness_from_certificate(cert: DualCertificate, c_phi: float) -> UniquenessVerdict:
     """Certificate criterion: saturation < 1 plus restricted injectivity."""
     if cert.saturation < 1.0 and c_phi > 0.0:
-        return UniquenessVerdict(STATUS_UNIQUE)
-    return UniquenessVerdict(STATUS_UNDECIDED)
-
-
-def separable_uniqueness(
-    cert: DualCertificate,
-    model: DecompositionModel,
-    first_part,
-    norm: DecomposableNorm,
-    phi: LinearOperator,
-    l_op: LinearOperator,
-) -> UniquenessVerdict:
-    """Weakened certificate criterion for separable norms on S = V + W.
-
-    ``separable_split(norm, model, first_part)`` gives V, the inactive
-    coordinates (l1) or blocks (group) named by ``first_part``, and W, the
-    rest of the inactive space.  Certifies uniqueness when
-    dual_norm(P_V alpha) < 1 and phi is injective on
-    ker(L_V^*) = {x : L^* x in T + W}.  The certificate must attain e on the
-    model: P_T alpha = e.
-    """
-    V, _ = separable_split(norm, model, first_part)
-    miss = np.linalg.norm(model.T.project(cert.alpha) - model.e)
-    if miss > 1e-6 * (1.0 + np.linalg.norm(model.e)):
-        raise ValueError("the certificate does not attain e on the model")
-    sat_v = dual_norm_value(norm, V.project(cert.alpha))
-    lv_adj = LinearOperator((l_op.entries @ V.projector_matrix()).T)
-    c_phi_v = restricted_injectivity_constant(phi, kernel_basis(lv_adj))
-    if sat_v < 1.0 and c_phi_v > 0.0:
         return UniquenessVerdict(STATUS_UNIQUE)
     return UniquenessVerdict(STATUS_UNDECIDED)
 

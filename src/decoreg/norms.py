@@ -40,8 +40,6 @@ __all__ = [
     "subdiff_membership",
     "coercivity_constant",
     "bregman",
-    "is_separable",
-    "separable_split",
 ]
 
 # Relative threshold deciding which coordinates / blocks / singular values
@@ -426,34 +424,3 @@ def _bregman_value(norm: DecomposableNorm, u, u0, alpha) -> float:
         return 0.0
     return d
 
-
-def is_separable(norm: DecomposableNorm) -> bool:
-    """Whether the norm splits additively across coordinate-aligned parts of
-    the inactive space (true for l1 and group, false for nuclear)."""
-    return norm.kind != "nuclear"
-
-
-def separable_split(
-    norm: DecomposableNorm, model: DecompositionModel, first_part
-) -> tuple[Subspace, Subspace]:
-    """Split the inactive space T^perp into V + W.
-
-    ``first_part`` selects inactive block indices (for l1 the blocks are
-    the coordinates) going into V; the remaining inactive ones form W.  The
-    nuclear norm offers no such partition.
-    """
-    if not is_separable(norm):
-        raise ValueError(f"{norm.kind} norm is not separable")
-    if model.active is None:
-        raise ValueError("model does not carry an active set")
-    p = norm.ambient_dim
-    chosen = sorted(set(int(i) for i in first_part))
-    inactive_blocks = sorted(set(range(len(norm.blocks))) - set(model.active))
-    if not set(chosen) <= set(inactive_blocks):
-        raise ValueError("first_part must consist of inactive block indices")
-    v_coords = sorted(i for b in chosen for i in norm.blocks[b])
-    w_coords = sorted(i for b in set(inactive_blocks) - set(chosen) for i in norm.blocks[b])
-    return (
-        Subspace.from_coordinates(p, v_coords),
-        Subspace.from_coordinates(p, w_coords),
-    )

@@ -162,6 +162,10 @@ def _composite_residual(
 _WEIGHT_WARMUP = 100
 _WEIGHT_WINDOW = 50
 _WEIGHT_BOUNDS = (0.1, 10.0)
+# the over-relaxation rho of ``solve_penalized_many``'s step, in (0, 2)
+# (Condat, J. Optim. Theory Appl. 158, 2013; Chambolle and Pock, Math.
+# Program. 159, 2016)
+_RELAX = 1.5
 
 
 def _next_weight(omega, dual_move, primal_move):
@@ -173,7 +177,7 @@ def _next_weight(omega, dual_move, primal_move):
 
 
 def _affine_step(
-    l_rot: np.ndarray, mu: np.ndarray, tau, sigma, rhs: np.ndarray
+    l_rot: np.ndarray, mu: np.ndarray, tau, sigma, rhs: np.ndarray, relax: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """K and c of one splitting iteration before its projection.
 
@@ -185,35 +189,44 @@ def _affine_step(
         K = [[S, -tau S L~^T], [sigma L~ (2S - I), I - 2 sigma tau L~ S L~^T]]
         c = [tau S r; 2 sigma tau L~ S r].
 
-    Scalar steps give one (d, d) K, (B,) steps a (B, d, d) stack; c is
-    (d, B) either way, the shape of z.
+    A ``relax`` rho other than 1 gives the relaxed step z <- z + rho (T z - z)
+    of that map T: K's x rows become rho K + (1 - rho) I, its alpha rows
+    rho K, followed by p rows (1 - rho) I on alpha, and c becomes rho c.
+    Projecting the rho-scaled alpha rows at radius rho lam and adding the
+    last p rows to them is the relaxed step, since proj_{rho lam}(rho v) =
+    rho proj_lam(v) for every dual ball.  Scalar steps give one K, (B,)
+    steps a (B, ...) stack; c is (n + p, B) either way, the shape of z.
     """
     p_dim, n = l_rot.shape
+    d = n + p_dim
     tau = np.asarray(tau, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = relax * np.asarray(sigma, dtype=float)
     s = 1.0 / (1.0 + tau[..., None] * mu)
     ts = tau[..., None] * s
-    k = np.zeros(s.shape[:-1] + (n + p_dim, n + p_dim))
+    k = np.zeros(s.shape[:-1] + (d + (p_dim if relax != 1.0 else 0), d))
     diag = np.arange(n)
-    k[..., diag, diag] = s
-    k[..., :n, n:] = -ts[..., :, None] * l_rot.T
-    k[..., n:, :n] = sigma[..., None, None] * (l_rot * (2.0 * s - 1.0)[..., None, :])
-    k[..., n:, n:] = np.eye(p_dim) - 2.0 * sigma[..., None, None] * (
+    k[..., diag, diag] = relax * s + (1.0 - relax)
+    k[..., :n, n:] = -(relax * ts)[..., :, None] * l_rot.T
+    k[..., n:d, :n] = sigma[..., None, None] * (l_rot * (2.0 * s - 1.0)[..., None, :])
+    k[..., n:d, n:] = relax * np.eye(p_dim) - 2.0 * sigma[..., None, None] * (
         (l_rot * ts[..., None, :]) @ l_rot.T
     )
+    if relax != 1.0:
+        k[..., d:, n:] = (1.0 - relax) * np.eye(p_dim)
     cx = ts.T.reshape(n, -1) * rhs
-    return k, np.concatenate([cx, 2.0 * sigma * (l_rot @ cx)])
+    return k, np.concatenate([relax * cx, 2.0 * sigma * (l_rot @ cx)])
 
 
 def _check_residual(
     norm: DecomposableNorm, l_rot: np.ndarray, grad, x: np.ndarray, alpha: np.ndarray, lam
 ) -> np.ndarray:
     """``_composite_residual`` at (V x, alpha) from what the iteration holds:
-    x in the eigenbasis, the dual alpha (inside the lam ball) that produced
-    it, and grad = ||x_before - x|| / tau for the iterate x_before it.  The
-    proximal step makes Phi^T (Phi V x - y) + L alpha equal to
-    V (x_before - x) / tau, so grad is the gradient-equation norm and only
-    the gap costs a product.
+    x in the eigenbasis, the dual alpha that produced it, and grad =
+    ||x_before - x|| / tau for the iterate x_before it.  The proximal step
+    makes Phi^T (Phi V x - y) + L alpha equal to V (x_before - x) / tau, so
+    grad is the gradient-equation norm and only the gap costs a product.
+    It equals the composite residual while alpha lies in the lam ball; a
+    relaxed alpha may lie outside, so only ``_composite_residual`` certifies.
     """
     u = l_rot @ x
     values = norm_value(norm, u) if norm.kind == "nuclear" else _block_norms(norm, u).sum(0)
@@ -244,12 +257,16 @@ def solve_penalized_many(
 
     in the eigenbasis of Phi^T Phi, at tau = eta / omega and sigma = eta
     omega, eta = 0.99 / ||L^*||, so tau sigma ||L^*||^2 < 1 for any primal
-    weight omega.  A check, every CHECK_EVERY iterations and at max_iter,
-    computes the gap only of the columns whose gradient term ||x_{k-1} -
-    x_k|| / tau, a lower bound of the residual, is at most the threshold
-    tol (1 + ||Phi^* y||), and of all at max_iter.  A column's best iterate
-    is the lowest-residual check among those, and it converges when
-    ``_composite_residual`` there is at most the threshold.
+    weight omega, over-relaxed: on the state z = (x_k; alpha_{k+1}) that one
+    step T maps, z <- z + rho (T z - z) with rho = 1.5, folded into
+    ``_affine_step``.  A check, every CHECK_EVERY iterations and at
+    max_iter, reads the unrelaxed point x~ = T(z_before)'s x rows against
+    the alpha of z_before, which produced it.  It computes the gap only of
+    the columns whose gradient term ||x_{k-1} - x~|| / tau, a lower bound
+    of the check residual, is at most the threshold tol (1 + ||Phi^* y||),
+    and of all at max_iter.  A column's best iterate is the lowest-residual check
+    among those, and it converges when ``_composite_residual`` there, with
+    alpha / lam projected into the unit dual ball, is at most the threshold.
     """
     opts = opts or SolverOptions()
     if opts.max_iter < 1:
@@ -279,16 +296,17 @@ def solve_penalized_many(
         raise ValueError(f"init has shape {init.shape}, expected ({n},)")
     y = np.column_stack([q.y for q in problems])
     lam = np.array([q.lam for q in problems], dtype=float)
-    neg_lam, y_all = -lam, y
+    radius, neg_radius, y_all = _RELAX * lam, -_RELAX * lam, y
     phi_t_y = first.phi.entries.T @ y
     rhs = v.T @ phi_t_y
-    k, c = _affine_step(l_rot, mu, tau, sigma, rhs)
+    k, c = _affine_step(l_rot, mu, tau, sigma, rhs, _RELAX)
     x0 = v.T @ init
     # one column (x_k; alpha_{k+1}) per problem
-    z = np.empty((n + norm.ambient_dim, b))
+    d = n + norm.ambient_dim
+    z = np.empty((d, b))
     z[:n] = x0[:, None]
     z[n:] = (sigma * (l_rot @ x0))[:, None]
-    _project_dual_ball_inplace(norm, z[n:], lam, neg_lam)
+    _project_dual_ball_inplace(norm, z[n:], lam, -lam)
     omega = np.ones(b)
     # x and alpha at the start of the weight window
     x_mark, alpha_mark = z[:n], np.zeros((norm.ambient_dim, b))
@@ -306,25 +324,29 @@ def solve_penalized_many(
 
     for it in range(1, opts.max_iter + 1):
         z_before = z
-        # a (B, d, d) stack takes the columns as a stack of vectors
-        z = k @ z if k.ndim == 2 else (k @ z.T[:, :, None])[:, :, 0].T
+        # a (B, d + p, d) stack takes the columns as a stack of vectors
+        w = k @ z if k.ndim == 2 else (k @ z.T[:, :, None])[:, :, 0].T
+        z = w[:d]
         z += c
-        _project_dual_ball_inplace(norm, z[n:], lam, neg_lam)
+        _project_dual_ball_inplace(norm, w[n:d], radius, neg_radius)
+        w[n:d] += w[d:]
         last = it == opts.max_iter
         if it % CHECK_EVERY and not last:
             continue
         x, alpha = z[:n], z_before[n:]
-        step_x = z_before[:n] - x
+        # x_before - x~ for the unrelaxed point x~ = T(z_before)'s x rows
+        step_x = (z_before[:n] - x) / _RELAX
         grad = np.sqrt(np.add.reduce(step_x * step_x, axis=0)) / tau  # np.linalg.norm's sum
         tested = gated = np.nonzero((grad <= threshold) | last)[0]
         if gated.size:
+            x_check = z_before[:n, gated] - step_x[:, gated]
             res = _check_residual(
-                norm, l_rot, grad[gated], x[:, gated], alpha[:, gated], lam[gated]
+                norm, l_rot, grad[gated], x_check, alpha[:, gated], lam[gated]
             )
             better = res < best_res[gated] - margin[gated]
             cols = gated[better]
             best_res[cols] = res[better]
-            best_x[:, cols] = x[:, cols]
+            best_x[:, cols] = x_check[:, better]
             best_alpha[:, cols] = alpha[:, cols]
             tested = gated[(best_res[gated] <= threshold[gated]) | last]
         if tested.size:
@@ -333,6 +355,9 @@ def solve_penalized_many(
                 first, x_out, best_alpha[:, tested], y[:, tested], lam[tested]
             )
             converged = exact <= threshold[tested]
+            # a relaxed alpha may leave the lam ball, where the check residual
+            # can read low; a best iterate that fails keeps its exact residual
+            best_res[tested] = exact
             for j, x_j, res_j, conv_j in zip(tested, x_out.T, exact, converged):
                 if conv_j or last:
                     done[int(live[j])] = (x_j, float(res_j), it, bool(conv_j))
@@ -348,7 +373,7 @@ def solve_penalized_many(
                 lam, threshold, margin, best_res, live, omega = (
                     a[keep] for a in (lam, threshold, margin, best_res, live, omega)
                 )
-                neg_lam = -lam
+                radius, neg_radius = _RELAX * lam, -_RELAX * lam
                 if np.ndim(tau):
                     k, tau, sigma = k[keep], tau[keep], sigma[keep]
         if it % _WEIGHT_WINDOW:
@@ -359,13 +384,13 @@ def solve_penalized_many(
             moved = (dx > 0) & (da > 0)
             omega[moved] = _next_weight(omega[moved], da[moved], dx[moved])
             tau, sigma = step / omega, step * omega
-            k, c = _affine_step(l_rot, mu, tau, sigma, rhs)
+            k, c = _affine_step(l_rot, mu, tau, sigma, rhs, _RELAX)
             # restart the extrapolation of the moved columns: alpha_{k+1}
             # from xbar = x_k at the new sigma
             restart = l_rot @ x[:, moved]
             restart *= sigma[moved]
             restart += alpha[:, moved]
-            _project_dual_ball_inplace(norm, restart, lam[moved], neg_lam[moved])
+            _project_dual_ball_inplace(norm, restart, lam[moved], -lam[moved])
             z[n:, moved] = restart
         x_mark, alpha_mark = x, alpha
 

@@ -445,8 +445,8 @@ class TestRunScenario:
         assert lines[-1].startswith("unconverged trials ")
         assert int(lines[-1].split()[-1]) >= 1
 
-        # sixty iterations leave every solve unconverged but inside its bounds
-        inside = run_scenario(base_config(max_iter=60, plot=False), tmp_path / "inside")
+        # forty iterations leave every solve unconverged but inside its bounds
+        inside = run_scenario(base_config(max_iter=40, plot=False), tmp_path / "inside")
         assert inside.exit_code == 0
         assert not any(report.converged for report in calls[-1])
         assert all(check.pass_all for check in inside.reports)

@@ -9,17 +9,31 @@ from decoreg.guarantees import (
     STATUS_UNDECIDED,
     STATUS_UNIQUE,
     STATUS_VIOLATED,
+    UniquenessVerdict,
     assemble_total_constant,
     bregman_to_l2,
     prediction_bregman_bounds,
-    separable_uniqueness,
     stability_constants,
     strong_nsp_check,
     uniqueness_from_certificate,
     verify_bounds,
 )
-from decoreg.linops import LinearOperator, Subspace, identity, kernel_basis
-from decoreg.norms import decompose_at, group, l1, norm_subgradient, norm_value, nuclear
+from decoreg.linops import (
+    LinearOperator,
+    Subspace,
+    identity,
+    kernel_basis,
+    restricted_injectivity_constant,
+)
+from decoreg.norms import (
+    decompose_at,
+    dual_norm_value,
+    group,
+    l1,
+    norm_subgradient,
+    norm_value,
+    nuclear,
+)
 from decoreg.solver import (
     Problem,
     SolverOptions,
@@ -29,6 +43,7 @@ from decoreg.solver import (
     solve_penalized,
 )
 from decoreg.experiments import difference_operator_1d, noise_in_ball
+from test_norms import separable_split
 
 rng = np.random.default_rng(400)
 
@@ -299,6 +314,26 @@ class TestUniquenessFromCertificate:
         assert uniqueness_from_certificate(cert, 0.0).status == STATUS_UNDECIDED
 
 
+def separable_uniqueness(cert, model, first_part, norm, phi, l_op):
+    """Reference: the certificate criterion weakened for the separable norms
+    (l1 and group) on S = V + W, V the inactive blocks that ``first_part``
+    names (``separable_split``).  Unique when alpha is a certificate on W,
+    dual_norm(P_W alpha) <= 1, stays below 1 on V, and phi is injective on
+    ker(L_V^*) = {x : L^* x in T + W}.  The certificate must attain e on
+    the model: P_T alpha = e.  The strong null-space check subsumes it."""
+    V, W = separable_split(norm, model, first_part)
+    miss = np.linalg.norm(model.T.project(cert.alpha) - model.e)
+    if miss > 1e-6 * (1.0 + np.linalg.norm(model.e)):
+        raise ValueError("the certificate does not attain e on the model")
+    sat_v = dual_norm_value(norm, V.project(cert.alpha))
+    sat_w = dual_norm_value(norm, W.project(cert.alpha))
+    lv_adj = LinearOperator((l_op.entries @ V.projector_matrix()).T)
+    c_phi_v = restricted_injectivity_constant(phi, kernel_basis(lv_adj))
+    if sat_w <= 1.0 and sat_v < 1.0 and c_phi_v > 0.0:
+        return UniquenessVerdict(STATUS_UNIQUE)
+    return UniquenessVerdict(STATUS_UNDECIDED)
+
+
 class TestSeparableUniqueness:
     # u0 supported on the first coordinate: T = span{e_0}, e = e_0
     model = l1_model([1.0, 0.0, 0.0, 0.0])
@@ -347,6 +382,26 @@ class TestSeparableUniqueness:
         verdict = separable_uniqueness(cert, self.model, [1], l1(4), phi, identity(4))
         assert verdict.status == STATUS_UNDECIDED
 
+    def test_no_certificate_on_w_is_undecided(self):
+        # alpha meets the criterion on V = {1, 3}, but |alpha_2| = 3.5 on W
+        # makes it no certificate: x0 is not even a minimizer, since x0 + s h
+        # has the measurements of x0 and the norm 1 - s / 2.  Without its
+        # check of W the criterion would certify uniqueness here
+        h = np.array([-1.0, 0.0, 0.25, 0.25])
+        phi = LinearOperator(null_space(h[None, :]).T)
+        x0 = np.array([1.0, 0.0, 0.0, 0.0])
+        assert norm_value(l1(4), x0 + 0.5 * h) == pytest.approx(0.75, abs=1e-15)
+        assert np.allclose(phi.apply(x0 + 0.5 * h), phi.apply(x0), atol=1e-15)
+        alpha = np.array([1.0, 0.5, 3.5, 0.5])
+        cert = DualCertificate(phi.apply(alpha), alpha, 3.5, 0.0)
+        assert np.allclose(phi.adjoint_apply(cert.eta), alpha)
+        # ker(L_V^*) = span{e_0, e_2} misses h
+        assert restricted_injectivity_constant(phi, Subspace.from_coordinates(4, [0, 2])) > 0
+        verdict = separable_uniqueness(cert, self.model, [1, 3], l1(4), phi, identity(4))
+        assert verdict.status == STATUS_UNDECIDED
+        nsp = strong_nsp_check(phi, identity(4), self.model.T, self.model.e, l1(4))
+        assert nsp.status == STATUS_VIOLATED
+
     def test_certificate_must_attain_e(self):
         cert = self.make_cert([0.5, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="attain"):
@@ -379,6 +434,30 @@ class TestSeparableUniqueness:
         inactive = sorted(set(parts) - set(model.active))
         verdict = separable_uniqueness(cert, model, inactive, norm, phi, l_op)
         assert verdict.status == uniqueness_from_certificate(cert, ctx.c_phi).status
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["l1", "tv1d", "group"]),
+        kernel_dim=st.integers(0, 3),
+        mode=st.sampled_from(["full", "u_only", "zero"]),
+    )
+    def test_certified_only_where_the_strong_nsp_check_certifies(
+        self, seed, kind, kernel_dim, mode
+    ):
+        # V: every inactive block where alpha is below 1, the largest V the
+        # criterion can use
+        phi, l_op, norm, model = nsp_instance(seed, kind, kernel_dim)
+        try:
+            ctx = ic_context(phi, l_op, model.T)
+        except ValueError:
+            assume(False)
+        cert = build_certificate(ctx, norm, model.e, mode=mode)
+        inactive = sorted(set(range(len(norm.blocks))) - set(model.active))
+        below = [b for b in inactive if np.linalg.norm(cert.alpha[list(norm.blocks[b])]) < 1.0]
+        if separable_uniqueness(cert, model, below, norm, phi, l_op).status == STATUS_UNIQUE:
+            verdict = strong_nsp_check(phi, l_op, model.T, model.e, norm)
+            assert verdict.status == STATUS_UNIQUE
 
 
 class TestStabilityConstants:
