@@ -7,11 +7,12 @@ constructive route assembles one from the irrepresentability minimizers:
     eta   = Phi Xi L_T0 e0 + z
     alpha = e0 + Gamma e0 + P_S0 u + pinv(L_S0) Phi^* z
 
-with (u, z) either the joint minimizer, the u-only minimizer, or zero.  The
-source equation then holds by construction for any feasible (u, z); the
-achieved irrepresentability value is exactly the dual norm of alpha on the
-inactive space (its "saturation"), and 1 - saturation is the margin entering
-the stability constants.
+with (u, z) either the joint minimizer, the u-only minimizer, or zero: the
+analysis picks the IC solution, the certificate assembles it.  The source
+equation holds by construction for any feasible (u, z); the achieved
+irrepresentability value is exactly the dual norm of alpha on the inactive
+space (its "saturation"), and 1 - saturation is the margin entering the
+stability constants.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .norms import DecomposableNorm, dual_norm_value
-from .solver import ICContext, ICSolution, SolverOptions, minimize_ic_full, minimize_ic_u
+from .solver import ICContext, ICSolution
 
 __all__ = [
     "DualCertificate",
@@ -54,37 +55,17 @@ class DualCertificate(NamedTuple):
 
 
 def build_certificate(
-    ctx: ICContext,
-    norm: DecomposableNorm,
-    e0,
-    mode: str = "full",
-    opts: SolverOptions | None = None,
+    ctx: ICContext, norm: DecomposableNorm, e0, sol: ICSolution
 ) -> DualCertificate:
-    """Assemble a certificate for the model (``ctx.T``, e0) from the
-    irrepresentability minimizers of ``mode``: "full" (joint), "u_only"
-    (z = 0) or "zero" ((0, 0)).  A certificate whose saturation reaches 1 is
-    still returned, since phase-transition experiments need the value.
+    """Assemble the certificate of the model (``ctx.T``, e0) from one
+    irrepresentability solution (u, z), carrying its value, gap and
+    convergence.  A certificate whose saturation reaches 1 is still
+    returned, since phase-transition experiments need the value.
     """
-    if mode not in ("full", "u_only", "zero"):
-        raise ValueError(f"unknown certificate mode {mode!r}")
     phi, l_op = ctx.phi, ctx.l_op
     e0 = np.asarray(e0, dtype=float).reshape(-1)
-    if mode == "full":
-        sol = minimize_ic_full(ctx, norm, e0, opts)
-    elif mode == "u_only":
-        sol = minimize_ic_u(ctx, norm, e0, opts)
-    else:
-        sol = ICSolution(
-            u=np.zeros(l_op.cols),
-            z=np.zeros(phi.rows),
-            value=dual_norm_value(norm, ctx.gamma @ e0),
-            gap=0.0,
-            converged=True,
-        )
-    u, z = sol.u, sol.z
-
-    eta = phi.apply(ctx.xi @ (ctx.lt @ e0)) + z
-    alpha = e0 + ctx.gamma @ e0 + ctx.S.project(u) + ctx.ls_pinv_phi_adj @ z
+    eta = phi.apply(ctx.xi @ (ctx.lt @ e0)) + sol.z
+    alpha = e0 + ctx.gamma @ e0 + ctx.S.project(sol.u) + ctx.ls_pinv_phi_adj @ sol.z
     saturation = dual_norm_value(norm, ctx.S.project(alpha))
     source_residual = float(
         np.linalg.norm(phi.adjoint_apply(eta) - l_op.apply(alpha))

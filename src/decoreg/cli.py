@@ -16,15 +16,7 @@ import sys
 from pathlib import Path
 
 from .certificates import certificate_quality, write_certificate_csv
-from .experiments import (
-    ScenarioConfig,
-    analyze_scenario,
-    generate_scenario,
-    oracle_solve,
-    run_scenario,
-    solve_trials,
-)
-from .solver import SolverOptions
+from .experiments import ScenarioConfig, analyze_scenario, oracle_solve, run_scenario, solve_levels
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -37,15 +29,11 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _solve_command(cfg: ScenarioConfig, out: Path) -> int:
-    phi, l_op, norm, x0, ys = generate_scenario(cfg)
-    opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
     header = "epsilon,objective,optimality_residual,iterations,converged," + ",".join(
         f"x{i}" for i in range(cfg.n)
     )
     lines = [header]
-    trials = list(zip(cfg.epsilons, ys))
-    reports = solve_trials(phi, l_op.T, norm, trials, cfg.coupling_c, opts)
-    for eps, report in zip(cfg.epsilons, reports):
+    for eps, report in zip(cfg.epsilons, solve_levels(cfg)):
         lines.append(
             ",".join(
                 [
@@ -94,13 +82,9 @@ def _uniqueness_command(cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _oracle_command(cfg: ScenarioConfig, out: Path) -> int:
-    phi, l_op, norm, x0, ys = generate_scenario(cfg)
-    opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
     lines = ["epsilon,objective_solver,objective_oracle,gap,agree"]
     worst = 0
-    trials = list(zip(cfg.epsilons, ys))
-    reports = solve_trials(phi, l_op.T, norm, trials, cfg.coupling_c, opts)
-    for eps, solved in zip(cfg.epsilons, reports):
+    for eps, solved in zip(cfg.epsilons, solve_levels(cfg)):
         oracle = oracle_solve(solved.problem)
         gap = abs(solved.objective - oracle.objective)
         agree = gap <= 1e-6 * (1.0 + abs(oracle.objective))

@@ -53,6 +53,7 @@ from .solver import (
     SolveReport,
     SolverOptions,
     ICContext,
+    ICSolution,
     _min_dual_norm_affine,
     ic_context,
     ic_value,
@@ -74,6 +75,7 @@ __all__ = [
     "vanishing_penalty",
     "solve_vanishing",
     "solve_trials",
+    "solve_levels",
     "first_order_residual",
     "generate_scenario",
     "analyze_scenario",
@@ -598,6 +600,14 @@ def solve_trials(
     return [solved[key] for key in keys]
 
 
+def solve_levels(cfg: ScenarioConfig) -> list[SolveReport]:
+    """Generate the scenario and solve it at every noise level, one report
+    per entry of ``cfg.epsilons``."""
+    phi, l_op, norm, _, ys = generate_scenario(cfg)
+    opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+    return solve_trials(phi, l_op.T, norm, list(zip(cfg.epsilons, ys)), cfg.coupling_c, opts)
+
+
 def _enumerated_models(p: Problem, x_ref: np.ndarray) -> list[DecompositionModel]:
     """Brute-force candidate models for the oracle's polish: T = {0}, which
     relative thresholds never read off a nonzero point, every l1 sign
@@ -692,25 +702,22 @@ def analyze_scenario(cfg: ScenarioConfig) -> ScenarioAnalysis:
     opts = SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
     try:
         ctx = ic_context(phi, l_op, model.T)
-        cert = build_certificate(ctx, norm, model.e, mode=cfg.certificate_mode, opts=opts)
     except ValueError as exc:
         # the null-space check needs no restricted injectivity
         nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm, opts)
         return ScenarioAnalysis(scenario, model, opts, None, None, str(exc), None, nsp, None)
-    ic_00 = ic_value(ctx, norm, model.e, np.zeros(cfg.p), np.zeros(cfg.m))
-    # the certificate already solved the program of its own mode
-    if cfg.certificate_mode == "u_only":
-        ic_u = cert.ic_value
-    else:
-        ic_u = minimize_ic_u(ctx, norm, model.e, opts).value
-    if cfg.certificate_mode == "full":
-        joint = (cert.ic_value, cert.ic_gap)
-    else:
-        sol = minimize_ic_full(ctx, norm, model.e, opts)
-        joint = (sol.value, sol.gap)
+    # the IC chain, one solution per certificate mode, each program run once
+    zeros = (np.zeros(cfg.p), np.zeros(cfg.m))
+    sols = {
+        "full": minimize_ic_full(ctx, norm, model.e, opts),
+        "u_only": minimize_ic_u(ctx, norm, model.e, opts),
+        "zero": ICSolution(*zeros, ic_value(ctx, norm, model.e, *zeros), 0.0, True),
+    }
+    cert = build_certificate(ctx, norm, model.e, sols[cfg.certificate_mode])
+    joint = (sols["full"].value, sols["full"].gap)
     nsp = strong_nsp_check(phi, l_op, model.T, model.e, norm, opts, joint=joint)
     verdict = uniqueness_from_certificate(cert, ctx.c_phi)
-    chain = (joint[0], ic_u, ic_00)
+    chain = tuple(sol.value for sol in sols.values())
     return ScenarioAnalysis(scenario, model, opts, ctx, cert, None, chain, nsp, verdict)
 
 

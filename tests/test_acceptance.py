@@ -182,14 +182,14 @@ def test_criterion_3_certificates():
             model = decompose_at(norm, l_op.T.apply(x0))
             try:
                 ctx = ic_context(phi, l_op, model.T)
-                cert = build_certificate(ctx, norm, model.e, mode="full", opts=opts)
             except ValueError:
                 continue  # injectivity fails for this draw
+            joint = minimize_ic_full(ctx, norm, model.e, opts)
+            cert = build_certificate(ctx, norm, model.e, joint)
             ok &= bool(cert.source_residual <= 1e-7)
             ok &= bool(
                 np.linalg.norm(model.T.project(cert.alpha) - model.e) <= 1e-9
             )
-            joint = minimize_ic_full(ctx, norm, model.e, opts)
             u_only = minimize_ic_u(ctx, norm, model.e, opts)
             zero = ic_value(
                 ctx, norm, model.e, np.zeros(norm.ambient_dim), np.zeros(phi.rows)
@@ -288,7 +288,8 @@ def test_criterion_5_uniqueness(tmp_path):
         verdict = strong_nsp_check(phi, identity(n), model.T, model.e, norm)
         if (verdict.status == STATUS_UNIQUE) == agree:
             matches += 1
-        cert = build_certificate(ic_context(phi, identity(n), model.T), norm, model.e)
+        ctx = ic_context(phi, identity(n), model.T)
+        cert = build_certificate(ctx, norm, model.e, minimize_ic_full(ctx, norm, model.e))
         s = model.T.complement()
         ls_adj = LinearOperator((identity(n).entries @ s.projector_matrix()).T)
         c_phi = restricted_injectivity_constant(phi, kernel_basis(ls_adj))
@@ -322,7 +323,7 @@ def test_criterion_6_frame_mode(tmp_path):
     phi, l_op, norm, x0, _ = generate_scenario(cfg)
     model = decompose_at(norm, l_op.T.apply(x0))
     ctx = ic_context(phi, l_op, model.T)
-    cert = build_certificate(ctx, norm, model.e)
+    cert = build_certificate(ctx, norm, model.e, minimize_ic_full(ctx, norm, model.e))
     from decoreg.guarantees import stability_constants
 
     framed = stability_constants(ctx, norm, cert, 1.0, frame=True)

@@ -16,7 +16,16 @@ from decoreg.linops import (
     restricted_injectivity_constant,
 )
 from decoreg.norms import decompose_at, l1, group, nuclear, subdiff_membership
-from decoreg.solver import Problem, SolverOptions, ic_context, solve_penalized
+from decoreg.solver import (
+    ICSolution,
+    Problem,
+    SolverOptions,
+    ic_context,
+    ic_value,
+    minimize_ic_full,
+    minimize_ic_u,
+    solve_penalized,
+)
 
 rng = np.random.default_rng(31)
 
@@ -47,6 +56,21 @@ def read_certificate_csv(path) -> DualCertificate:
         raise ValueError(f"{path}: missing certificate field {exc}") from exc
 
 
+def ic_solution(ctx, norm, e, mode="full", opts=None):
+    """The irrepresentability solution of a certificate mode: the joint
+    minimizer ("full"), the u-only minimizer ("u_only") or (u, z) = 0
+    ("zero"), as the scenario analysis picks it."""
+    if mode == "zero":
+        zeros = (np.zeros(ctx.l_op.cols), np.zeros(ctx.phi.rows))
+        return ICSolution(*zeros, ic_value(ctx, norm, e, *zeros), 0.0, True)
+    program = minimize_ic_full if mode == "full" else minimize_ic_u
+    return program(ctx, norm, e, opts)
+
+
+def certificate(ctx, norm, e, mode="full", opts=None):
+    return build_certificate(ctx, norm, e, ic_solution(ctx, norm, e, mode, opts))
+
+
 def random_orthonormal(n, seed=0):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return LinearOperator(q)
@@ -70,7 +94,7 @@ class TestBuildCertificate:
         norm = l1(4)
         x0 = np.array([1.0, 0.0, 0.0, 0.0])
         model = decompose_at(norm, x0)
-        cert = build_certificate(ic_context(phi, identity(4), model.T), norm, model.e)
+        cert = certificate(ic_context(phi, identity(4), model.T), norm, model.e)
         assert np.allclose(cert.eta, phi.entries[:, 0], atol=1e-9)
         assert np.allclose(cert.alpha, model.e, atol=1e-9)
         assert cert.saturation == pytest.approx(0.0, abs=1e-9)
@@ -80,17 +104,12 @@ class TestBuildCertificate:
         norm = l1(2)
         model = decompose_at(norm, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            build_certificate(ic_context(phi, identity(2), model.T), norm, model.e)
-
-    def test_unknown_mode_rejected(self):
-        phi, l_op, norm, x0, model = certificate_instance(0)
-        with pytest.raises(ValueError):
-            build_certificate(ic_context(phi, l_op, model.T), norm, model.e, mode="dual")
+            ic_context(phi, identity(2), model.T)
 
     def test_built_certificates_satisfy_source_condition(self):
         for seed in range(10):
             phi, l_op, norm, x0, model = certificate_instance(seed)
-            cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
+            cert = certificate(ic_context(phi, l_op, model.T), norm, model.e)
             assert cert.source_residual <= 1e-7
             l_alpha = l_op.apply(cert.alpha)
             range_resid = np.linalg.norm(phi.adjoint_apply(cert.eta) - l_alpha)
@@ -100,12 +119,12 @@ class TestBuildCertificate:
 
     def test_model_part_matches_direction(self):
         phi, l_op, norm, x0, model = certificate_instance(7)
-        cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
+        cert = certificate(ic_context(phi, l_op, model.T), norm, model.e)
         assert np.linalg.norm(model.T.project(cert.alpha) - model.e) <= 1e-9
 
     def test_saturation_recomputable(self):
         phi, l_op, norm, x0, model = certificate_instance(3)
-        cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
+        cert = certificate(ic_context(phi, l_op, model.T), norm, model.e)
         from decoreg.norms import dual_norm_value
 
         s = model.T.complement()
@@ -122,9 +141,9 @@ class TestBuildCertificate:
             phi, l_op, norm, x0, model = certificate_instance(seed, m=6, n=8)
             try:
                 ctx = ic_context(phi, l_op, model.T)
-                full = build_certificate(ctx, norm, model.e, mode="full")
-                u_only = build_certificate(ctx, norm, model.e, mode="u_only")
-                zero = build_certificate(ctx, norm, model.e, mode="zero")
+                full, u_only, zero = (
+                    certificate(ctx, norm, model.e, mode) for mode in ("full", "u_only", "zero")
+                )
             except ValueError:
                 continue
             assert full.saturation <= u_only.saturation + 1e-7
@@ -132,26 +151,15 @@ class TestBuildCertificate:
             checked += 1
 
     def test_carries_its_program_value_and_gap(self):
-        from decoreg.solver import ic_value, minimize_ic_full, minimize_ic_u
-
         phi, l_op, norm, _, model = certificate_instance(3)
         T, e = model.T, model.e
         ctx = ic_context(phi, l_op, T)
-        programs = {
-            "full": minimize_ic_full(ctx, norm, e),
-            "u_only": minimize_ic_u(ctx, norm, e),
-        }
-        zero_value = ic_value(ctx, norm, e, np.zeros(8), np.zeros(6))
         for mode in ("full", "u_only", "zero"):
-            cert = build_certificate(ctx, norm, e, mode=mode)
-            if mode == "zero":
-                assert cert.ic_value == zero_value
-                assert cert.ic_gap == 0.0 and cert.ic_converged
-            else:
-                sol = programs[mode]
-                assert cert.ic_value == sol.value
-                assert cert.ic_gap == sol.gap
-                assert cert.ic_converged == sol.converged
+            sol = ic_solution(ctx, norm, e, mode)
+            cert = build_certificate(ctx, norm, e, sol)
+            assert cert.ic_value == sol.value
+            assert cert.ic_gap == sol.gap
+            assert cert.ic_converged == sol.converged
             # P_S alpha is the program's vector: the value is the saturation
             assert cert.ic_value == pytest.approx(cert.saturation, abs=1e-12)
 
@@ -161,7 +169,7 @@ class TestBuildCertificate:
         for seed in range(40):
             phi, l_op, norm, x0, model = certificate_instance(seed, m=3, n=8, support=2)
             try:
-                cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
+                cert = certificate(ic_context(phi, l_op, model.T), norm, model.e)
             except ValueError:
                 continue
             if cert.saturation >= 1.0:
@@ -177,7 +185,7 @@ class TestBuildCertificate:
         x0 = np.zeros(9)
         x0[:3] = [1.0, -2.0, 0.5]
         model = decompose_at(norm, x0)
-        cert = build_certificate(ic_context(phi, identity(9), model.T), norm, model.e)
+        cert = certificate(ic_context(phi, identity(9), model.T), norm, model.e)
         assert cert.source_residual <= 1e-7
         assert np.linalg.norm(model.T.project(cert.alpha) - model.e) <= 1e-9
 
@@ -185,7 +193,7 @@ class TestBuildCertificate:
         phi2 = LinearOperator(r.standard_normal((8, 9)) / np.sqrt(8))
         u0 = np.outer(r.standard_normal(3), r.standard_normal(3)).reshape(-1, order="F")
         model2 = decompose_at(nuc, u0)
-        cert2 = build_certificate(ic_context(phi2, identity(9), model2.T), nuc, model2.e)
+        cert2 = certificate(ic_context(phi2, identity(9), model2.T), nuc, model2.e)
         assert cert2.source_residual <= 1e-7
         assert np.linalg.norm(model2.T.project(cert2.alpha) - model2.e) <= 1e-9
 
@@ -208,7 +216,7 @@ class TestUniquenessCrossCheck:
 
         for seed in (1, 4, 9):
             phi, l_op, norm, x0, model = certificate_instance(seed)
-            cert = build_certificate(ic_context(phi, l_op, model.T), norm, model.e)
+            cert = certificate(ic_context(phi, l_op, model.T), norm, model.e)
             if cert.saturation >= 1.0:
                 continue
             s = model.T.complement()
@@ -257,7 +265,7 @@ class TestCsv:
         x0 = np.zeros(9)
         x0[:3] = [1.0, -2.0, 0.5]
         model = decompose_at(norm, x0)
-        short = build_certificate(
+        short = certificate(
             ic_context(phi, identity(9), model.T), norm, model.e, opts=SolverOptions(max_iter=3)
         )
         assert not short.ic_converged and short.ic_gap > 0

@@ -377,6 +377,11 @@ class TestRunScenario:
             if r[1] == 0.0:
                 assert r[9] <= 1e-6
 
+    def test_noiseless_sweep_plots_an_empty_figure(self, tmp_path):
+        # the plot is log-log, so it draws only the eps > 0 points
+        result = run_scenario(base_config(phi_kind="identity", m=16, epsilons=(0.0,)), tmp_path)
+        assert result.plot_path.read_bytes() == b"<svg xmlns='http://www.w3.org/2000/svg'/>\n"
+
     def test_observed_below_line(self, tmp_path):
         cfg = base_config(noise_draws=2)
         result = run_scenario(cfg, tmp_path)
@@ -1119,6 +1124,22 @@ class TestCli:
         text = (tmp_path / "out" / "oracle_compare.csv").read_text()
         assert "True" in text
 
+    def test_oracle_disagreement_exits_1(self, tmp_path, monkeypatch):
+        import decoreg.cli as cli
+
+        original = cli.oracle_solve
+
+        def shifted(p):
+            report = original(p)
+            return report._replace(objective=report.objective + 1.0)
+
+        monkeypatch.setattr(cli, "oracle_solve", shifted)
+        cfg = write_config(tmp_path, dims={"m": 5, "n": 6, "p": 6}, epsilons=[0.05])
+        out = tmp_path / "out"
+        assert cli_main(["oracle-compare", "--config", str(cfg), "--out", str(out)]) == 1
+        header, row = (out / "oracle_compare.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["agree"] == "False"
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, dims={"m": 6, "n": 8, "p": 4})
         code = cli_main(
@@ -1225,10 +1246,47 @@ class TestCli:
             ({"epsilons": []}, "epsilons"),
             # numpy's "expected non-negative integer" named no field
             ({"seed": -3}, "seed must be nonnegative, got -3"),
+            ({"phi": {"kind": "radon"}}, "unknown phi kind 'radon'"),
+            ({"l": {"kind": "wavelet"}}, "unknown l kind 'wavelet'"),
+            ({"signal": {"kind": "dense"}}, "unknown signal kind 'dense'"),
+            ({"certificate_mode": "dual"}, "unknown certificate mode 'dual'"),
+            ({"phi": {"kind": "identity"}}, "identity measurements need m == n"),
+            ({"phi": {"kind": "convolution"}}, "convolution measurements need m == n"),
+            (
+                {"dims": {"m": 6, "n": 8, "p": 10}, "l": {"kind": "tv2d"}},
+                "tv2d needs height and width",
+            ),
+            (
+                {"dims": {"m": 6, "n": 8, "p": 10}, "l": {"kind": "tv2d", "height": 2, "width": 3}},
+                "tv2d needs n == height * width",
+            ),
+            (
+                {"dims": {"m": 6, "n": 8, "p": 6}, "l": {"kind": "tight_frame"}},
+                "tight_frame needs p >= n",
+            ),
+            (
+                {"signal": {"kind": "explicit", "x0": [1.0] * 7}},
+                "explicit signal needs an x0 of length n",
+            ),
+            ({"noise_draws": 0}, "noise_draws must be at least 1"),
+            ({"dims": {"m": 0, "n": 8, "p": 8}}, "dimensions must be positive"),
+            # the last two are refused while generating, after --out is made
+            ({"signal": {"kind": "low_rank"}}, "low_rank signals require the nuclear norm"),
+            (
+                {
+                    "norm": {"kind": "nuclear", "nrows": 2, "ncols": 4},
+                    "signal": {"kind": "low_rank", "rank": 3},
+                },
+                "requested rank exceeds the matrix shape",
+            ),
         ],
         ids=[
             "x0-nan", "phi-no-path", "l-no-path", "phi-missing-file", "l-nan-entry",
             "l-not-an-object", "epsilons-empty", "seed-negative",
+            "phi-unknown", "l-unknown", "signal-unknown", "certificate_mode-unknown",
+            "identity-m-ne-n", "convolution-m-ne-n", "tv2d-no-grid", "tv2d-n-ne-hw",
+            "tight_frame-p-lt-n", "x0-wrong-length", "noise_draws-0", "dims-zero",
+            "low_rank-not-nuclear", "rank-above-shape",
         ],
     )
     def test_bad_inputs_are_configuration_errors(

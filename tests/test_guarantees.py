@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from decoreg.certificates import DualCertificate, build_certificate
+from decoreg.certificates import DualCertificate
 from decoreg.guarantees import (
     STATUS_UNDECIDED,
     STATUS_UNIQUE,
@@ -43,6 +43,7 @@ from decoreg.solver import (
     solve_penalized,
 )
 from decoreg.experiments import difference_operator_1d, noise_in_ball
+from test_certificates import certificate
 from test_norms import separable_split
 
 rng = np.random.default_rng(400)
@@ -426,7 +427,7 @@ class TestSeparableUniqueness:
             ctx = ic_context(phi, l_op, model.T)
         except ValueError:
             assume(False)
-        cert = build_certificate(ctx, norm, model.e)
+        cert = certificate(ctx, norm, model.e)
         if norm.kind == "l1":
             parts = range(norm.ambient_dim)
         else:
@@ -452,7 +453,7 @@ class TestSeparableUniqueness:
             ctx = ic_context(phi, l_op, model.T)
         except ValueError:
             assume(False)
-        cert = build_certificate(ctx, norm, model.e, mode=mode)
+        cert = certificate(ctx, norm, model.e, mode)
         inactive = sorted(set(range(len(norm.blocks))) - set(model.active))
         below = [b for b in inactive if np.linalg.norm(cert.alpha[list(norm.blocks[b])]) < 1.0]
         if separable_uniqueness(cert, model, below, norm, phi, l_op).status == STATUS_UNIQUE:
@@ -495,7 +496,7 @@ class TestStabilityConstants:
         x0 = np.linalg.solve(q, u0)
         model = decompose_at(norm, l_op.T.apply(x0))
         ctx = ic_context(phi, l_op, model.T)
-        cert = build_certificate(ctx, norm, model.e)
+        cert = certificate(ctx, norm, model.e)
         plain = stability_constants(ctx, norm, cert, 1.0)
         framed = stability_constants(ctx, norm, cert, 1.0, frame=True)
         assert plain.c_l == pytest.approx(1.0, abs=1e-10)
@@ -552,7 +553,7 @@ def stability_instance(seed=0, m=6, n=8):
     x0[5] = -1.5
     model = decompose_at(norm, x0)
     ctx = ic_context(phi, identity(n), model.T)
-    cert = build_certificate(ctx, norm, model.e)
+    cert = certificate(ctx, norm, model.e)
     bound = stability_constants(ctx, norm, cert, 1.0)
     return ctx, norm, x0, cert, bound
 
@@ -600,6 +601,16 @@ class TestVerifyBounds:
         chk = verify_bounds(ctx, norm, x0, cert, eps, report, bound)
         assert not chk.preconditions_ok
         assert "lambda" in chk.reason
+        assert not chk.pass_all
+
+    def test_noiseless_check_needs_a_vanishing_penalty(self):
+        ctx, norm, x0, cert, bound = stability_instance()
+        phi, l_op = ctx.phi, ctx.l_op
+        p = Problem(phi=phi, l_adjoint=l_op.T, norm=norm, y=phi.apply(x0), lam=0.01)
+        report = solve_penalized(p, SolverOptions(tol=1e-9))
+        chk = verify_bounds(ctx, norm, x0, cert, 0.0, report, bound)
+        assert not chk.preconditions_ok
+        assert chk.reason == "epsilon = 0 requires a vanishing penalty"
         assert not chk.pass_all
 
     def test_noise_outside_ball_flagged(self):
